@@ -3,7 +3,7 @@
 The published figures give total learnable-parameter counts (67 179 for the
 spectrogram net, 30 219 for the CWT net, 549 091 for the enhanced raw net)
 but not every layer dimension; stage widths here are chosen to land within
-20% of those counts and are recorded in the ArchitectureSpec.  Convolutions
+20% of those counts and are recorded in the network metadata.  Convolutions
 are 3x3 (time-frequency nets) or 1x5 (raw nets), valid padding; raw nets
 pool with non-overlapping 1x3 windows.
 
@@ -15,8 +15,6 @@ builder is asked for PELU-only activations (the transfer second network).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -32,7 +30,6 @@ from .nn import (
     Node,
     PELU,
     PReLU,
-    ScalarScale,
     SliceChannels,
     Sum,
 )
@@ -52,18 +49,6 @@ INPUT_SHAPES = {
     "enhanced-raw": (1, 8, 52),
     "raw-1d": (8, 1, 52),
 }
-
-
-@dataclass
-class ArchitectureSpec:
-    name: str
-    input_shape: tuple
-    branch_count: int
-    stage_plan: list
-    param_count_target: int
-    learning_rate_default: float
-    num_classes: int = 7
-    widths: dict = field(default_factory=dict)
 
 
 class _Builder:
@@ -108,21 +93,23 @@ class _Builder:
         raise ConfigError(f"unknown activation '{kind}'")
 
 
-def _finish(builder, name, num_classes, widths, branch_count):
+def _finish(builder, name, num_classes, widths, branch_count, input_shape=None, **extra_metadata):
+    input_shape = list(input_shape or INPUT_SHAPES[name])
     net = Network(
         nodes=builder.nodes,
         metadata={
             "architecture": name,
-            "input_shape": list(INPUT_SHAPES[name]),
+            "input_shape": input_shape,
             "num_classes": num_classes,
             "stage_outputs": builder.stage_outputs,
             "learning_rate_default": LEARNING_RATES[name],
             "branch_count": branch_count,
             "widths": widths,
+            **extra_metadata,
         },
     )
     # dry run to catch any shape mismatch at construction time
-    net.forward(np.zeros((2, *INPUT_SHAPES[name])), mode="eval")
+    net.forward(np.zeros((2, *input_shape)), mode="eval")
     return net
 
 
@@ -224,21 +211,7 @@ def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0, in_
     fc = b.fc_stage("fc4", flat, w["c2"] * 1 * 4, w["fc"], act)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [c2], [fc]]
-    net = Network(
-        nodes=b.nodes,
-        metadata={
-            "architecture": "raw-1d",
-            "input_shape": [in_channels, 1, 52],
-            "num_classes": num_classes,
-            "stage_outputs": b.stage_outputs,
-            "learning_rate_default": LEARNING_RATES["raw-1d"],
-            "branch_count": 1,
-            "widths": w,
-            "in_channels": in_channels,
-        },
-    )
-    net.forward(np.zeros((2, in_channels, 1, 52)), mode="eval")
-    return net
+    return _finish(b, "raw-1d", num_classes, w, 1, (in_channels, 1, 52), in_channels=in_channels)
 
 
 ARCHITECTURES = {
@@ -257,17 +230,3 @@ def build_architecture(name, num_classes=7, widths=None, activation=None, seed=0
     if activation is None:
         return builder(num_classes=num_classes, widths=widths, seed=seed, **kwargs)
     return builder(num_classes=num_classes, widths=widths, activation=activation, seed=seed, **kwargs)
-
-
-def architecture_spec(net: Network) -> ArchitectureSpec:
-    md = net.metadata
-    return ArchitectureSpec(
-        name=md["architecture"],
-        input_shape=tuple(md["input_shape"]),
-        branch_count=md["branch_count"],
-        stage_plan=md["stage_outputs"],
-        param_count_target=PARAM_TARGETS.get(md["architecture"], net.parameter_count()),
-        learning_rate_default=md["learning_rate_default"],
-        num_classes=md["num_classes"],
-        widths=md["widths"],
-    )

@@ -2,7 +2,10 @@
 
 Subcommands: convert, extract, pretrain, train, evaluate, replay, report,
 stats.  A JSON config file (--config) supplies ExperimentConfig fields;
-explicit flags override it.  Exit codes: 0 success, 2 configuration error,
+explicit flags override it.  ``train --save-models DIR`` saves, per subject,
+the model scored at the first seed (the merged transfer network under
+--transfer); its metadata records ``subject`` and ``channel_shift``, which
+evaluate and replay apply.  Exit codes: 0 success, 2 configuration error,
 3 data error, 4 numerical failure.
 """
 
@@ -17,7 +20,16 @@ from pathlib import Path
 import numpy as np
 
 from . import harness
-from .dataset import load_dataset, read_manifest, save_recording, slice_windows, write_manifest, EmgRecording
+from .dataset import (
+    EmgRecording,
+    apply_shift,
+    build_split,
+    load_dataset,
+    read_samples,
+    save_recording,
+    slice_windows,
+    write_manifest,
+)
 from .errors import ConfigError, DataError, MyogestError, NumericalError
 from .features import FeatureConfig, assemble_feature_set
 from .harness import (
@@ -28,7 +40,6 @@ from .harness import (
     run_report_from_json,
     run_session_replay,
     save_source_checkpoint,
-    transform_windows,
 )
 from .nn import load_network
 from .stats import friedman_holm, wilcoxon_one_tail
@@ -55,60 +66,41 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # convert
 
-_FLAT_RE = re.compile(r"s(\d+)_r(\d+)_c(\d+)_g(\d+)\.(csv|txt)$")
+# format -> (glob over the input directory, file-path pattern, what a match looks like)
+_LAYOUTS = {
+    "csv-tree": (
+        "**/*",
+        re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.(csv|txt)$"),
+        "gesture files matching the csv-tree layout",
+    ),
+    "flat": (
+        "*",
+        re.compile(r"s(\d+)_r(\d+)_c(\d+)_g(\d+)\.(csv|txt)$"),
+        "files named s<k>_r<r>_c<c>_g<g>.csv/.txt",
+    ),
+}
 
 
 def cmd_convert(args):
     src = Path(args.input)
     if not src.is_dir():
         raise DataError(f"input directory not found: {src}")
-    gestures = set()
+    glob, pattern, expected = _LAYOUTS[args.format]
+    files = sorted(p for p in src.glob(glob) if pattern.search(p.as_posix()))
+    if not files:
+        raise DataError(f"{src}: no {expected}")
     converted = []
-    if args.format == "csv-tree":
-        pattern = re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.(csv|txt)$")
-        files = sorted(p for p in src.rglob("*") if pattern.search(p.as_posix()))
-        if not files:
-            raise DataError(f"{src}: no gesture files matching the csv-tree layout")
-        for path in files:
-            m = pattern.search(path.as_posix())
-            subject, rnd, cycle, gesture = (int(g) for g in m.groups()[:4])
-            converted.append((subject, rnd, cycle, gesture, _read_table(path)))
-            gestures.add(gesture)
-    else:  # flat
-        files = sorted(p for p in src.iterdir() if _FLAT_RE.search(p.name))
-        if not files:
-            raise DataError(f"{src}: no files named s<k>_r<r>_c<c>_g<g>.csv/.txt")
-        for path in files:
-            m = _FLAT_RE.search(path.name)
-            subject, rnd, cycle, gesture = (int(g) for g in m.groups()[:4])
-            converted.append((subject, rnd, cycle, gesture, _read_table(path)))
-            gestures.add(gesture)
+    for path in files:
+        m = pattern.search(path.as_posix())
+        subject, rnd, cycle, gesture = (int(g) for g in m.groups()[:4])
+        converted.append(EmgRecording(subject, rnd, cycle, gesture, read_samples(path)))
     out = Path(args.out or "converted")
-    write_manifest(out, [f"gesture_{g}" for g in sorted(gestures)], schema=args.schema)
-    for subject, rnd, cycle, gesture, samples in converted:
-        save_recording(
-            out,
-            EmgRecording(
-                subject_id=subject, round=rnd, cycle=cycle, gesture=gesture, samples=samples
-            ),
-        )
+    gestures = sorted({rec.gesture for rec in converted})
+    write_manifest(out, [f"gesture_{g}" for g in gestures], schema=args.schema)
+    for rec in converted:
+        save_recording(out, rec)
     print(f"converted {len(converted)} recordings -> {out}")
     return EXIT_OK
-
-
-def _read_table(path) -> np.ndarray:
-    try:
-        raw = np.loadtxt(path, delimiter="," if path.suffix == ".csv" else None, ndmin=2)
-    except ValueError as exc:
-        raise DataError(f"{path}: {exc}") from None
-    if raw.shape[1] != 8:
-        raise DataError(f"{path}: expected 8 columns, got {raw.shape[1]}")
-    ints = np.rint(raw).astype(np.int64)
-    if np.abs(raw - ints).max() > 1e-9:
-        raise DataError(f"{path}: non-integer sample values")
-    if ints.min() < -128 or ints.max() > 127:
-        raise DataError(f"{path}: sample outside [-128, 127]")
-    return ints.T
 
 
 # ---------------------------------------------------------------------------
@@ -172,39 +164,9 @@ def cmd_train(args):
         repetitions=args.repetitions,
         train=json.loads(args.train_overrides) if args.train_overrides else None,
     )
-    report = run_experiment(cfg)
+    report = run_experiment(cfg, models_dir=args.save_models)
     print(json.dumps({"method": report.method, "mean": report.mean, "pooled_std": report.pooled_std}))
-    if args.save_models:
-        _train_and_save_models(cfg, Path(args.save_models))
     return EXIT_OK
-
-
-def _train_and_save_models(cfg: ExperimentConfig, out_dir: Path):
-    """Train one persistent model per subject (first seed) for replay/evaluate."""
-    from .architectures import build_architecture
-    from .dataset import build_split
-    from .nn import train as train_net
-
-    kind, spec = harness.parse_model(cfg.model)
-    if kind != "net":
-        raise ConfigError("--save-models requires a network model")
-    recordings, subjects = harness._grouped_recordings(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = cfg.seeds[0]
-    for subject in subjects:
-        recs = [r for r in recordings if r.subject_id == subject]
-        split = build_split(
-            recs, cfg.protocol, cycles=cfg.cycles, repetitions=cfg.repetitions, stride=cfg.stride
-        )
-        label_map = harness._label_mapping(split.train)
-        X_tr, y_tr = harness._xy(split.train, spec, label_map)
-        net = build_architecture(spec, num_classes=len(label_map), seed=seed)
-        tc = harness.make_train_config(net.metadata, cfg.train, seed)
-        train_net(net, X_tr, y_tr, tc)
-        net.metadata["subject"] = int(subject)
-        path = out_dir / f"model_s{subject}_seed{seed}.json"
-        net.save(path)
-        print(f"saved {path}")
 
 
 def cmd_evaluate(args):
@@ -216,13 +178,13 @@ def cmd_evaluate(args):
         recordings = [r for r in recordings if r.subject_id == subject]
     if not recordings:
         raise DataError("no recordings for the checkpoint's subject")
-    from .dataset import build_split
-
     split = build_split(
         recordings, args.protocol, cycles=args.cycles, repetitions=args.repetitions
     )
     label_map = harness._label_mapping(split.train)
-    X_te, y_te = harness._xy(split.test, arch, label_map)
+    shift = net.metadata.get("channel_shift", 0)
+    test_w = [apply_shift(w, shift) for w in split.test]
+    X_te, y_te = harness._xy(test_w, arch, label_map)
     pred = net.predict(X_te, subject=subject)
     acc = float((pred == y_te).mean())
     print(json.dumps({"subject": subject, "test_accuracy": acc, "n_windows": len(y_te)}))
@@ -344,7 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cycles", type=int, default=4)
     p.add_argument("--repetitions", type=int, default=4)
     p.add_argument("--train-overrides", help="JSON dict of TrainConfig overrides")
-    p.add_argument("--save-models", help="directory for per-subject model checkpoints")
+    p.add_argument(
+        "--save-models",
+        help="directory for the model scored at the first seed, one per subject, "
+        "with subject and channel_shift metadata",
+    )
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="evaluate a saved model checkpoint")

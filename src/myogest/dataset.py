@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -120,19 +120,30 @@ def read_manifest(root) -> dict:
     return manifest
 
 
-def _read_gesture_csv(path: Path) -> np.ndarray:
+def read_samples(path) -> np.ndarray:
+    """Read one gesture file into an (8, T) int64 array.
+
+    Each row is one time sample of 8 integer-valued numbers in [-128, 127]
+    (``3.0`` is accepted, ``3.5`` is not).  ``.csv`` files are
+    comma-separated; any other suffix is whitespace-separated.
+    """
+    path = Path(path)
     try:
-        raw = np.loadtxt(path, delimiter=",", dtype=np.int64, ndmin=2)
+        raw = np.loadtxt(path, delimiter="," if path.suffix == ".csv" else None, ndmin=2)
     except ValueError as exc:
-        raise DataError(f"{path}: could not parse integer CSV ({exc})") from None
+        raise DataError(f"{path}: could not parse samples ({exc})") from None
     if raw.size == 0:
         raise DataError(f"{path}: empty gesture file")
     if raw.shape[1] != NUM_CHANNELS:
         raise DataError(f"{path}: expected {NUM_CHANNELS} columns, got {raw.shape[1]}")
-    if raw.min() < -128 or raw.max() > 127:
-        bad = raw[(raw < -128) | (raw > 127)][0]
+    rounded = np.rint(raw)
+    # the negated form also rejects nan and inf
+    if not np.all(np.abs(raw - rounded) <= 1e-9):
+        raise DataError(f"{path}: non-integer sample values")
+    if rounded.min() < -128 or rounded.max() > 127:
+        bad = int(rounded[(rounded < -128) | (rounded > 127)][0])
         raise DataError(f"{path}: sample value {bad} outside [-128, 127]")
-    return raw.T  # file rows are time samples; recordings are channel-major
+    return rounded.astype(np.int64).T  # file rows are time samples; recordings are channel-major
 
 
 _PATH_RE = re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.csv$")
@@ -154,7 +165,7 @@ def load_dataset(root_path, schema=None) -> list:
         if m is None:
             raise DataError(f"{path}: unrecognized file placement")
         subject, rnd, cycle, gesture = (int(g) for g in m.groups())
-        samples = _read_gesture_csv(path)
+        samples = read_samples(path)
         recordings.append(
             EmgRecording(
                 subject_id=subject,
@@ -290,23 +301,9 @@ def apply_shift(item, shift) -> "Window | EmgRecording":
     s = shift.shift if isinstance(shift, AlignmentShift) else int(shift) % NUM_CHANNELS
     idx = (np.arange(NUM_CHANNELS) + s) % NUM_CHANNELS
     if isinstance(item, EmgRecording):
-        return EmgRecording(
-            subject_id=item.subject_id,
-            round=item.round,
-            cycle=item.cycle,
-            gesture=item.gesture,
-            samples=item.samples[idx],
-            sample_rate=item.sample_rate,
-        )
+        return replace(item, samples=item.samples[idx])
     if isinstance(item, Window):
-        return Window(
-            data=item.data[idx],
-            label=item.label,
-            subject_id=item.subject_id,
-            round=item.round,
-            cycle=item.cycle,
-            offset=item.offset,
-        )
+        return replace(item, data=item.data[idx])
     raise ConfigError(f"cannot shift object of type {type(item).__name__}")
 
 

@@ -22,12 +22,14 @@ from .augment import TECHNIQUES, AugmentationConfig, augment_dataset
 from .architectures import ARCHITECTURES, build_architecture
 from .dataset import (
     DatasetSplit,
+    EmgRecording,
     activation_profile_from_windows,
     apply_shift,
     build_split,
     find_alignment,
     load_dataset,
     slice_windows,
+    window_count,
     windows_to_arrays,
 )
 from .errors import ConfigError, DataError
@@ -35,16 +37,17 @@ from .features import FEATURE_SETS, FeatureConfig, feature_matrix
 from .nn import TrainConfig, load_network, train
 from .stats import friedman_holm, knn_classify, lda_classify, lda_fit, lda_project, wilcoxon_one_tail
 from .timefreq import cwt_batch, spectrogram_batch
-from .transfer import SourceNetwork, build_target, pretrain, train_target
-
-PROTOCOLS = (
-    "myo-eval",
-    "ninapro",
-    "out-of-sample",
-    "augmentation-ablation",
-    "dim-reduction",
-    "session-replay",
+from .transfer import (
+    PRETRAIN_DROPOUT,
+    TARGET_DROPOUT,
+    SourceNetwork,
+    build_target,
+    pretrain,
+    train_target,
 )
+
+SPLIT_PROTOCOLS = ("myo-eval", "ninapro", "out-of-sample")  # one train/test split per subject
+PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction", "session-replay")
 CLASSIFIERS = ("lda", "knn")
 
 
@@ -91,9 +94,6 @@ class RunReport:
     flags: list = field(default_factory=list)
     columns: dict = field(default_factory=dict)  # extra named columns (ablation etc.)
 
-    def accuracy_matrix(self) -> np.ndarray:
-        return np.array([self.accuracies[s] for s in self.subjects], dtype=float)
-
     def to_json(self) -> str:
         payload = asdict(self)
         return json.dumps(payload, indent=2, sort_keys=True)
@@ -119,13 +119,6 @@ def run_report_from_json(payload) -> RunReport:
         name: {int(k): v for k, v in col.items()} for name, col in payload.get("columns", {}).items()
     }
     return RunReport(**payload)
-
-
-def summarize(accuracies: dict, subjects, seeds) -> tuple:
-    cells = np.array([accuracies[s] for s in subjects], dtype=float).ravel()
-    mean = float(cells.mean())
-    pooled = float(cells.std(ddof=1)) if cells.size > 1 else 0.0
-    return mean, pooled
 
 
 def dataset_content_hash(root) -> str:
@@ -209,17 +202,12 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
     kind, spec = parse_model(cfg.model)
     if kind != "net":
         raise ConfigError("pre-training requires a network model, not a baseline")
-    recordings = load_dataset(cfg.dataset)
-    if cfg.subjects:
-        recordings = [r for r in recordings if r.subject_id in set(cfg.subjects)]
-    if not recordings:
-        raise DataError("no recordings to pre-train on")
+    recordings, subjects = _grouped_recordings(cfg)
     windows = []
     for rec in recordings:
         windows.extend(slice_windows(rec, cfg.stride))
     reference = activation_profile_from_windows(windows)
-    # per-subject alignment against the first subject before aggregation
-    subjects = sorted({w.subject_id for w in windows})
+    # each subject is aligned to the profile of all subjects pooled
     aligned = []
     for subj in subjects:
         subj_windows = [w for w in windows if w.subject_id == subj]
@@ -230,7 +218,9 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
     X = transform_windows(aligned, spec)
     _, y, subj_arr = windows_to_arrays(aligned)
     net = build_architecture(spec, num_classes=num_classes, seed=cfg.seeds[0])
-    tc = make_train_config(net.metadata, {"dropout_rate": 0.35, **(cfg.train or {})}, cfg.seeds[0])
+    tc = make_train_config(
+        net.metadata, {"dropout_rate": PRETRAIN_DROPOUT, **(cfg.train or {})}, cfg.seeds[0]
+    )
     source = pretrain(net, X, y, subj_arr, tc)
     source.reference_profile = reference
     return source
@@ -247,10 +237,23 @@ def _xy(windows, architecture, label_map):
     return X, y
 
 
-def run_experiment(cfg: ExperimentConfig) -> RunReport:
+def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
+    """Run the configured protocol and return (and optionally save) its report.
+
+    With ``models_dir`` the network scored at the first seed is saved per
+    subject as ``model_s<subject>_seed<seed>.json``: the merged target
+    network under transfer, the plain network otherwise.  Its metadata
+    records ``subject`` and ``channel_shift`` (the alignment shift applied to
+    that subject's windows, 0 when none was).
+    """
     started = time.time()
-    if cfg.protocol in ("myo-eval", "ninapro", "out-of-sample"):
-        report = _run_protocol(cfg)
+    if models_dir is not None:
+        if cfg.protocol not in SPLIT_PROTOCOLS or parse_model(cfg.model)[0] != "net":
+            raise ConfigError(f"saving models needs a network model and one of {SPLIT_PROTOCOLS}")
+        models_dir = Path(models_dir)
+        models_dir.mkdir(parents=True, exist_ok=True)
+    if cfg.protocol in SPLIT_PROTOCOLS:
+        report = _run_protocol(cfg, models_dir)
     elif cfg.protocol == "augmentation-ablation":
         report = _run_ablation(cfg)
     elif cfg.protocol == "dim-reduction":
@@ -273,7 +276,25 @@ def _grouped_recordings(cfg: ExperimentConfig):
     return recordings, subjects
 
 
-def _run_protocol(cfg: ExperimentConfig) -> RunReport:
+def _report(cfg, method, subjects, accuracies, flags=(), columns=None) -> RunReport:
+    """Build the run's report; mean and pooled std run over every subject x seed cell."""
+    cells = np.array([accuracies[s] for s in subjects], dtype=float).ravel()
+    return RunReport(
+        config=asdict(cfg),
+        method=method,
+        subjects=subjects,
+        seeds=list(cfg.seeds),
+        accuracies=accuracies,
+        mean=float(cells.mean()),
+        pooled_std=float(cells.std(ddof=1)) if cells.size > 1 else 0.0,
+        wall_clock_s=0.0,
+        dataset_hash=dataset_content_hash(cfg.dataset),
+        flags=list(flags),
+        columns=columns or {},
+    )
+
+
+def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
     kind, spec = parse_model(cfg.model)
     source = load_source_checkpoint(cfg.source_checkpoint) if cfg.transfer else None
     recordings, subjects = _grouped_recordings(cfg)
@@ -290,12 +311,13 @@ def _run_protocol(cfg: ExperimentConfig) -> RunReport:
             stride=cfg.stride,
         )
         train_w, test_w = split.train, split.test
+        shift = 0
         if cfg.transfer and source is not None and source.reference_profile is not None:
             profile = activation_profile_from_windows(
                 train_w, expect_contiguous=cfg.gesture_subset is None
             )
             if profile.shape == source.reference_profile.shape:
-                shift = find_alignment(source.reference_profile, profile)
+                shift = find_alignment(source.reference_profile, profile).shift
                 train_w = [apply_shift(w, shift) for w in train_w]
                 test_w = [apply_shift(w, shift) for w in test_w]
             else:
@@ -312,32 +334,23 @@ def _run_protocol(cfg: ExperimentConfig) -> RunReport:
         for seed in cfg.seeds:
             if cfg.transfer:
                 target = build_target(source, num_classes=num_classes, seed=seed)
+                net = target.network
                 tc = make_train_config(
-                    target.network.metadata, {"dropout_rate": 0.5, **(cfg.train or {})}, seed
+                    net.metadata, {"dropout_rate": TARGET_DROPOUT, **(cfg.train or {})}, seed
                 )
                 train_target(target, X_tr, y_tr, subject=subject, cfg=tc)
-                pred = target.network.predict(X_te, subject=subject)
             else:
                 net = build_architecture(spec, num_classes=num_classes, seed=seed)
                 tc = make_train_config(net.metadata, cfg.train, seed)
                 train(net, X_tr, y_tr, tc)
-                pred = net.predict(X_te)
+            pred = net.predict(X_te, subject=subject if cfg.transfer else None)
             per_seed.append(float((pred == y_te).mean()))
+            if models_dir is not None and seed == cfg.seeds[0]:
+                net.metadata.update(subject=int(subject), channel_shift=int(shift))
+                net.save(models_dir / f"model_s{subject}_seed{seed}.json")
         accuracies[subject] = per_seed
-    mean, pooled = summarize(accuracies, subjects, cfg.seeds)
     method = cfg.model + ("+TL" if cfg.transfer else "")
-    return RunReport(
-        config=asdict(cfg),
-        method=method,
-        subjects=subjects,
-        seeds=list(cfg.seeds),
-        accuracies=accuracies,
-        mean=mean,
-        pooled_std=pooled,
-        wall_clock_s=0.0,
-        dataset_hash=dataset_content_hash(cfg.dataset),
-        flags=flags,
-    )
+    return _report(cfg, method, subjects, accuracies, flags=flags)
 
 
 def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None):
@@ -400,20 +413,7 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
             columns[technique][subject] = per_seed
     # the headline accuracies use the production default (sliding-window)
     headline = "sliding-window" if "sliding-window" in techniques else techniques[0]
-    accuracies = columns[headline]
-    mean, pooled = summarize(accuracies, subjects, cfg.seeds)
-    return RunReport(
-        config=asdict(cfg),
-        method=f"{cfg.model}@{headline}",
-        subjects=subjects,
-        seeds=list(cfg.seeds),
-        accuracies=accuracies,
-        mean=mean,
-        pooled_std=pooled,
-        wall_clock_s=0.0,
-        dataset_hash=dataset_content_hash(cfg.dataset),
-        columns={t: {s: vals for s, vals in per.items()} for t, per in columns.items()},
-    )
+    return _report(cfg, f"{cfg.model}@{headline}", subjects, columns[headline], columns=columns)
 
 
 def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
@@ -430,19 +430,8 @@ def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
         for name, reduce in (("with-reduction", True), ("without-reduction", False)):
             acc = _baseline_accuracy(cfg, spec, split.train, split.test, label_map, reduce)
             columns[name][subject] = [acc for _ in cfg.seeds]
-    accuracies = columns["with-reduction"]
-    mean, pooled = summarize(accuracies, subjects, cfg.seeds)
-    return RunReport(
-        config=asdict(cfg),
-        method=f"{cfg.model}@with-reduction",
-        subjects=subjects,
-        seeds=list(cfg.seeds),
-        accuracies=accuracies,
-        mean=mean,
-        pooled_std=pooled,
-        wall_clock_s=0.0,
-        dataset_hash=dataset_content_hash(cfg.dataset),
-        columns=columns,
+    return _report(
+        cfg, f"{cfg.model}@with-reduction", subjects, columns["with-reduction"], columns=columns
     )
 
 
@@ -483,46 +472,35 @@ def run_session_replay(
     sample_rate: int = 200,
     out_path=None,
 ):
-    """Classify a recorded session hold by hold; returns the accuracy timeline."""
+    """Classify a recorded session hold by hold; returns the accuracy timeline.
+
+    The checkpoint's ``channel_shift`` is applied to every hold before it is
+    windowed; a hold too short for one window gets NaN accuracy.
+    """
     net = load_network(checkpoint_path)
     arch = net.metadata["architecture"]
     subject = net.metadata.get("subject")
-    holds = read_session_file(session_file)
-    from .dataset import WINDOW_LENGTH, Window
-
+    shift = net.metadata.get("channel_shift", 0)
     timeline = []
-    for idx, hold in enumerate(holds):
+    for idx, hold in enumerate(read_session_file(session_file)):
         samples = hold["samples"]
         if skip_first_second:
             samples = samples[:, sample_rate:]
-        T = samples.shape[1]
-        if T < WINDOW_LENGTH:
-            timeline.append(
-                {"hold": idx, "t_start": hold["t_start"], "label": hold["label"],
-                 "n_windows": 0, "accuracy": float("nan")}
+        entry = {
+            "hold": idx,
+            "t_start": hold["t_start"],
+            "label": hold["label"],
+            "n_windows": window_count(samples.shape[1], stride),
+            "accuracy": float("nan"),
+        }
+        if entry["n_windows"]:
+            rec = EmgRecording(
+                subject_id=-1, round=0, cycle=0, gesture=hold["label"], samples=samples
             )
-            continue
-        windows = [
-            Window(
-                data=samples[:, off : off + WINDOW_LENGTH].astype(np.float64),
-                label=hold["label"],
-                subject_id=-1,
-                offset=off,
-            )
-            for off in range(0, T - WINDOW_LENGTH + 1, stride)
-        ]
-        X = transform_windows(windows, arch)
-        pred = net.predict(X, subject=subject)
-        correct = int((pred == hold["label"]).sum())
-        timeline.append(
-            {
-                "hold": idx,
-                "t_start": hold["t_start"],
-                "label": hold["label"],
-                "n_windows": len(windows),
-                "accuracy": correct / len(windows),
-            }
-        )
+            windows = slice_windows(apply_shift(rec, shift), stride)
+            pred = net.predict(transform_windows(windows, arch), subject=subject)
+            entry["accuracy"] = int((pred == hold["label"]).sum()) / len(windows)
+        timeline.append(entry)
     if out_path:
         with open(out_path, "w", newline="") as fh:
             writer = csv.DictWriter(

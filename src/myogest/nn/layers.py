@@ -10,7 +10,6 @@ Forward context carries the execution mode:
 
 - ``train``     batch statistics, active dropout
 - ``eval``      stored statistics, dropout as identity (inverted scaling)
-- ``mc``        stored statistics, dropout kept stochastic
 - ``finalize``  full-batch statistics written into the subject's bank
 """
 
@@ -67,6 +66,11 @@ class Layer:
 
     def load_extra(self, extra):
         pass
+
+
+def _channel_shape(ndim):
+    """Broadcast shape of a per-channel vector against an (N, C) or (N, C, H, W) map."""
+    return (1, -1, 1, 1) if ndim == 4 else (1, -1)
 
 
 def _single(xs):
@@ -280,7 +284,7 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: stochastic in train/mc modes, identity at eval."""
+    """Inverted dropout: stochastic in train mode, identity at eval."""
 
     kind = "dropout"
 
@@ -292,7 +296,7 @@ class Dropout(Layer):
         x = _single(xs)
         if self.rate <= 0.0 or ctx.mode in ("eval", "finalize"):
             return x, None
-        if ctx.mode not in ("train", "mc"):
+        if ctx.mode != "train":
             raise ConfigError(f"unknown mode '{ctx.mode}'")
         if ctx.rng is None:
             raise ConfigError("stochastic dropout needs an rng in the context")
@@ -320,17 +324,14 @@ class PReLU(Layer):
         self.frozen = frozen
         self.zero_grads()
 
-    def _shape(self, ndim):
-        return (1, -1, 1, 1) if ndim == 4 else (1, -1)
-
     def forward(self, xs, ctx):
         x = _single(xs)
-        alpha = self.params["alpha"].reshape(self._shape(x.ndim))
+        alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
         return np.where(x >= 0, x, alpha * x), x
 
     def backward(self, dout, cache):
         x = cache
-        alpha = self.params["alpha"].reshape(self._shape(x.ndim))
+        alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
         neg = x < 0
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
         self.grads["alpha"] += np.where(neg, dout * x, 0.0).sum(axis=axes)
@@ -360,12 +361,9 @@ class PELU(Layer):
         self.params["b"] = np.ones(num_features)
         self.zero_grads()
 
-    def _shape(self, ndim):
-        return (1, -1, 1, 1) if ndim == 4 else (1, -1)
-
     def forward(self, xs, ctx):
         x = _single(xs)
-        shape = self._shape(x.ndim)
+        shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
         expx = np.exp(np.minimum(x, 0.0) / b)
@@ -374,7 +372,7 @@ class PELU(Layer):
 
     def backward(self, dout, cache):
         x, expx = cache
-        shape = self._shape(x.ndim)
+        shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
         pos = x >= 0
@@ -476,18 +474,15 @@ class ScalarScale(Layer):
         self.params["coeff"] = np.full(num_features, float(init))
         self.zero_grads()
 
-    def _shape(self, ndim):
-        return (1, -1, 1, 1) if ndim == 4 else (1, -1)
-
     def forward(self, xs, ctx):
         x = _single(xs)
-        return x * self.params["coeff"].reshape(self._shape(x.ndim)), x
+        return x * self.params["coeff"].reshape(_channel_shape(x.ndim)), x
 
     def backward(self, dout, cache):
         x = cache
         axes = (0, 2, 3) if x.ndim == 4 else (0,)
         self.grads["coeff"] += (dout * x).sum(axis=axes)
-        return [dout * self.params["coeff"].reshape(self._shape(x.ndim))]
+        return [dout * self.params["coeff"].reshape(_channel_shape(x.ndim))]
 
     def get_config(self):
         return {"num_features": self.num_features, "init": self.init}

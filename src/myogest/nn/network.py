@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .layers import LAYER_REGISTRY, Context, layer_from_config
+from .layers import Context, layer_from_config
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
@@ -53,9 +53,6 @@ class Network:
     @property
     def output_name(self):
         return self.nodes[-1].name
-
-    def layers(self):
-        return [n.layer for n in self.nodes]
 
     def named_parameters(self):
         for node in self.nodes:
@@ -128,20 +125,12 @@ class Network:
         self.backward_from(dlogits, caches)
         return loss, logits
 
-    def predict_proba(self, x, subject=None, mode="eval", mc_passes=1, rng=None):
-        """Class probabilities; ``mode='mc'`` averages stochastic passes."""
-        if mode == "mc":
-            rng = rng or np.random.default_rng(0)
-            acc = None
-            for _ in range(mc_passes):
-                logits = self.forward(x, mode="mc", subject=subject, rng=rng)
-                p = softmax(logits)
-                acc = p if acc is None else acc + p
-            return acc / mc_passes
+    def predict_proba(self, x, subject=None):
+        """Class probabilities in deterministic eval mode."""
         return softmax(self.forward(x, mode="eval", subject=subject))
 
-    def predict(self, x, subject=None, mode="eval", mc_passes=1, rng=None):
-        return self.predict_proba(x, subject, mode, mc_passes, rng).argmax(axis=1)
+    def predict(self, x, subject=None):
+        return self.predict_proba(x, subject).argmax(axis=1)
 
     # ---- persistence ---------------------------------------------------
 
@@ -189,11 +178,7 @@ class Network:
             fh.write("\n")
 
     def clone(self) -> "Network":
-        other = network_from_state(self.state_dict())
-        return other
-
-    def copy_weights_from(self, other: "Network"):
-        self.load_state_dict(other.state_dict())
+        return network_from_state(self.state_dict())
 
 
 def network_from_state(state) -> Network:

@@ -55,12 +55,13 @@ class TrainHistory:
 
 def _subject_batches(indices, subjects, batch_size, rng):
     """Subject-homogeneous batches interleaved round-robin across subjects."""
+    owners = np.asarray(subjects)[indices]
     queues = []
-    for subj in sorted(set(int(subjects[i]) for i in indices)):
-        idx = np.array([i for i in indices if subjects[i] == subj])
+    for subj in np.unique(owners):
+        idx = indices[owners == subj]
         rng.shuffle(idx)
         batches = [
-            (subj, idx[p : p + batch_size])
+            (int(subj), idx[p : p + batch_size])
             for p in range(0, len(idx), batch_size)
             if len(idx[p : p + batch_size]) >= 2
         ]
@@ -96,14 +97,6 @@ def evaluate_loss(net, X, y, subjects=None):
         total += loss * len(sel)
         count += len(sel)
     return total / count
-
-
-def evaluate_accuracy(net, X, y, subjects=None, mode="eval", mc_passes=1, rng=None):
-    correct = 0
-    for subj, sel in _group_by_subject(len(y), subjects):
-        pred = net.predict(X[sel], subject=subj, mode=mode, mc_passes=mc_passes, rng=rng)
-        correct += int((pred == y[sel]).sum())
-    return correct / len(y)
 
 
 def _group_by_subject(n, subjects):

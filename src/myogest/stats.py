@@ -113,7 +113,7 @@ def lda_classify(model: LdaModel, features) -> np.ndarray:
 # K-nearest neighbors
 
 
-def knn_classify(train_features, train_labels, queries, k=5, metric="euclidean"):
+def knn_classify(train_features, train_labels, queries, k=5):
     """Majority vote among the k nearest; ties break by smaller mean distance,
     then by smaller label."""
     X = np.asarray(train_features, dtype=np.float64)
@@ -121,13 +121,7 @@ def knn_classify(train_features, train_labels, queries, k=5, metric="euclidean")
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if k > len(X):
         raise ConfigError(f"k={k} exceeds training size {len(X)}")
-    if metric == "euclidean":
-        d2 = ((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2)
-        dist = np.sqrt(d2)
-    elif metric == "manhattan":
-        dist = np.abs(Q[:, None, :] - X[None, :, :]).sum(axis=2)
-    else:
-        raise ConfigError(f"unknown metric '{metric}'")
+    dist = np.sqrt(((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     out = np.empty(len(Q), dtype=y.dtype)
     for i in range(len(Q)):
         # stable sort keeps ties deterministic (lowest training index first)
@@ -230,14 +224,6 @@ def holm_adjust(p_values) -> np.ndarray:
         running = max(running, min(1.0, (m - i) * p[idx]))
         adjusted[idx] = running
     return adjusted
-
-
-def bonferroni(p_values, m: int = None) -> np.ndarray:
-    p = np.asarray(p_values, dtype=np.float64)
-    m = len(p) if m is None else m
-    if m < 1:
-        raise ConfigError("m must be >= 1")
-    return np.minimum(1.0, m * p)
 
 
 @dataclass

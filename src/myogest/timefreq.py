@@ -14,9 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dataset import WINDOW_LENGTH
 from .errors import DataError
-
-WINDOW_LENGTH = 52
 
 # STFT geometry
 STFT_WIN = 28
@@ -76,13 +75,14 @@ def spectrogram_channel(signal: np.ndarray) -> np.ndarray:
 
 def spectrogram_example(window_data: np.ndarray) -> np.ndarray:
     """Stack per-channel spectrograms, DC band removed: (time 4, channel 8, freq 14)."""
+    return spectrogram_batch(_one_window(window_data)[None])[0]
+
+
+def _one_window(window_data: np.ndarray) -> np.ndarray:
     window_data = np.asarray(window_data, dtype=np.float64)
     if window_data.shape != (8, WINDOW_LENGTH):
         raise DataError(f"expected 8x{WINDOW_LENGTH} window, got {window_data.shape}")
-    out = np.empty((STFT_FRAMES, 8, STFT_BINS - 1))
-    for c in range(8):
-        out[:, c, :] = spectrogram_channel(window_data[c])[:, 1:]
-    return out
+    return window_data
 
 
 def mexican_hat(t: np.ndarray) -> np.ndarray:
@@ -118,23 +118,12 @@ def cwt_channel(signal: np.ndarray, scales: int = CWT_SCALES) -> np.ndarray:
 
 
 def cwt_example(window_data: np.ndarray) -> np.ndarray:
-    """CWT tensor for one window: (time 12, channel 8, scale 7).
-
-    Per channel the 32x52 CWT is downsampled by 4 on both axes with order-0
-    (nearest, origin 0) interpolation to 8x13, then the last scale row and
-    the last time column are dropped.
-    """
-    window_data = np.asarray(window_data, dtype=np.float64)
-    if window_data.shape != (8, WINDOW_LENGTH):
-        raise DataError(f"expected 8x{WINDOW_LENGTH} window, got {window_data.shape}")
-    coeffs = np.einsum("anm,cm->can", _CWT_BANK, window_data)  # (channel, scale, time)
-    ds = coeffs[:, ::4, ::4]  # (8, 8, 13)
-    ds = ds[:, :-1, :-1]  # drop last scale row and last time column -> (8, 7, 12)
-    return ds.transpose(2, 0, 1)  # (time 12, channel 8, scale 7)
+    """CWT tensor for one window: (time 12, channel 8, scale 7)."""
+    return cwt_batch(_one_window(window_data)[None])[0]
 
 
 def spectrogram_batch(windows: np.ndarray) -> np.ndarray:
-    """Vectorized spectrogram_example over (N, 8, 52) -> (N, 4, 8, 14)."""
+    """Spectrogram tensors of (N, 8, 52) windows -> (N, 4, 8, 14)."""
     windows = np.asarray(windows, dtype=np.float64)
     n = windows.shape[0]
     win = hann_window()
@@ -146,7 +135,12 @@ def spectrogram_batch(windows: np.ndarray) -> np.ndarray:
 
 
 def cwt_batch(windows: np.ndarray) -> np.ndarray:
-    """Vectorized cwt_example over (N, 8, 52) -> (N, 12, 8, 7)."""
+    """CWT tensors of (N, 8, 52) windows -> (N, 12, 8, 7).
+
+    Per channel the 32x52 CWT is downsampled by 4 on both axes with order-0
+    (nearest, origin 0) interpolation to 8x13, then the last scale row and
+    the last time column are dropped.
+    """
     windows = np.asarray(windows, dtype=np.float64)
     coeffs = np.einsum("atm,bcm->bcat", _CWT_BANK, windows, optimize=True)
     ds = coeffs[:, :, ::4, ::4][:, :, :-1, :-1]

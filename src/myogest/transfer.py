@@ -17,7 +17,7 @@ combined network behave exactly like the second network alone.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,6 @@ TARGET_DROPOUT = 0.50
 class SourceNetwork:
     network: Network
     pretrain_subjects: list
-    frozen_after_pretrain: bool = True
     reference_profile: np.ndarray = field(default=None, repr=False)
 
 
@@ -53,12 +52,6 @@ class TargetNetwork:
             for name in group:
                 layer = self.network.node(name).layer
                 layer.params["coeff"][...] = value
-
-    def scalar_values(self):
-        return [
-            [self.network.node(name).layer.params["coeff"].copy() for name in group]
-            for group in self.scalar_groups
-        ]
 
 
 def _is_bn(node: Node) -> bool:
@@ -122,16 +115,15 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
     shape = [2] + list(md["input_shape"])
     _, src_values = src_net.forward(np.zeros(shape), mode="eval", trace=True)
 
-    nodes = []
-    for node in src_net.nodes:
-        clone_layer = _clone_layer(node)
-        nodes.append(
-            Node(
-                name=SOURCE_PREFIX + node.name,
-                layer=clone_layer,
-                inputs=[_prefix_ref(r, SOURCE_PREFIX) for r in node.inputs],
-            )
+    # source layers are shared state; copy them so target training can't alias
+    nodes = [
+        Node(
+            name=SOURCE_PREFIX + node.name,
+            layer=node.layer,
+            inputs=[_prefix_ref(r, SOURCE_PREFIX) for r in node.inputs],
         )
+        for node in src_net.clone().nodes
+    ]
 
     # Second-network nodes, with stage outputs rerouted through sum ports
     merge_of = {}  # second stage-output name -> merge node name
@@ -185,18 +177,6 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
 
 def _prefix_ref(ref, prefix):
     return ref if ref == "input" else prefix + ref
-
-
-def _clone_layer(node: Node):
-    """Source layers are shared state; clone so target training can't alias."""
-    from .nn.layers import layer_from_config
-
-    layer = layer_from_config(node.layer.kind, node.layer.get_config(), node.layer.frozen)
-    for k, v in node.layer.params.items():
-        layer.params[k] = v.copy()
-    layer.load_extra(node.layer.state_extra())
-    layer.zero_grads()
-    return layer
 
 
 def prepare_target_subject(target: TargetNetwork, subject: int):

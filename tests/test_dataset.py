@@ -10,6 +10,7 @@ from myogest.dataset import (
     compute_activation_profile,
     find_alignment,
     load_dataset,
+    read_samples,
     slice_windows,
     save_recording,
     window_count,
@@ -62,6 +63,47 @@ class TestLoadDataset:
         write_manifest(tmp_path, ["a"], schema="myo")
         with pytest.raises(DataError, match="schema"):
             load_dataset(tmp_path, schema="ninapro-converted")
+
+
+class TestReadSamples:
+    def write_gesture(self, root, text):
+        write_manifest(root, ["a"])
+        path = root / "subject_1" / "round_1" / "cycle_1" / "gesture_0.csv"
+        path.parent.mkdir(parents=True)
+        path.write_text(text)
+        return path
+
+    def test_float_integers_accepted(self, tmp_path):
+        self.write_gesture(tmp_path, "\n".join(["3.0,-128,127,0,1,2,-3.0,4"] * 60) + "\n")
+        (rec,) = load_dataset(tmp_path)
+        assert rec.samples.dtype == np.int64
+        assert rec.samples.shape == (8, 60)
+        assert rec.samples[:, 0].tolist() == [3, -128, 127, 0, 1, 2, -3, 4]
+
+    @pytest.mark.parametrize(
+        "value,match",
+        [("3.5", "non-integer"), ("128", "128"), ("-129", "-129"), ("nan", "non-integer")],
+    )
+    def test_bad_sample_rejected(self, tmp_path, value, match):
+        rows = ["0,0,0,0,0,0,0,0"] * 60
+        rows[7] = f"0,0,0,{value},0,0,0,0"
+        self.write_gesture(tmp_path, "\n".join(rows) + "\n")
+        with pytest.raises(DataError, match=match):
+            load_dataset(tmp_path)
+
+    @pytest.mark.filterwarnings("ignore:loadtxt")
+    def test_empty_file_rejected(self, tmp_path):
+        self.write_gesture(tmp_path, "")
+        with pytest.raises(DataError, match="empty"):
+            load_dataset(tmp_path)
+
+    def test_non_csv_suffix_is_whitespace_separated(self, tmp_path):
+        path = tmp_path / "hold.txt"
+        path.write_text("1 2 3 4 5 6 7 8\n-1\t-2 -3 -4 -5 -6 -7 -8.0\n")
+        assert read_samples(path).tolist() == [[k, -k] for k in range(1, 9)]
+        path.write_text("1,2,3,4,5,6,7,8\n")
+        with pytest.raises(DataError, match="hold.txt"):
+            read_samples(path)
 
 
 class TestSliceWindows:
