@@ -5,8 +5,9 @@ stats.  A JSON config file (--config) supplies ExperimentConfig fields;
 explicit flags override it.  ``train --save-models DIR`` saves, per subject,
 the model scored at the first seed (the merged transfer network under
 --transfer); its metadata records ``subject`` and ``channel_shift``, which
-evaluate and replay apply.  Exit codes: 0 success, 2 configuration error,
-3 data error, 4 numerical failure.
+evaluate and replay apply, and the ``stride`` and ``gesture_subset`` that
+evaluate rebuilds the test split with.  Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import harness
 from .dataset import (
+    DEFAULT_STRIDE,
     EmgRecording,
     apply_shift,
     build_split,
@@ -31,7 +33,7 @@ from .dataset import (
     write_manifest,
 )
 from .errors import ConfigError, DataError, MyogestError, NumericalError
-from .features import FeatureConfig, assemble_feature_set
+from .features import FeatureConfig, feature_matrix
 from .harness import (
     ExperimentConfig,
     emit_report,
@@ -116,15 +118,14 @@ def cmd_extract(args):
     header = None
     rows = []
     for rec in recordings:
-        for w in slice_windows(rec, args.stride):
-            fv = assemble_feature_set(w, args.feature_set, cfg)
-            if header is None:
-                header = ["subject", "round", "cycle", "label", "offset"] + [
-                    f"{name}_ch{ch}_{i}" for name, ch, i in fv.layout
-                ]
-            rows.append(
-                [w.subject_id, w.round, w.cycle, w.label, w.offset] + fv.values.tolist()
-            )
+        windows = slice_windows(rec, args.stride)
+        matrix, layout = feature_matrix(windows, args.feature_set, cfg)
+        if header is None:
+            header = ["subject", "round", "cycle", "label", "offset"] + [
+                f"{name}_ch{ch}_{i}" for name, ch, i in layout
+            ]
+        for w, values in zip(windows, matrix):
+            rows.append([w.subject_id, w.round, w.cycle, w.label, w.offset] + values.tolist())
     with open(out_path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -178,8 +179,14 @@ def cmd_evaluate(args):
         recordings = [r for r in recordings if r.subject_id == subject]
     if not recordings:
         raise DataError("no recordings for the checkpoint's subject")
+    # checkpoints saved before the split settings were recorded used the defaults
     split = build_split(
-        recordings, args.protocol, cycles=args.cycles, repetitions=args.repetitions
+        recordings,
+        args.protocol,
+        cycles=args.cycles,
+        repetitions=args.repetitions,
+        gesture_subset=net.metadata.get("gesture_subset"),
+        stride=net.metadata.get("stride", DEFAULT_STRIDE),
     )
     label_map = harness._label_mapping(split.train)
     shift = net.metadata.get("channel_shift", 0)

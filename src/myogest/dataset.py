@@ -129,7 +129,13 @@ def read_samples(path) -> np.ndarray:
     """
     path = Path(path)
     try:
-        raw = np.loadtxt(path, delimiter="," if path.suffix == ".csv" else None, ndmin=2)
+        text = path.read_text()
+        # numpy warns before returning no rows, so an empty file stops here
+        if not text.strip():
+            raise DataError(f"{path}: empty gesture file")
+        raw = np.loadtxt(
+            text.splitlines(), delimiter="," if path.suffix == ".csv" else None, ndmin=2
+        )
     except ValueError as exc:
         raise DataError(f"{path}: could not parse samples ({exc})") from None
     if raw.size == 0:

@@ -243,8 +243,9 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     With ``models_dir`` the network scored at the first seed is saved per
     subject as ``model_s<subject>_seed<seed>.json``: the merged target
     network under transfer, the plain network otherwise.  Its metadata
-    records ``subject`` and ``channel_shift`` (the alignment shift applied to
-    that subject's windows, 0 when none was).
+    records ``subject``, ``channel_shift`` (the alignment shift applied to
+    that subject's windows, 0 when none was), and the ``stride`` and
+    ``gesture_subset`` the split was built with.
     """
     started = time.time()
     if models_dir is not None:
@@ -346,7 +347,12 @@ def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
             pred = net.predict(X_te, subject=subject if cfg.transfer else None)
             per_seed.append(float((pred == y_te).mean()))
             if models_dir is not None and seed == cfg.seeds[0]:
-                net.metadata.update(subject=int(subject), channel_shift=int(shift))
+                net.metadata.update(
+                    subject=int(subject),
+                    channel_shift=int(shift),
+                    stride=int(cfg.stride),
+                    gesture_subset=cfg.gesture_subset,
+                )
                 net.save(models_dir / f"model_s{subject}_seed{seed}.json")
         accuracies[subject] = per_seed
     method = cfg.model + ("+TL" if cfg.transfer else "")

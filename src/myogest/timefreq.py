@@ -148,19 +148,41 @@ def cwt_batch(windows: np.ndarray) -> np.ndarray:
 
 
 def _symmetric_ext(x: np.ndarray, n: int) -> np.ndarray:
-    # half-sample symmetric: ... x1 x0 | x0 x1 ... x_{N-1} | x_{N-1} x_{N-2} ...
-    idx = np.arange(-n, len(x) + n)
-    m = np.mod(idx, 2 * len(x))
-    m = np.where(m >= len(x), 2 * len(x) - 1 - m, m)
-    return x[m]
+    # half-sample symmetric over the last axis:
+    # ... x1 x0 | x0 x1 ... x_{N-1} | x_{N-1} x_{N-2} ...
+    length = x.shape[-1]
+    idx = np.arange(-n, length + n)
+    m = np.mod(idx, 2 * length)
+    m = np.where(m >= length, 2 * length - 1 - m, m)
+    return x[..., m]
 
 
 def _dwt_step(x: np.ndarray):
+    """One analysis stage over the last axis: (approximation, detail).
+
+    Output j is the 14-tap sum h[k] * ext[2j + 14 - k], i.e. the odd samples
+    of the valid convolution of the symmetric extension with h, taken as
+    strided slices so every leading axis is filtered at once.
+    """
     fl = len(DB7_DEC_LO)
     ext = _symmetric_ext(x, fl - 1)
-    ca = np.convolve(ext, DB7_DEC_LO, mode="valid")[1::2]
-    cd = np.convolve(ext, DB7_DEC_HI, mode="valid")[1::2]
+    n_out = (ext.shape[-1] - fl + 1) // 2
+    ca = cd = 0.0
+    for k in range(fl):
+        tap = ext[..., fl - k : fl - k + 2 * n_out - 1 : 2]
+        ca = ca + DB7_DEC_LO[k] * tap
+        cd = cd + DB7_DEC_HI[k] * tap
     return ca, cd
+
+
+def _wavedec(x: np.ndarray, level: int = DWT_LEVEL) -> list:
+    """Bands [CA, CD_level, ..., CD_1] of the db7 cascade over the last axis."""
+    details = []
+    approx = x
+    for _ in range(level):
+        approx, cd = _dwt_step(approx)
+        details.append(cd)
+    return [approx] + details[::-1]
 
 
 def _idwt_step(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
@@ -201,13 +223,7 @@ def dwt_db7(signal: np.ndarray, level: int = DWT_LEVEL) -> WaveletDecomposition:
     x = np.asarray(signal, dtype=np.float64)
     if x.ndim != 1 or x.size == 0:
         raise DataError("dwt expects a non-empty 1-d signal")
-    details = []
-    approx = x
-    for _ in range(level):
-        approx, cd = _dwt_step(approx)
-        details.append(cd)
-    # order: [CA, CD_level, ..., CD_1]
-    parts = [approx] + details[::-1]
+    parts = _wavedec(x, level)
     return WaveletDecomposition(
         coefficients=np.concatenate(parts),
         band_lengths=tuple(len(p) for p in parts),
@@ -242,19 +258,23 @@ def mdwt(signal: np.ndarray) -> np.ndarray:
     x = np.asarray(signal, dtype=np.float64)
     if x.shape != (WINDOW_LENGTH,):
         raise DataError(f"mdwt expects length {WINDOW_LENGTH}, got {x.shape}")
-    coeffs = dwt_db7(x).coefficients
-    return mdwt_from_coefficients(coeffs)
+    return _mdwt_rows(x)
+
+
+def _mdwt_rows(x: np.ndarray) -> np.ndarray:
+    """mdwt of every (..., 52) row at once -> (..., 6)."""
+    if x.shape[-1] != WINDOW_LENGTH:
+        raise DataError(f"mdwt expects length {WINDOW_LENGTH}, got {x.shape}")
+    return mdwt_from_coefficients(np.concatenate(_wavedec(x), axis=-1))
 
 
 def mdwt_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
-    n = len(coeffs)
+    """Prefix sums of |coeffs| over the last axis, one per dyadic level."""
+    coeffs = np.asarray(coeffs, dtype=np.float64)
+    n = coeffs.shape[-1]
     s_max = int(np.floor(np.log2(n)))
     absc = np.abs(coeffs)
-    out = np.empty(s_max)
-    for s in range(1, s_max + 1):
-        c_max = n // 2**s - 1
-        out[s - 1] = absc[: c_max + 1].sum()
-    return out
+    return np.stack([absc[..., : n // 2**s].sum(axis=-1) for s in range(1, s_max + 1)], axis=-1)
 
 
 def mdwt_length(signal_length: int = WINDOW_LENGTH, level: int = DWT_LEVEL) -> int:

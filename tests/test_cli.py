@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from myogest import cli
-from myogest.dataset import load_dataset
+from myogest.dataset import build_split, load_dataset, slice_windows
 from myogest.errors import NumericalError
+from myogest.features import feature_matrix
 from myogest.nn import load_network
 from myogest.synthetic import generate_synthetic_dataset
 
@@ -65,6 +66,58 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, transfer):
     assert sorted(p.name for p in models.iterdir()) == [
         f"model_s{s}_seed{SEEDS[0]}.json" for s in (1, 2)
     ]
+
+
+def test_evaluate_rebuilds_the_split_of_the_run(data, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seeds": SEEDS, "stride": 10}))
+    models = tmp_path / "models"
+    code, _ = run(capsys, "--config", config, "--out", tmp_path / "run", "train",
+                  "--dataset", data / "eval", "--model", "raw-1d", "--cycles", 2,
+                  "--train-overrides", TRAIN, "--save-models", models)
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    recordings = load_dataset(data / "eval")
+    for subject in (1, 2):
+        recs = [r for r in recordings if r.subject_id == subject]
+        scored = build_split(recs, "myo-eval", cycles=2, stride=10).test
+        code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint",
+                        models / f"model_s{subject}_seed{SEEDS[0]}.json", "--cycles", 2)
+        assert code == 0
+        result = json.loads(out)
+        assert result["n_windows"] == len(scored)
+        assert result["test_accuracy"] == report["accuracies"][str(subject)][0]
+
+
+def test_evaluate_out_of_sample_checkpoint(ninapro_dataset, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seeds": [SEEDS[0]], "gesture_subset": [0, 2, 4]}))
+    models = tmp_path / "models"
+    code, _ = run(capsys, "--config", config, "--out", tmp_path / "run", "train",
+                  "--dataset", ninapro_dataset, "--protocol", "out-of-sample", "--model", "raw-1d",
+                  "--train-overrides", TRAIN, "--save-models", models)
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    code, out = run(capsys, "evaluate", "--dataset", ninapro_dataset, "--checkpoint",
+                    models / f"model_s1_seed{SEEDS[0]}.json", "--protocol", "out-of-sample")
+    assert code == 0
+    assert json.loads(out)["test_accuracy"] == report["accuracies"]["1"][0]
+
+
+def test_extract_writes_the_feature_matrix(data, tmp_path, capsys):
+    out = tmp_path / "features.csv"
+    code, _ = run(capsys, "--out", out, "extract", "--dataset", data / "eval",
+                  "--feature-set", "EnhancedTD", "--stride", 10)
+    assert code == 0
+    windows = [w for rec in load_dataset(data / "eval") for w in slice_windows(rec, 10)]
+    matrix, layout = feature_matrix(windows, "EnhancedTD")
+    header = out.read_text().splitlines()[0].split(",")
+    keys = ["subject", "round", "cycle", "label", "offset"]
+    assert header[:9] == keys + ["mav_ch0_0", "zc_ch0_0", "ssc_ch0_0", "wl_ch0_0"]
+    assert header == keys + [f"{name}_ch{ch}_{i}" for name, ch, i in layout]
+    table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert table[:, :5].tolist() == [list(w.key()[:3]) + [w.label, w.offset] for w in windows]
+    assert np.array_equal(table[:, 5:], matrix)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +183,6 @@ def test_convert_rejects_bad_samples(tmp_path, capsys, value):
     assert code == cli.EXIT_DATA
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt")
 def test_convert_rejects_empty_file(tmp_path, capsys):
     src = _raw_input(tmp_path, "")
     code, _ = run(capsys, "--out", tmp_path / "out", "convert", "--input", src, "--format", "flat")

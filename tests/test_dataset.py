@@ -91,9 +91,13 @@ class TestReadSamples:
         with pytest.raises(DataError, match=match):
             load_dataset(tmp_path)
 
-    @pytest.mark.filterwarnings("ignore:loadtxt")
     def test_empty_file_rejected(self, tmp_path):
         self.write_gesture(tmp_path, "")
+        with pytest.raises(DataError, match="empty"):
+            load_dataset(tmp_path)
+
+    def test_whitespace_only_file_rejected(self, tmp_path):
+        self.write_gesture(tmp_path, " \n\t\n\n")
         with pytest.raises(DataError, match="empty"):
             load_dataset(tmp_path)
 

@@ -7,6 +7,7 @@ import oracles
 from myogest.dataset import Window
 from myogest.errors import ConfigError, DataError
 from myogest.features import (
+    FEATURE_SETS,
     FeatureConfig,
     ar_coefficients,
     assemble_feature_set,
@@ -25,7 +26,7 @@ from myogest.features import (
     wl,
     zc,
 )
-from myogest.timefreq import mdwt
+from myogest.timefreq import dwt_db7, mdwt
 
 
 def random_channel(rng, n=52):
@@ -320,3 +321,113 @@ class TestAssemble:
         ws = [self.make_window(rng) for _ in range(5)]
         M, layout = feature_matrix(ws, "TD")
         assert M.shape == (5, 32) and len(layout) == 32
+
+
+CFG = FeatureConfig()
+
+
+class TestFeatureMatrix:
+    """The batched path against single windows and the oracles, window by window.
+
+    77 windows are not a multiple of the chunk size; window 40 has one zero
+    channel and window 41 is constant.  Even windows are int8-range integers
+    (ties abound), odd ones Gaussian.
+    """
+
+    N_WINDOWS, ZERO_WINDOW, ZERO_CHANNEL, CONSTANT_WINDOW = 77, 40, 5, 41
+    ORACLES = {
+        "mav": oracles.mav_direct,
+        "iemg": oracles.iemg_direct,
+        "rms": oracles.rms_direct,
+        "wl": oracles.wl_direct,
+        "zc": lambda x: oracles.zc_direct(x, CFG.epsilon_zc),
+        "ssc": lambda x: oracles.ssc_direct(x, CFG.epsilon_ssc),
+        "skewness": oracles.skewness_direct,
+        "hjorth": oracles.hjorth_direct,
+        "ar": lambda x: oracles.ar_direct(x, CFG.ar_order),
+        "mdwt": lambda x: oracles.mdwt_direct(dwt_db7(x).coefficients),
+        "hist": lambda x: oracles.hist_direct(x, CFG.hist_bins, CFG.hist_threshold),
+        "sampen": lambda x: oracles.sampen_direct(x, CFG.sampen_m, CFG.sampen_r_coeff),
+        "cepstral": lambda x: oracles.cepstral_direct(
+            oracles.ar_direct(x, CFG.cepstral_order), CFG.cepstral_order
+        ),
+    }
+    COUNTS = {"zc", "ssc", "hist"}
+
+    @pytest.fixture(scope="class")
+    def windows(self):
+        rng = np.random.default_rng(41)
+        scale = rng.uniform(0.5, 60.0, (self.N_WINDOWS, 1, 1))
+        data = rng.standard_normal((self.N_WINDOWS, 8, 52)) * scale
+        data[::2] = np.clip(np.rint(data[::2]), -128, 127)
+        data[self.ZERO_WINDOW, self.ZERO_CHANNEL] = 0.0
+        data[self.CONSTANT_WINDOW] = 7.0
+        return [Window(data=d, label=0, subject_id=1) for d in data]
+
+    @pytest.fixture(scope="class")
+    def oracle_values(self, windows):
+        """(feature, window, channel) -> oracle values, computed once for every set."""
+        cache = {}
+
+        def get(name, n, ch):
+            if (name, n, ch) not in cache:
+                cache[name, n, ch] = np.atleast_1d(self.ORACLES[name](windows[n].data[ch]))
+            return cache[name, n, ch]
+
+        return get
+
+    @pytest.mark.parametrize("set_name", FEATURE_SETS)
+    def test_rows_equal_single_window_matrices(self, windows, set_name):
+        M, layout = feature_matrix(windows, set_name)
+        assert M.shape == (self.N_WINDOWS, feature_set_length(set_name))
+        for n, w in enumerate(windows):
+            row, row_layout = feature_matrix([w], set_name)
+            assert row_layout == layout
+            assert np.array_equal(row[0], M[n])
+
+    @pytest.mark.parametrize("set_name", FEATURE_SETS)
+    def test_columns_equal_oracles(self, windows, oracle_values, set_name):
+        M, layout = feature_matrix(windows, set_name)
+        for col, (name, ch, i) in enumerate(layout):
+            want = np.array([oracle_values(name, n, ch)[i] for n in range(self.N_WINDOWS)])
+            if name in self.COUNTS:
+                assert np.array_equal(M[:, col], want), (name, ch, i)
+            else:
+                tol = 1e-8 if name == "ar" else 1e-9
+                assert np.allclose(M[:, col], want, rtol=0, atol=tol), (name, ch, i)
+
+    def test_degenerate_flags(self, windows):
+        zero, constant = windows[self.ZERO_WINDOW], windows[self.CONSTANT_WINDOW]
+        assert assemble_feature_set(zero, "TD").flags == []
+        assert assemble_feature_set(zero, "EnhancedTD").flags == [
+            ("skewness", 5, "zero variance"),
+            ("hjorth", 5, "zero variance"),
+            ("ar", 5, "zero variance"),
+        ]
+        assert assemble_feature_set(constant, "NinaPro").flags == [
+            ("hist", ch, "zero variance") for ch in range(8)
+        ]
+        assert assemble_feature_set(constant, "SampEnPipeline").flags == [
+            (name, ch, "zero variance") for ch in range(8) for name in ("sampen", "cepstral")
+        ]
+
+    def test_assembled_vector_is_the_matrix_row(self, windows):
+        for set_name in FEATURE_SETS:
+            M, layout = feature_matrix(windows, set_name)
+            for n in (0, self.ZERO_WINDOW, self.CONSTANT_WINDOW, self.N_WINDOWS - 1):
+                fv = assemble_feature_set(windows[n], set_name)
+                assert fv.layout == layout
+                assert np.array_equal(fv.values, M[n])
+
+    def test_mixed_lengths_rejected(self, windows):
+        short = Window(data=np.ones((8, 40)), label=0, subject_id=1)
+        with pytest.raises(DataError, match="one length"):
+            feature_matrix(windows[:3] + [short], "TD")
+
+    def test_ninapro_needs_52_samples(self):
+        with pytest.raises(DataError, match="mdwt"):
+            feature_matrix([Window(data=np.ones((8, 60)), label=0, subject_id=1)], "NinaPro")
+
+    def test_non_8_channel_window_rejected(self, windows):
+        with pytest.raises(DataError, match="8-channel"):
+            feature_matrix(windows[:40] + [np.ones((7, 52))], "TD")
