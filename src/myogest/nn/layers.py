@@ -1,16 +1,28 @@
 """Network layers with hand-written forward/backward passes.
 
-Every layer returns (output, cache) from forward and consumes that cache in
-backward, which returns one gradient per input and accumulates parameter
-gradients into ``layer.grads``.  Convolutions are valid (no padding), stride
-1; the maps involved are tiny (at most 8 x 52) so the (kh, kw) loop with
-tensordot is plenty fast.
+``forward(xs, ctx)`` returns ``(output, cache)``.  ``backward(dout, cache,
+need_dx)`` consumes that cache and returns one gradient per input:
+
+- a layer with parameters accumulates their gradients into ``layer.grads``
+  unless it is frozen, so a frozen layer's grads stay exactly zero;
+- when ``need_dx`` is false no input gradient has a reader, and a layer
+  with parameters returns ``[None]`` without computing it.  Layers without
+  parameters are only visited when one of their inputs needs a gradient.
+
+``Network.backward_from`` is the only caller and sets ``need_dx``.
+Convolutions are valid (no padding), stride 1, and run as im2col matrix
+products: forward multiplies the (kh, kw) patch matrix by the weights, the
+weight gradient multiplies the transposed output gradient by the same patch
+matrix, and the input gradient multiplies the output gradient by the
+weights and scatter-adds each (kh, kw) tap back onto the input map.
 
 Forward context carries the execution mode:
 
 - ``train``     batch statistics, active dropout
 - ``eval``      stored statistics, dropout as identity (inverted scaling)
 - ``finalize``  full-batch statistics written into the subject's bank
+
+Only ``train`` mode is ever backpropagated.
 """
 
 from __future__ import annotations
@@ -47,7 +59,7 @@ class Layer:
     def forward(self, xs, ctx):
         raise NotImplementedError
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         raise NotImplementedError
 
     def zero_grads(self):
@@ -118,27 +130,23 @@ class Conv2d(Layer):
         )
         return view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         x_shape, cols, (oh, ow) = cache
-        n, _, h, w = x_shape
-        w_mat = self.params["weight"].reshape(self.out_channels, -1)
         dout_mat = dout.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
-        self.grads["weight"] += (dout_mat.T @ cols).reshape(self.params["weight"].shape)
-        self.grads["bias"] += dout_mat.sum(axis=0)
-        # dx is the full correlation of dout with the flipped kernel
-        pad = np.zeros((n, self.out_channels, h + self.kh - 1, w + self.kw - 1))
-        pad[:, :, self.kh - 1 : self.kh - 1 + oh, self.kw - 1 : self.kw - 1 + ow] = dout
-        s0, s1, s2, s3 = pad.strides
-        view = np.lib.stride_tricks.as_strided(
-            pad,
-            shape=(n, self.out_channels, self.kh, self.kw, h, w),
-            strides=(s0, s1, s2, s3, s2, s3),
-            writeable=False,
-        )
-        cols_b = view.transpose(0, 4, 5, 1, 2, 3).reshape(n * h * w, -1)
-        w_flip = self.params["weight"][:, :, ::-1, ::-1].transpose(0, 2, 3, 1).reshape(-1, self.in_channels)
-        dx = (cols_b @ w_flip).reshape(n, h, w, self.in_channels).transpose(0, 3, 1, 2)
-        return [dx]
+        if not self.frozen:
+            self.grads["weight"] += (dout_mat.T @ cols).reshape(self.params["weight"].shape)
+            self.grads["bias"] += dout_mat.sum(axis=0)
+        if not need_dx:
+            return [None]
+        # col2im: every output position's patch gradient, scattered back tap by tap
+        n, c, h, w = x_shape
+        w_mat = self.params["weight"].transpose(0, 2, 3, 1).reshape(self.out_channels, -1)
+        dcols = (dout_mat @ w_mat).reshape(n, oh, ow, self.kh, self.kw, c)
+        dx = np.zeros((n, h, w, c))
+        for i in range(self.kh):
+            for j in range(self.kw):
+                dx[:, i : i + oh, j : j + ow] += dcols[:, :, :, i, j]
+        return [dx.transpose(0, 3, 1, 2)]
 
     def get_config(self):
         return {
@@ -165,11 +173,11 @@ class Dense(Layer):
         x = _single(xs)
         return x @ self.params["weight"].T + self.params["bias"], x
 
-    def backward(self, dout, cache):
-        x = cache
-        self.grads["weight"] += dout.T @ x
-        self.grads["bias"] += dout.sum(axis=0)
-        return [dout @ self.params["weight"]]
+    def backward(self, dout, cache, need_dx):
+        if not self.frozen:
+            self.grads["weight"] += dout.T @ cache
+            self.grads["bias"] += dout.sum(axis=0)
+        return [dout @ self.params["weight"] if need_dx else None]
 
     def get_config(self):
         return {"in_features": self.in_features, "out_features": self.out_features}
@@ -237,18 +245,18 @@ class BatchNorm(Layer):
         out = self._reshape(self.params["gamma"], x.ndim) * x_hat + self._reshape(
             self.params["beta"], x.ndim
         )
-        m = int(np.prod([x.shape[a] for a in axes]))
-        return out, (x_hat, inv_std, axes, m, ctx.mode)
+        return out, (x_hat, inv_std, axes)
 
-    def backward(self, dout, cache):
-        x_hat, inv_std, axes, m, mode = cache
+    def backward(self, dout, cache, need_dx):
+        x_hat, inv_std, axes = cache
+        if not self.frozen:
+            self.grads["gamma"] += (dout * x_hat).sum(axis=axes)
+            self.grads["beta"] += dout.sum(axis=axes)
+        if not need_dx:
+            return [None]
+        # gradient through the batch statistics
         g = self._reshape(self.params["gamma"], dout.ndim)
         inv = self._reshape(inv_std, dout.ndim)
-        self.grads["gamma"] += (dout * x_hat).sum(axis=axes)
-        self.grads["beta"] += dout.sum(axis=axes)
-        if mode != "train":
-            return [dout * g * inv]
-        # gradient through the batch statistics
         mean_d = dout.mean(axis=axes)
         mean_dx = (dout * x_hat).mean(axis=axes)
         dx = (
@@ -304,7 +312,7 @@ class Dropout(Layer):
         mask = (ctx.rng.random(x.shape) < keep) / keep
         return x * mask, mask
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         if cache is None:
             return [dout]
         return [dout * cache]
@@ -329,12 +337,15 @@ class PReLU(Layer):
         alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
         return np.where(x >= 0, x, alpha * x), x
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         x = cache
-        alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
         neg = x < 0
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        self.grads["alpha"] += np.where(neg, dout * x, 0.0).sum(axis=axes)
+        if not self.frozen:
+            axes = (0, 2, 3) if x.ndim == 4 else (0,)
+            self.grads["alpha"] += np.where(neg, dout * x, 0.0).sum(axis=axes)
+        if not need_dx:
+            return [None]
+        alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
         return [np.where(neg, alpha * dout, dout)]
 
     def get_config(self):
@@ -370,19 +381,21 @@ class PELU(Layer):
         out = np.where(x >= 0, (a / b) * x, a * (expx - 1.0))
         return out, (x, expx)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         x, expx = cache
         shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
         pos = x >= 0
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        dx = np.where(pos, a / b, (a / b) * expx) * dout
-        da_full = np.where(pos, x / b, expx - 1.0) * dout
-        db_full = np.where(pos, -a * x / b**2, -a * x * expx / b**2) * dout
-        self.grads["a"] += da_full.sum(axis=axes)
-        self.grads["b"] += db_full.sum(axis=axes)
-        return [dx]
+        if not self.frozen:
+            axes = (0, 2, 3) if x.ndim == 4 else (0,)
+            da_full = np.where(pos, x / b, expx - 1.0) * dout
+            db_full = np.where(pos, -a * x / b**2, -a * x * expx / b**2) * dout
+            self.grads["a"] += da_full.sum(axis=axes)
+            self.grads["b"] += db_full.sum(axis=axes)
+        if not need_dx:
+            return [None]
+        return [np.where(pos, a / b, (a / b) * expx) * dout]
 
     def project(self):
         np.maximum(self.params["a"], self.FLOOR, out=self.params["a"])
@@ -413,7 +426,7 @@ class MaxPool(Layer):
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
         return out, (x.shape, arg)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         shape, arg = cache
         n, c, h, w = shape
         oh, ow = h // self.kh, w // self.kw
@@ -437,7 +450,7 @@ class Flatten(Layer):
         x = _single(xs)
         return x.reshape(x.shape[0], -1), x.shape
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         return [dout.reshape(cache)]
 
 
@@ -458,7 +471,7 @@ class Sum(Layer):
             out += x
         return out, len(xs)
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         return [dout] * cache
 
 
@@ -478,10 +491,13 @@ class ScalarScale(Layer):
         x = _single(xs)
         return x * self.params["coeff"].reshape(_channel_shape(x.ndim)), x
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         x = cache
-        axes = (0, 2, 3) if x.ndim == 4 else (0,)
-        self.grads["coeff"] += (dout * x).sum(axis=axes)
+        if not self.frozen:
+            axes = (0, 2, 3) if x.ndim == 4 else (0,)
+            self.grads["coeff"] += (dout * x).sum(axis=axes)
+        if not need_dx:
+            return [None]
         return [dout * self.params["coeff"].reshape(_channel_shape(x.ndim))]
 
     def get_config(self):
@@ -501,7 +517,7 @@ class SliceChannels(Layer):
         x = _single(xs)
         return x[:, self.start : self.stop], x.shape
 
-    def backward(self, dout, cache):
+    def backward(self, dout, cache, need_dx):
         dx = np.zeros(cache)
         dx[:, self.start : self.stop] = dout
         return [dx]

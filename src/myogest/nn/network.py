@@ -91,6 +91,7 @@ class Network:
         return (logits, values) if trace else logits
 
     def _forward_full(self, x, mode, subject, rng):
+        """Run every node; layer caches are kept in train mode only, the one mode backpropagated."""
         ctx = Context(mode=mode, subject=subject, rng=rng)
         values = {INPUT: np.asarray(x, dtype=np.float64)}
         caches = {}
@@ -98,25 +99,42 @@ class Network:
             ins = [values[ref] for ref in node.inputs]
             out, cache = node.layer.forward(ins, ctx)
             values[node.name] = out
-            caches[node.name] = cache
+            if mode == "train":
+                caches[node.name] = cache
         return values[self.output_name], values, caches
 
+    def _reaches_trainable(self):
+        """Names of the nodes whose output gradient reaches an unfrozen parameter."""
+        live = set()
+        for node in self.nodes:
+            if (node.layer.params and not node.layer.frozen) or any(r in live for r in node.inputs):
+                live.add(node.name)
+        return live
+
     def backward_from(self, dlogits, caches):
-        """Backpropagate from d(loss)/d(logits); accumulates parameter grads."""
+        """Backpropagate d(loss)/d(logits) into the grads of the unfrozen parameters.
+
+        Only nodes whose output gradient reaches an unfrozen parameter are
+        visited, and each computes its input gradient only when one of its
+        inputs is such a node; nothing flows back into the network input.
+        """
+        live = self._reaches_trainable()
         grad_at = {self.output_name: dlogits}
         for node in reversed(self.nodes):
             dout = grad_at.pop(node.name, None)
-            if dout is None:
+            if dout is None or node.name not in live:
                 continue
-            dins = node.layer.backward(dout, caches[node.name])
+            wanted = [ref in live for ref in node.inputs]
+            dins = node.layer.backward(dout, caches[node.name], any(wanted))
             if len(dins) != len(node.inputs):
                 raise ConfigError(f"node '{node.name}' returned wrong gradient arity")
-            for ref, g in zip(node.inputs, dins):
+            for ref, want, g in zip(node.inputs, wanted, dins):
+                if not want:
+                    continue
                 if ref in grad_at:
                     grad_at[ref] = grad_at[ref] + g
                 else:
                     grad_at[ref] = g
-        return grad_at.get(INPUT)
 
     def train_batch(self, x, y, subject=None, rng=None):
         """Forward in train mode, softmax cross-entropy backward. Returns loss."""

@@ -41,6 +41,11 @@ class TrainConfig:
             raise ConfigError("validation_fraction must be in (0, 1)")
         if self.anneal_factor <= 1.0:
             raise ConfigError("anneal_factor must exceed 1")
+        # batches shorter than 2 are dropped (batch-norm needs two windows)
+        if self.batch_size < 2:
+            raise ConfigError("batch_size must be at least 2")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ConfigError("dropout_rate must be in [0, 1)")
 
 
 @dataclass

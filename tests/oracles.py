@@ -227,43 +227,85 @@ def wilcoxon_exact_enum(diffs):
 
 
 # ---------------------------------------------------------------------------
+# convolution
+
+
+def conv2d_direct(x, weight, bias):
+    """Valid, stride-1 cross-correlation by plain loops."""
+    n, c, h, w = x.shape
+    co, _, kh, kw = weight.shape
+    out = np.zeros((n, co, h - kh + 1, w - kw + 1))
+    for b in range(n):
+        for o in range(co):
+            for i in range(h - kh + 1):
+                for j in range(w - kw + 1):
+                    out[b, o, i, j] = np.sum(x[b, :, i : i + kh, j : j + kw] * weight[o]) + bias[o]
+    return out
+
+
+def conv2d_grads_direct(x, weight, dout):
+    """(dx, dweight, dbias) of ``conv2d_direct`` for an output gradient ``dout``."""
+    _, _, kh, kw = weight.shape
+    dx = np.zeros_like(x)
+    dw = np.zeros_like(weight)
+    for b in range(dout.shape[0]):
+        for o in range(dout.shape[1]):
+            for i in range(dout.shape[2]):
+                for j in range(dout.shape[3]):
+                    g = dout[b, o, i, j]
+                    dx[b, :, i : i + kh, j : j + kw] += g * weight[o]
+                    dw[o] += g * x[b, :, i : i + kh, j : j + kw]
+    return dx, dw, dout.sum(axis=(0, 2, 3))
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 
-def numeric_param_grads(net, x, y, eps=1e-5, mode="train"):
-    """Central finite differences of the softmax cross-entropy per parameter."""
+def numeric_param_grads(net, x, y, eps=1e-5):
+    """Central finite differences of the train-mode cross-entropy per trainable parameter."""
     from myogest.nn.network import softmax_cross_entropy
 
     grads = {}
-    for node in net.nodes:
-        for pname, arr in node.layer.params.items():
-            g = np.zeros_like(arr)
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                old = arr[idx]
-                arr[idx] = old + eps
-                lp, _ = softmax_cross_entropy(net.forward(x, mode=mode), y)
-                arr[idx] = old - eps
-                lm, _ = softmax_cross_entropy(net.forward(x, mode=mode), y)
-                arr[idx] = old
-                g[idx] = (lp - lm) / (2 * eps)
-            grads[(node.name, pname)] = g
+    for name, pname in net.trainable_parameters():
+        arr = net.node(name).layer.params[pname]
+        g = np.zeros_like(arr)
+        it = np.nditer(arr, flags=["multi_index"])
+        for _ in it:
+            idx = it.multi_index
+            old = arr[idx]
+            arr[idx] = old + eps
+            lp, _ = softmax_cross_entropy(net.forward(x, mode="train"), y)
+            arr[idx] = old - eps
+            lm, _ = softmax_cross_entropy(net.forward(x, mode="train"), y)
+            arr[idx] = old
+            g[idx] = (lp - lm) / (2 * eps)
+        grads[(name, pname)] = g
     return grads
 
 
-def gradcheck(net, x, y, tol=1e-4, mode="train"):
-    """Return the worst relative error between analytic and numeric grads."""
+def gradcheck(net, x, y, tol=1e-4):
+    """Return the worst relative error between analytic and numeric grads.
+
+    Train mode only.  Frozen parameters are not compared with numeric
+    gradients: their analytic gradient must be exactly zero, and any other
+    value is reported as a failure with infinite error.
+    """
     from myogest.nn.network import softmax_cross_entropy
 
     net.zero_grads()
-    logits, _, caches = net._forward_full(x, mode, None, None)
+    logits, _, caches = net._forward_full(x, "train", None, None)
     _, dlogits = softmax_cross_entropy(logits, y)
     net.backward_from(dlogits, caches)
-    numeric = numeric_param_grads(net, x, y, mode=mode)
-    worst = 0.0
-    failures = []
-    for key, g_num in numeric.items():
+    failures = [
+        ((node.name, pname), float("inf"))
+        for node in net.nodes
+        if node.layer.frozen
+        for pname, g in node.layer.grads.items()
+        if np.any(g != 0)
+    ]
+    worst = float("inf") if failures else 0.0
+    for key, g_num in numeric_param_grads(net, x, y).items():
         g_ana = net.node(key[0]).layer.grads[key[1]]
         denom = max(np.abs(g_num).max(), np.abs(g_ana).max(), 1e-6)
         rel = float(np.abs(g_num - g_ana).max() / denom)

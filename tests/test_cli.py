@@ -136,6 +136,15 @@ def test_exit_code_bad_protocol(data, capsys):
     assert code == cli.EXIT_CONFIG == 2
 
 
+def test_exit_code_batch_size_one(data, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seeds": [SEEDS[0]], "train": {"batch_size": 1}}))
+    code = cli.main(["--config", str(config), "train", "--dataset", str(data / "eval"),
+                     "--model", "raw-1d", "--cycles", "2"])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "batch_size" in capsys.readouterr().err
+
+
 def test_exit_code_missing_manifest(tmp_path, capsys):
     code, _ = run(capsys, "train", "--dataset", tmp_path, "--model", "TD+lda")
     assert code == cli.EXIT_DATA == 3

@@ -1,0 +1,125 @@
+import numpy as np
+import pytest
+
+import oracles
+from myogest.architectures import INPUT_SHAPES, build_architecture
+from myogest.nn import TrainConfig
+from myogest.transfer import (
+    SOURCE_PREFIX,
+    SourceNetwork,
+    build_target,
+    pretrain,
+    prepare_target_subject,
+    source_parameter_snapshot,
+    train_target,
+)
+
+WIDTHS = {"c1": 3, "c2": 3, "c3": 4, "fc4": 6, "fc5": 6}
+CLASSES = 4
+NEW_SUBJECT = 3
+
+
+def _data(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((n, *INPUT_SHAPES["cwt"])), np.arange(n) % CLASSES
+
+
+def _cfg(seed=0):
+    return TrainConfig(
+        learning_rate=0.01, batch_size=16, max_epochs=2, patience_epochs=3, seed=seed
+    )
+
+
+@pytest.fixture(scope="module")
+def source():
+    X, y = _data(96, seed=1)
+    subjects = np.repeat([1, 2], 48)
+    net = build_architecture("cwt", num_classes=CLASSES, widths=WIDTHS, seed=0)
+    return pretrain(net, X, y, subjects, _cfg())
+
+
+def _source_banks(target, subjects):
+    return {
+        (node.name, s, stat): node.layer.banks[s][stat].copy()
+        for node in target.network.nodes
+        if node.name.startswith(SOURCE_PREFIX) and node.layer.kind == "batch-norm"
+        for s in subjects
+        for stat in ("mean", "var")
+    }
+
+
+def test_train_target_leaves_the_source_frozen(source):
+    target = build_target(source, seed=4)
+    before = source_parameter_snapshot(target.network, SOURCE_PREFIX)
+    second_before = {
+        (n, p): target.network.node(n).layer.params[p].copy()
+        for n, p in target.network.trainable_parameters()
+    }
+    train_target(target, *_data(64, seed=2), subject=NEW_SUBJECT, cfg=_cfg(1))
+    assert before and source_parameter_snapshot(target.network, SOURCE_PREFIX) == before
+    assert any(
+        not np.array_equal(target.network.node(n).layer.params[p], v)
+        for (n, p), v in second_before.items()
+    )
+
+
+def test_zeroed_scalars_give_the_second_network_alone(source):
+    target = build_target(source, seed=4)
+    target.set_scalars(0.0)
+    second = build_architecture(
+        "cwt", num_classes=CLASSES, widths=WIDTHS, activation="pelu", seed=4
+    )
+    X, _ = _data(10, seed=3)
+    np.testing.assert_array_equal(target.network.forward(X), second.forward(X))
+
+
+def test_pretraining_banks_survive_a_new_subject(source):
+    assert source.pretrain_subjects == [1, 2]
+    target = build_target(source, seed=4)
+    before = _source_banks(target, source.pretrain_subjects)
+    train_target(target, *_data(64, seed=2), subject=NEW_SUBJECT, cfg=_cfg(1))
+    after = _source_banks(target, source.pretrain_subjects)
+    assert before.keys() == after.keys()
+    for key, value in before.items():
+        np.testing.assert_array_equal(after[key], value, err_msg=str(key))
+    new_bank = _source_banks(target, [NEW_SUBJECT])
+    assert any(not np.array_equal(v, after[(n, 1, stat)]) for (n, _, stat), v in new_bank.items())
+
+
+def test_pruned_backward_matches_an_unfrozen_clone(source):
+    target = build_target(source, seed=4)
+    prepare_target_subject(target, NEW_SUBJECT)
+    net = target.network
+    full = net.clone()
+    for node in full.nodes:
+        node.layer.frozen = False
+    X, y = _data(16, seed=5)
+    for model in (net, full):
+        model.zero_grads()
+        model.train_batch(X, y, subject=NEW_SUBJECT, rng=np.random.default_rng(9))
+    frozen = [node for node in net.nodes if node.layer.frozen and node.layer.params]
+    assert frozen
+    for node in frozen:
+        for g in node.layer.grads.values():
+            assert np.all(g == 0), node.name
+    names = list(net.trainable_parameters())
+    assert names
+    for name, pname in names:
+        np.testing.assert_array_equal(
+            net.node(name).layer.grads[pname],
+            full.node(name).layer.grads[pname],
+            err_msg=f"{name}.{pname}",
+        )
+
+
+def test_gradcheck_merged_target():
+    # an untrained frozen source is enough for the gradients; narrow widths keep it quick
+    narrow = {"c1": 2, "c2": 2, "c3": 2, "fc4": 3, "fc5": 3}
+    net = build_architecture("cwt", num_classes=3, widths=narrow, seed=0)
+    net.freeze(lambda node: node.layer.kind != "batch-norm")
+    target = build_target(SourceNetwork(net, pretrain_subjects=[]), seed=4)
+    target.network.set_dropout_rate(0.0)
+    X, _ = _data(6, seed=0)
+    worst, failures = oracles.gradcheck(target.network, X, np.arange(6) % 3)
+    assert failures == []
+    assert worst < 1e-4
