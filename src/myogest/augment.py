@@ -135,7 +135,7 @@ def _synthesize(w: Window, technique: str, cfg: AugmentationConfig, seed: int) -
     raise ConfigError(f"technique '{technique}' cannot synthesize windows")
 
 
-def _densified_windows(recordings, base_windows, multiplier, base_stride):
+def _densified_windows(recordings, base_windows, multiplier):
     """Re-slice the same recordings densely enough to reach multiplier x count."""
     target = multiplier * len(base_windows)
     keys = {(w.subject_id, w.round, w.cycle, w.label) for w in base_windows}
@@ -172,8 +172,7 @@ def augment_dataset(
     elif cfg.technique == "sliding-window":
         if recordings is None:
             raise ConfigError("sliding-window augmentation needs the source recordings")
-        base_stride = None  # densify from the recordings, count contract applies
-        train = _densified_windows(recordings, split.train, cfg.multiplier, base_stride)
+        train = _densified_windows(recordings, split.train, cfg.multiplier)
     else:
         train = list(split.train)
         for round_idx in range(cfg.multiplier - 1):

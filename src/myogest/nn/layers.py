@@ -19,10 +19,16 @@ weights and scatter-adds each (kh, kw) tap back onto the input map.
 Forward context carries the execution mode:
 
 - ``train``     batch statistics, active dropout
-- ``eval``      stored statistics, dropout as identity (inverted scaling)
+- ``eval``      stored statistics, dropout as identity (inverted scaling);
+                ``Network`` folds each BatchNorm whose producer is a
+                Conv2d/Dense read by nothing else into that producer's
+                weights (when they are no larger than its output) and
+                passes dropout through without calling it
 - ``finalize``  full-batch statistics written into the subject's bank
 
-Only ``train`` mode is ever backpropagated.
+Only ``train`` mode is ever backpropagated.  Conv2d and Dense take an
+optional ``params`` dict that replaces their own for one call; the eval
+fold passes its folded weights and bias that way.
 """
 
 from __future__ import annotations
@@ -105,7 +111,8 @@ class Conv2d(Layer):
         self.params["bias"] = np.zeros(out_channels)
         self.zero_grads()
 
-    def forward(self, xs, ctx):
+    def forward(self, xs, ctx, params=None):
+        p = self.params if params is None else params
         x = _single(xs)
         n, c, h, w = x.shape
         if c != self.in_channels:
@@ -114,8 +121,8 @@ class Conv2d(Layer):
         if oh < 1 or ow < 1:
             raise ConfigError(f"conv kernel {self.kh}x{self.kw} larger than map {h}x{w}")
         cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
-        w_mat = self.params["weight"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + self.params["bias"]
+        w_mat = p["weight"].reshape(self.out_channels, -1)
+        out = cols @ w_mat.T + p["bias"]
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         return out, (x.shape, cols, (oh, ow))
 
@@ -169,9 +176,10 @@ class Dense(Layer):
         self.params["bias"] = np.zeros(out_features)
         self.zero_grads()
 
-    def forward(self, xs, ctx):
+    def forward(self, xs, ctx, params=None):
+        p = self.params if params is None else params
         x = _single(xs)
-        return x @ self.params["weight"].T + self.params["bias"], x
+        return x @ p["weight"].T + p["bias"], x
 
     def backward(self, dout, cache, need_dx):
         if not self.frozen:
@@ -221,25 +229,32 @@ class BatchNorm(Layer):
     def _reshape(self, v, ndim):
         return v[None, :, None, None] if ndim == 4 else v[None, :]
 
+    def eval_affine(self, key):
+        """Eval statistics as ``(scale, shift)``: ``out = x * scale + shift``.
+
+        Reads the bank of ``key``, else the ``__default__`` bank.
+        """
+        bank = self.banks.get(key) or self._bank(DEFAULT_SUBJECT)
+        scale = self.params["gamma"] / np.sqrt(bank["var"] + BN_EPS)
+        return scale, self.params["beta"] - bank["mean"] * scale
+
     def forward(self, xs, ctx):
         x = _single(xs)
         axes = self._axes(x)
         key = ctx.subject_key()
-        if ctx.mode in ("train", "finalize"):
-            mean = x.mean(axis=axes)
-            centered = x - self._reshape(mean, x.ndim)
-            var = np.mean(centered * centered, axis=axes)
-            bank = self._bank(key)
-            if ctx.mode == "finalize":
-                bank["mean"] = mean.copy()
-                bank["var"] = var.copy()
-            else:
-                bank["mean"] = (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean
-                bank["var"] = (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var
+        if ctx.mode not in ("train", "finalize"):
+            scale, shift = self.eval_affine(key)
+            return x * self._reshape(scale, x.ndim) + self._reshape(shift, x.ndim), None
+        mean = x.mean(axis=axes)
+        centered = x - self._reshape(mean, x.ndim)
+        var = np.mean(centered * centered, axis=axes)
+        bank = self._bank(key)
+        if ctx.mode == "finalize":
+            bank["mean"] = mean.copy()
+            bank["var"] = var.copy()
         else:
-            bank = self.banks.get(key) or self._bank(DEFAULT_SUBJECT)
-            mean, var = bank["mean"], bank["var"]
-            centered = x - self._reshape(mean, x.ndim)
+            bank["mean"] = (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean
+            bank["var"] = (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = centered * self._reshape(inv_std, x.ndim)
         out = self._reshape(self.params["gamma"], x.ndim) * x_hat + self._reshape(

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import base64
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ from .layers import Context, layer_from_config
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
+FOLDABLE = ("conv2d", "fully-connected")  # layer kinds a following BatchNorm folds into
 
 
 @dataclass
@@ -44,6 +47,37 @@ class Network:
                     raise ConfigError(f"node '{node.name}' uses undefined input '{ref}'")
             seen.add(node.name)
             self._index[node.name] = node
+        self._eval_plan = self._plan_eval()
+
+    def _plan_eval(self):
+        """Eval steps ``(node, output name, folded BatchNorm or None, passes through)``.
+
+        A BatchNorm can fold into its input when that input is a Conv2d/Dense
+        node read by nothing else: the producer's step then writes the
+        normalized output under the BatchNorm's name, and the BatchNorm has
+        no step of its own.  Dropout is the identity at eval and passes its
+        input through.
+        """
+        readers = Counter(ref for node in self.nodes for ref in node.inputs)
+        folds = {}  # producer name -> the BatchNorm node that reads it
+        for node in self.nodes:
+            src = self._index.get(node.inputs[0]) if node.inputs else None
+            if (
+                node.layer.kind == "batch-norm"
+                and src is not None
+                and src.layer.kind in FOLDABLE
+                and readers[src.name] == 1
+            ):
+                folds[src.name] = node
+        folded = {bn.name for bn in folds.values()}
+        plan = []
+        for node in self.nodes:
+            bn = folds.get(node.name)
+            if bn is not None:
+                plan.append((node, bn.name, bn.layer, False))
+            elif node.name not in folded:
+                plan.append((node, node.name, None, node.layer.kind == "dropout"))
+        return plan
 
     # ---- structure ----------------------------------------------------
 
@@ -87,8 +121,39 @@ class Network:
     # ---- execution -----------------------------------------------------
 
     def forward(self, x, mode="eval", subject=None, rng=None, trace=False):
+        """Logits of ``x``; with ``trace`` also every node's output by name.
+
+        Eval without ``trace`` runs the plan of ``_plan_eval``: a foldable
+        BatchNorm is folded into its producer's weights, recomputed from the
+        current parameters and the subject's bank on every call, whenever
+        the weights are no larger than the producer's output for this batch
+        (``_fold_pays``); otherwise the producer and the BatchNorm run as
+        they are.  With ``trace`` every node runs unfolded, so ``values``
+        holds each node's own output under its name.
+        """
+        if mode == "eval" and not trace:
+            return self._forward_eval(np.asarray(x, dtype=np.float64), subject)
         logits, values, _ = self._forward_full(x, mode, subject, rng)
         return (logits, values) if trace else logits
+
+    def _forward_eval(self, x, subject):
+        ctx = Context(mode="eval", subject=subject)
+        key = ctx.subject_key()
+        values = {INPUT: x}
+        for node, out_name, bn, passes in self._eval_plan:
+            ins = [values[ref] for ref in node.inputs]
+            if passes:
+                values[out_name] = ins[0]
+                continue
+            if bn is None:
+                out, _ = node.layer.forward(ins, ctx)
+            elif _fold_pays(node.layer.params["weight"], ins[0]):
+                folded = _folded(node.layer.params, *bn.eval_affine(key))
+                out, _ = node.layer.forward(ins, ctx, folded)
+            else:
+                out, _ = bn.forward([node.layer.forward(ins, ctx)[0]], ctx)
+            values[out_name] = out
+        return values[self.output_name]
 
     def _forward_full(self, x, mode, subject, rng):
         """Run every node; layer caches are kept in train mode only, the one mode backpropagated."""
@@ -148,7 +213,8 @@ class Network:
         return softmax(self.forward(x, mode="eval", subject=subject))
 
     def predict(self, x, subject=None):
-        return self.predict_proba(x, subject).argmax(axis=1)
+        """Argmax of the eval logits; softmax is monotone, so it is skipped."""
+        return self.forward(x, mode="eval", subject=subject).argmax(axis=1)
 
     # ---- persistence ---------------------------------------------------
 
@@ -197,6 +263,26 @@ class Network:
 
     def clone(self) -> "Network":
         return network_from_state(self.state_dict())
+
+
+def _fold_pays(weight, x):
+    """Whether a Conv2d/Dense ``weight`` is no larger than its output on ``x``.
+
+    Folding scales every weight while normalizing the output touches every
+    output element, so eval folds only when the weights are no larger: a
+    wide Dense layer at batch 1 normalizes its few outputs instead.
+    """
+    spatial = math.prod(h - k + 1 for h, k in zip(x.shape[2:], weight.shape[2:]))
+    return weight.size <= len(x) * weight.shape[0] * spatial
+
+
+def _folded(params, scale, shift):
+    """Conv2d/Dense parameters with a BatchNorm's eval ``(scale, shift)`` folded in."""
+    weight = params["weight"]
+    return {
+        "weight": weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1)),
+        "bias": params["bias"] * scale + shift,
+    }
 
 
 def network_from_state(state) -> Network:

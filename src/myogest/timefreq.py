@@ -5,7 +5,9 @@ The spectrogram uses Hann windows of length 28 hopped by 8 (4 fully interior
 frames, 15 rfft bins); dropping the DC band gives the 4x8x14 network input.
 The CWT uses 32 integer scales of the Mexican Hat wavelet; an order-0
 downsample by 4 on both axes, then dropping the last scale row and time
-column, gives the 12x8x7 input.
+column, gives the 12x8x7 input.  ``cwt_batch`` computes only those kept
+coefficients, with a precomputed bank of the 7 kept scales x 12 kept
+translations; the full 32x52 transform is ``cwt_channel``.
 """
 
 from __future__ import annotations
@@ -106,6 +108,8 @@ def _cwt_kernel_bank(length: int = WINDOW_LENGTH, scales: int = CWT_SCALES) -> n
 
 
 _CWT_BANK = _cwt_kernel_bank()
+# kept (scale, translation) rows of the bank, (7, 12, 52), as a (52, 12 * 7) matrix
+_CWT_KEPT = _CWT_BANK[::4, ::4][:-1, :-1].transpose(2, 1, 0).reshape(WINDOW_LENGTH, -1).copy()
 
 
 def cwt_channel(signal: np.ndarray, scales: int = CWT_SCALES) -> np.ndarray:
@@ -139,12 +143,16 @@ def cwt_batch(windows: np.ndarray) -> np.ndarray:
 
     Per channel the 32x52 CWT is downsampled by 4 on both axes with order-0
     (nearest, origin 0) interpolation to 8x13, then the last scale row and
-    the last time column are dropped.
+    the last time column are dropped.  Only those 7 scales x 12 translations
+    are computed: one matrix product of the windows with the kept rows of
+    the wavelet bank, read out in the (time, channel, scale) layout.
     """
     windows = np.asarray(windows, dtype=np.float64)
-    coeffs = np.einsum("atm,bcm->bcat", _CWT_BANK, windows, optimize=True)
-    ds = coeffs[:, :, ::4, ::4][:, :, :-1, :-1]
-    return ds.transpose(0, 3, 1, 2)
+    if windows.ndim != 3 or windows.shape[-1] != WINDOW_LENGTH:
+        raise DataError(f"cwt expects (N, channels, {WINDOW_LENGTH}) windows, got {windows.shape}")
+    n, c, _ = windows.shape
+    coeffs = windows.reshape(n * c, WINDOW_LENGTH) @ _CWT_KEPT  # (N * c, 12 * 7)
+    return coeffs.reshape(n, c, 12, 7).transpose(0, 2, 1, 3)
 
 
 def _symmetric_ext(x: np.ndarray, n: int) -> np.ndarray:

@@ -259,6 +259,39 @@ def conv2d_grads_direct(x, weight, dout):
 
 
 # ---------------------------------------------------------------------------
+# inference
+
+
+def eval_forward_direct(net, x, subject=None):
+    """Eval-mode logits with every node run on its own, nothing folded.
+
+    BatchNorm nodes apply the textbook (x - mean) / sqrt(var + eps) * gamma
+    + beta with the subject's bank (else the ``__default__`` bank), dropout
+    nodes are the identity, and every other node runs its own layer.
+    """
+    from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT, Context
+
+    ctx = Context(mode="eval", subject=subject)
+    key = DEFAULT_SUBJECT if subject is None else int(subject)
+    values = {"input": np.asarray(x, dtype=np.float64)}
+    for node in net.nodes:
+        ins = [values[ref] for ref in node.inputs]
+        layer = node.layer
+        if layer.kind == "batch-norm":
+            bank = layer.banks.get(key) or layer.banks[DEFAULT_SUBJECT]
+            shape = (1, -1, 1, 1) if ins[0].ndim == 4 else (1, -1)
+            mean, var = bank["mean"].reshape(shape), bank["var"].reshape(shape)
+            gamma = layer.params["gamma"].reshape(shape)
+            beta = layer.params["beta"].reshape(shape)
+            values[node.name] = (ins[0] - mean) / np.sqrt(var + BN_EPS) * gamma + beta
+        elif layer.kind == "dropout":
+            values[node.name] = ins[0]
+        else:
+            values[node.name] = layer.forward(ins, ctx)[0]
+    return values[net.output_name]
+
+
+# ---------------------------------------------------------------------------
 # gradients
 
 

@@ -1,0 +1,73 @@
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from myogest.augment import TECHNIQUES, AugmentationConfig, augment_dataset, augment_fatigue
+from myogest.dataset import build_split, load_dataset
+
+GROWING = [t for t in TECHNIQUES if t != "baseline"]
+
+
+@pytest.fixture(scope="module")
+def subject_data(small_dataset):
+    recs = [r for r in load_dataset(small_dataset) if r.subject_id == 1]
+    return recs, build_split(recs, "myo-eval", cycles=2)
+
+
+def _augment(subject_data, technique, multiplier):
+    recs, split = subject_data
+    cfg = AugmentationConfig(technique=technique, multiplier=multiplier, seed=3)
+    return augment_dataset(split, cfg, recordings=recs)
+
+
+@pytest.mark.parametrize("technique", GROWING)
+@pytest.mark.parametrize("multiplier", [1, 2, 3])
+def test_train_grows_to_multiplier_times_base(subject_data, technique, multiplier):
+    base = len(subject_data[1].train)
+    assert len(_augment(subject_data, technique, multiplier).train) == multiplier * base
+
+
+def test_baseline_keeps_the_training_set(subject_data):
+    split = subject_data[1]
+    assert _augment(subject_data, "baseline", 3).train == split.train
+
+
+@pytest.mark.parametrize("technique", [t for t in GROWING if t != "sliding-window"])
+def test_synthesized_windows_keep_their_source_label(subject_data, technique):
+    split = subject_data[1]
+    base = len(split.train)
+    train = _augment(subject_data, technique, 3).train
+    assert train[:base] == split.train
+    for i, w in enumerate(train[base:]):
+        src = split.train[i % base]
+        origin = (w.label, w.subject_id, w.round, w.cycle)
+        assert origin == (src.label, src.subject_id, src.round, src.cycle)
+        assert w.data.shape == src.data.shape
+
+
+def test_sliding_windows_come_from_the_training_recordings_in_proportion(subject_data):
+    split = subject_data[1]
+    train = _augment(subject_data, "sliding-window", 2).train
+    base_keys = {(w.subject_id, w.round, w.cycle, w.label) for w in split.train}
+    assert {(w.subject_id, w.round, w.cycle, w.label) for w in train} == base_keys
+    base_labels = Counter(w.label for w in split.train)
+    assert Counter(w.label for w in train) == {k: 2 * v for k, v in base_labels.items()}
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_test_split_is_untouched(subject_data, technique):
+    split = subject_data[1]
+    before = [w.data.copy() for w in split.test]
+    out = _augment(subject_data, technique, 2)
+    assert out.test is split.test
+    assert all(np.array_equal(w.data, d) for w, d in zip(split.test, before))
+
+
+def test_fatigue_conserves_channel_power(subject_data):
+    for w in subject_data[1].train[:10]:
+        out = augment_fatigue(w, probability=1.0, fraction=0.35, seed=0)
+        np.testing.assert_allclose(
+            (out.data**2).sum(axis=1), (w.data**2).sum(axis=1), rtol=1e-10
+        )
+        assert not np.allclose(out.data, w.data)

@@ -4,7 +4,22 @@ import pytest
 import oracles
 from myogest.architectures import INPUT_SHAPES, build_architecture
 from myogest.errors import ConfigError
-from myogest.nn import PELU, BatchNorm, Context, Conv2d, Dense, PReLU, ScalarScale, TrainConfig
+from myogest.nn import (
+    PELU,
+    BatchNorm,
+    Context,
+    Conv2d,
+    Dense,
+    Dropout,
+    Flatten,
+    Network,
+    Node,
+    PReLU,
+    ScalarScale,
+    Sum,
+    TrainConfig,
+)
+from myogest.transfer import SourceNetwork, build_target, prepare_target_subject
 
 # narrow widths keep every architecture at a few hundred parameters
 NARROW = {
@@ -121,3 +136,157 @@ def test_train_config_rejects_silent_misconfiguration(kwargs):
 def test_train_config_accepts_the_edges():
     TrainConfig(batch_size=2, dropout_rate=0.0)
     TrainConfig(dropout_rate=0.99)
+
+
+# ---- eval: batch-norm folded into its producer ----------------------------
+
+
+def _randomize(net, rng, subjects):
+    """Non-trivial biases, BN affine parameters and one BN bank per subject."""
+    for node in net.nodes:
+        layer = node.layer
+        if "bias" in layer.params:
+            layer.params["bias"][...] = rng.standard_normal(layer.params["bias"].shape)
+        if layer.kind == "batch-norm":
+            width = layer.num_features
+            layer.params["gamma"][...] = rng.uniform(0.5, 2.0, width)
+            layer.params["beta"][...] = rng.standard_normal(width)
+            _random_banks(layer, rng, subjects)
+
+
+def _random_banks(bn, rng, subjects):
+    for s in subjects:
+        bn.banks[s] = {
+            "mean": rng.standard_normal(bn.num_features),
+            "var": rng.uniform(0.2, 3.0, bn.num_features),
+        }
+
+
+def _assert_matches_oracle(net, x, subjects):
+    # batch 1 and the whole batch: a wide layer folds at one size and not the other
+    for s in subjects:
+        for xb in (x[:1], x):
+            ref = oracles.eval_forward_direct(net, xb, s)
+            np.testing.assert_allclose(net.forward(xb, subject=s), ref, rtol=0, atol=1e-12)
+            assert np.array_equal(net.predict(xb, subject=s), ref.argmax(axis=1))
+
+
+def _merged_cwt_target(rng):
+    source = build_architecture("cwt", num_classes=3, widths=NARROW["cwt"], seed=1)
+    _randomize(source, rng, subjects=(1, 2))
+    source.freeze(lambda node: node.layer.kind != "batch-norm")
+    target = build_target(SourceNetwork(network=source, pretrain_subjects=[1, 2]), seed=2)
+    prepare_target_subject(target, 3)
+    for node in target.network.nodes:
+        if node.layer.kind == "batch-norm" and 3 not in node.layer.banks:
+            _random_banks(node.layer, rng, subjects=(3,))
+    return target.network
+
+
+@pytest.mark.parametrize("arch", sorted(NARROW))
+def test_folded_eval_matches_unfolded_oracle(arch):
+    rng = np.random.default_rng(11)
+    net = build_architecture(arch, num_classes=5, seed=3)
+    _randomize(net, rng, subjects=(1, 2))
+    x = rng.standard_normal((9, *INPUT_SHAPES[arch]))
+    _assert_matches_oracle(net, x, (None, 1, 2))
+
+
+def test_folded_eval_matches_oracle_on_merged_target_per_subject_bank():
+    rng = np.random.default_rng(12)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((9, *INPUT_SHAPES["cwt"]))
+    _assert_matches_oracle(net, x, (1, 2, 3))
+    # distinct banks give distinct logits, so each subject's bank was read
+    assert not np.allclose(net.forward(x, subject=1), net.forward(x, subject=2))
+
+
+def test_trace_returns_every_node_unfolded():
+    rng = np.random.default_rng(13)
+    nets = [build_architecture(a, num_classes=3, widths=NARROW[a], seed=1) for a in sorted(NARROW)]
+    for net in nets + [_merged_cwt_target(rng)]:
+        _randomize(net, rng, subjects=(1,))
+        x = rng.standard_normal((4, *net.metadata["input_shape"]))
+        logits, values = net.forward(x, subject=1, trace=True)
+        assert set(values) == {"input"} | {node.name for node in net.nodes}
+        np.testing.assert_allclose(logits, oracles.eval_forward_direct(net, x, 1), atol=1e-12)
+
+
+def test_fold_follows_every_parameter_and_bank_change():
+    rng = np.random.default_rng(14)
+    net = build_architecture("spectrogram", num_classes=3, widths=NARROW["spectrogram"], seed=1)
+    _randomize(net, rng, subjects=(1,))
+    x = rng.standard_normal((5, *INPUT_SHAPES["spectrogram"]))
+    net.forward(x, subject=1)
+    bn = net.node("c3_bn").layer
+    bn.banks[1]["mean"] += 0.5
+    bn.params["gamma"] *= 1.5
+    net.node("c3_conv").layer.params["weight"] *= -1.0
+    net.node("fc4_fc").layer.params["bias"] += 2.0
+    _assert_matches_oracle(net, x, (1,))
+    net.forward(x, mode="finalize", subject=1)  # rewrites subject 1's banks
+    _assert_matches_oracle(net, x, (1,))
+
+
+def _record_forward_calls(net):
+    """Names of the nodes whose layer ``forward`` runs, in call order."""
+    calls = []
+    for node in net.nodes:
+        def record(*args, _name=node.name, _inner=node.layer.forward):
+            calls.append(_name)
+            return _inner(*args)
+
+        node.layer.forward = record
+    return calls
+
+
+def _kind_names(net, kind):
+    return [node.name for node in net.nodes if node.layer.kind == kind]
+
+
+def test_eval_runs_no_batch_norm_or_dropout_layer_when_every_bn_folds():
+    rng = np.random.default_rng(15)
+    net = _merged_cwt_target(rng)
+    calls = _record_forward_calls(net)
+    x = rng.standard_normal((64, *INPUT_SHAPES["cwt"]))
+    net.predict(x, subject=3)
+    skipped = set(_kind_names(net, "batch-norm")) | set(_kind_names(net, "dropout"))
+    assert calls and not skipped & set(calls)
+    calls.clear()
+    net.forward(x, mode="train", subject=3, rng=np.random.default_rng(0))
+    assert set(calls) == {node.name for node in net.nodes}
+
+
+def test_fold_only_where_the_weights_are_no_larger_than_the_output():
+    # raw-1d: c2 has 5120 weights and 384 outputs per window, fc4 32768 and 256
+    rng = np.random.default_rng(17)
+    net = build_architecture("raw-1d", seed=1)
+    _randomize(net, rng, subjects=(1,))
+    calls = _record_forward_calls(net)
+    cases = [(1, ["c2_bn", "fc4_bn"]), (13, ["c2_bn", "fc4_bn"]), (14, ["fc4_bn"]), (128, [])]
+    for n, unfolded in cases:
+        calls.clear()
+        net.predict(rng.standard_normal((n, *INPUT_SHAPES["raw-1d"])), subject=1)
+        assert [c for c in calls if c in _kind_names(net, "batch-norm")] == unfolded, n
+
+
+def test_batch_norm_that_cannot_fold_runs_its_own_eval_forward():
+    rng = np.random.default_rng(16)
+    # conv is read by bn and by the sum port; bn2 reads a dropout, not its producer
+    net = Network(
+        [
+            Node("conv", Conv2d(2, 3, 2, 2, rng=rng), ["input"]),
+            Node("bn", BatchNorm(3), ["conv"]),
+            Node("sum", Sum(), ["bn", "conv"]),
+            Node("flat", Flatten(), ["sum"]),
+            Node("fc", Dense(3 * 3 * 4, 4, rng=rng), ["flat"]),
+            Node("drop", Dropout(0.5), ["fc"]),
+            Node("bn2", BatchNorm(4), ["drop"]),
+            Node("head", Dense(4, 3, rng=rng), ["bn2"]),
+        ]
+    )
+    _randomize(net, rng, subjects=(7,))
+    x = rng.standard_normal((6, 2, 4, 5))
+    calls = _record_forward_calls(net)
+    _assert_matches_oracle(net, x, (7,))
+    assert calls.count("bn") == calls.count("bn2") == 4  # 2 batch sizes x (forward, predict)

@@ -1,0 +1,65 @@
+import numpy as np
+import pytest
+from scipy.stats import friedmanchisquare
+
+import oracles
+from myogest.stats import friedman_holm, holm_adjust, knn_classify, wilcoxon_one_tail
+
+
+@pytest.mark.parametrize("n", range(5, 13))
+def test_wilcoxon_exact_matches_enumeration_with_ties_and_zeros(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        # small integer magnitudes force tied ranks; zeros must be dropped
+        diffs = rng.integers(1, 5, n) * rng.choice([-1, 1], n)
+        diffs = np.concatenate([diffs, np.zeros(rng.integers(0, 3))])
+        rng.shuffle(diffs)
+        a = rng.integers(50, 100, len(diffs)).astype(float)  # exact differences
+        res = wilcoxon_one_tail(a + diffs, a)
+        assert res.method == "exact" and res.n == n
+        assert res.p_value == pytest.approx(oracles.wilcoxon_exact_enum(list(diffs)), abs=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (10, 4), (8, 6)])
+def test_friedman_matches_scipy_without_ties_in_a_row(shape):
+    rng = np.random.default_rng(shape[0] * 10 + shape[1])
+    # a permutation per row: no two methods tie on one dataset
+    table = np.stack([rng.permutation(shape[1]) for _ in range(shape[0])]) / shape[1]
+    table = table + rng.uniform(0, 0.01, shape[0])[:, None]
+    res = friedman_holm(table)
+    ref = friedmanchisquare(*table.T)
+    assert res.statistic == pytest.approx(ref.statistic, rel=1e-12)
+    assert res.p_value == pytest.approx(ref.pvalue, rel=1e-9)
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 17])
+def test_holm_adjust_is_monotone_and_bounded(m):
+    rng = np.random.default_rng(m)
+    for _ in range(20):
+        p = rng.uniform(0, 1, m) ** 3
+        p[rng.integers(0, m)] = p[0]  # a tied pair
+        adj = holm_adjust(p)
+        assert np.all(adj >= p) and np.all(adj <= 1.0)
+        assert np.all(np.diff(adj[np.argsort(p, kind="stable")]) >= 0)
+
+
+def _knn_1d(train, query, k):
+    X = np.array([[x] for x, _ in train], dtype=float)
+    y = np.array([label for _, label in train])
+    return int(knn_classify(X, y, [[query]], k=k)[0])
+
+
+def test_knn_majority_wins_even_when_farther():
+    assert _knn_1d([(0.5, 4), (1.2, 9), (1.5, 9)], 0.0, k=3) == 9
+
+
+def test_knn_tied_votes_go_to_the_smaller_mean_distance():
+    # label 2 at distances 1 and 4 (mean 2.5), label 5 at 2 and 2.2 (mean 2.1)
+    train = [(1.0, 2), (4.0, 2), (-2.0, 5), (2.2, 5), (9.0, 0)]
+    assert _knn_1d(train, 0.0, k=4) == 5
+
+
+def test_knn_tied_votes_and_mean_distance_go_to_the_smaller_label():
+    # label 7 at distances 1 and 3, label 3 at 2 and 2: both means are 2
+    train = [(1.0, 7), (3.0, 7), (-2.0, 3), (2.0, 3), (9.0, 0)]
+    assert _knn_1d(train, 0.0, k=4) == 3

@@ -156,6 +156,18 @@ class TestCwt:
                 picked = cwt_channel(W[n, c])[::4, ::4][:-1, :-1]  # (scale 7, time 12)
                 assert np.allclose(batch[n, :, c, :], picked.T, atol=1e-12)
 
+    @pytest.mark.parametrize("n", [1, 128, 2000])
+    def test_batch_equals_full_transform_then_slice(self, n):
+        # armband-range integer samples scaled to [-1, 1], as the harness feeds them
+        W = np.random.default_rng(n).integers(-128, 128, (n, 8, 52)) / 128.0
+        full = np.stack([cwt_channel(row) for row in W.reshape(-1, 52)])  # (N * 8, 32, 52)
+        picked = full[:, ::4, ::4][:, :-1, :-1].reshape(n, 8, 7, 12).transpose(0, 3, 1, 2)
+        np.testing.assert_allclose(cwt_batch(W), picked, rtol=0, atol=1e-12)
+
+    def test_batch_rejects_wrong_window_length(self):
+        with pytest.raises(DataError):
+            cwt_batch(np.zeros((3, 4, 104)))
+
     def test_channel_shift_equivariance(self, rng):
         w = rng.standard_normal((8, 52))
         shifted = w[(np.arange(8) + 5) % 8]
