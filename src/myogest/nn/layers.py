@@ -28,7 +28,23 @@ Forward context carries the execution mode:
 
 Only ``train`` mode is ever backpropagated.  Conv2d and Dense take an
 optional ``params`` dict that replaces their own for one call; the eval
-fold passes its folded weights and bias that way.
+fold passes its folded weights and bias that way.  A frozen Conv2d keeps
+no patch matrix in its train cache, since its backward reads only the
+weights.
+
+PReLU, PELU, BatchNorm and Dropout avoid ``np.where`` on data-dependent
+masks, which branches per element, and allocate few, reused temporaries:
+a piecewise form becomes ``max(x, 0)`` and ``min(x, 0)`` terms of which
+one is exactly zero at every element, so the sum is exact.  They still
+give the select forms' values and gradients bit for bit (``tests/oracles.py``
+holds those forms), up to the sign of an exact zero.  That also needs the
+same memory layout, because numpy sums in memory order: an elementwise
+result takes its operands' layout (C order when they disagree), and a
+large temporary on the left of an operator is overwritten in place, so
+its layout wins.  A gradient that is summed into a parameter, or passed
+back as ``dx``, is therefore either built by the same operator expression
+as the select form or written into a buffer laid out as numpy lays out
+``x * dout``.
 """
 
 from __future__ import annotations
@@ -91,6 +107,16 @@ def _channel_shape(ndim):
     return (1, -1, 1, 1) if ndim == 4 else (1, -1)
 
 
+def _like_product(x, dout):
+    """Uninitialised array in the memory layout numpy gives ``x * dout``."""
+    it = np.nditer(
+        [x, dout, None],
+        op_flags=[["readonly"], ["readonly"], ["writeonly", "allocate"]],
+        order="K",
+    )
+    return it.operands[2]
+
+
 def _single(xs):
     if len(xs) != 1:
         raise ConfigError(f"layer expects one input, got {len(xs)}")
@@ -122,9 +148,11 @@ class Conv2d(Layer):
             raise ConfigError(f"conv kernel {self.kh}x{self.kw} larger than map {h}x{w}")
         cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
         w_mat = p["weight"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + p["bias"]
+        out = cols @ w_mat.T
+        out += p["bias"]
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        return out, (x.shape, cols, (oh, ow))
+        # a frozen conv's backward reads only the weights
+        return out, (x.shape, None if self.frozen else cols, (oh, ow))
 
     def _im2col(self, x, oh, ow):
         n, c = x.shape[:2]
@@ -141,6 +169,8 @@ class Conv2d(Layer):
         x_shape, cols, (oh, ow) = cache
         dout_mat = dout.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         if not self.frozen:
+            if cols is None:
+                raise ConfigError("conv2d was unfrozen after a frozen forward pass")
             self.grads["weight"] += (dout_mat.T @ cols).reshape(self.params["weight"].shape)
             self.grads["bias"] += dout_mat.sum(axis=0)
         if not need_dx:
@@ -179,7 +209,9 @@ class Dense(Layer):
     def forward(self, xs, ctx, params=None):
         p = self.params if params is None else params
         x = _single(xs)
-        return x @ p["weight"].T + p["bias"], x
+        out = x @ p["weight"].T
+        out += p["bias"]
+        return out, x
 
     def backward(self, dout, cache, need_dx):
         if not self.frozen:
@@ -244,10 +276,13 @@ class BatchNorm(Layer):
         key = ctx.subject_key()
         if ctx.mode not in ("train", "finalize"):
             scale, shift = self.eval_affine(key)
-            return x * self._reshape(scale, x.ndim) + self._reshape(shift, x.ndim), None
+            out = x * self._reshape(scale, x.ndim)
+            out += self._reshape(shift, x.ndim)
+            return out, None
         mean = x.mean(axis=axes)
         centered = x - self._reshape(mean, x.ndim)
-        var = np.mean(centered * centered, axis=axes)
+        out = centered * centered  # the squares, later overwritten by the output
+        var = out.mean(axis=axes)
         bank = self._bank(key)
         if ctx.mode == "finalize":
             bank["mean"] = mean.copy()
@@ -256,33 +291,31 @@ class BatchNorm(Layer):
             bank["mean"] = (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean
             bank["var"] = (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        x_hat = centered * self._reshape(inv_std, x.ndim)
-        out = self._reshape(self.params["gamma"], x.ndim) * x_hat + self._reshape(
-            self.params["beta"], x.ndim
-        )
+        x_hat = centered
+        x_hat *= self._reshape(inv_std, x.ndim)
+        np.multiply(x_hat, self._reshape(self.params["gamma"], x.ndim), out=out)
+        out += self._reshape(self.params["beta"], x.ndim)
         return out, (x_hat, inv_std, axes)
 
     def backward(self, dout, cache, need_dx):
         x_hat, inv_std, axes = cache
+        if self.frozen and not need_dx:
+            return [None]
+        # one product feeds the gamma gradient and the statistics term of dx
+        d_xhat = dout * x_hat
+        sum_dxhat = d_xhat.sum(axis=axes)
+        sum_d = dout.sum(axis=axes)
         if not self.frozen:
-            self.grads["gamma"] += (dout * x_hat).sum(axis=axes)
-            self.grads["beta"] += dout.sum(axis=axes)
+            self.grads["gamma"] += sum_dxhat
+            self.grads["beta"] += sum_d
         if not need_dx:
             return [None]
-        # gradient through the batch statistics
-        g = self._reshape(self.params["gamma"], dout.ndim)
-        inv = self._reshape(inv_std, dout.ndim)
-        mean_d = dout.mean(axis=axes)
-        mean_dx = (dout * x_hat).mean(axis=axes)
-        dx = (
-            g
-            * inv
-            * (
-                dout
-                - self._reshape(mean_d, dout.ndim)
-                - x_hat * self._reshape(mean_dx, dout.ndim)
-            )
-        )
+        # gradient through the batch statistics; the means are sum / count, as
+        # np.mean computes them, and the product's buffer is reused for x_hat's term
+        count = dout.size // dout.shape[1]
+        x_hat_term = np.multiply(x_hat, self._reshape(sum_dxhat / count, dout.ndim), out=d_xhat)
+        dx = (dout - self._reshape(sum_d / count, dout.ndim)) - x_hat_term
+        dx *= self._reshape(self.params["gamma"], dout.ndim) * self._reshape(inv_std, dout.ndim)
         return [dx]
 
     def get_config(self):
@@ -324,7 +357,9 @@ class Dropout(Layer):
         if ctx.rng is None:
             raise ConfigError("stochastic dropout needs an rng in the context")
         keep = 1.0 - self.rate
-        mask = (ctx.rng.random(x.shape) < keep) / keep
+        mask = ctx.rng.random(x.shape)
+        np.less(mask, keep, out=mask)  # 1.0 keeps, 0.0 drops
+        mask /= keep
         return x * mask, mask
 
     def backward(self, dout, cache, need_dx):
@@ -350,18 +385,30 @@ class PReLU(Layer):
     def forward(self, xs, ctx):
         x = _single(xs)
         alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
-        return np.where(x >= 0, x, alpha * x), x
+        # max(x, 0) + alpha min(x, 0): one term is zero at every element
+        out = np.maximum(x, 0.0)
+        neg_part = np.minimum(x, 0.0)
+        neg_part *= alpha
+        out += neg_part
+        return out, x
 
     def backward(self, dout, cache, need_dx):
         x = cache
-        neg = x < 0
         if not self.frozen:
             axes = (0, 2, 3) if x.ndim == 4 else (0,)
-            self.grads["alpha"] += np.where(neg, dout * x, 0.0).sum(axis=axes)
+            d_alpha = np.minimum(x, 0.0, out=_like_product(x, dout))
+            d_alpha *= dout
+            self.grads["alpha"] += d_alpha.sum(axis=axes)
         if not need_dx:
             return [None]
         alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
-        return [np.where(neg, alpha * dout, dout)]
+        # slope (1 - neg) + neg * alpha on a 0/1 mask of x < 0
+        neg = np.less(x, 0.0, out=_like_product(x, dout))
+        dx = np.subtract(1.0, neg)
+        neg *= alpha
+        dx += neg
+        dx *= dout
+        return [dx]
 
     def get_config(self):
         return {
@@ -392,8 +439,15 @@ class PELU(Layer):
         shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
-        expx = np.exp(np.minimum(x, 0.0) / b)
-        out = np.where(x >= 0, (a / b) * x, a * (expx - 1.0))
+        expx = np.minimum(x, 0.0)
+        expx /= b
+        np.exp(expx, out=expx)  # exactly 1.0 wherever x >= 0
+        # (a/b) max(x, 0) + a (expx - 1): one term is zero at every element
+        out = np.maximum(x, 0.0)
+        out *= a / b
+        neg_part = expx - 1.0
+        neg_part *= a
+        out += neg_part
         return out, (x, expx)
 
     def backward(self, dout, cache, need_dx):
@@ -401,16 +455,15 @@ class PELU(Layer):
         shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
-        pos = x >= 0
         if not self.frozen:
             axes = (0, 2, 3) if x.ndim == 4 else (0,)
-            da_full = np.where(pos, x / b, expx - 1.0) * dout
-            db_full = np.where(pos, -a * x / b**2, -a * x * expx / b**2) * dout
-            self.grads["a"] += da_full.sum(axis=axes)
-            self.grads["b"] += db_full.sum(axis=axes)
+            # d/da: max(x, 0)/b + (expx - 1) is exact as in forward; d/db is
+            # -a x expx / b^2 on both sides of 0 because expx = 1 on x >= 0
+            self.grads["a"] += ((np.maximum(x, 0.0) / b + (expx - 1.0)) * dout).sum(axis=axes)
+            self.grads["b"] += (-a * x * expx / b**2 * dout).sum(axis=axes)
         if not need_dx:
             return [None]
-        return [np.where(pos, a / b, (a / b) * expx) * dout]
+        return [(a / b) * expx * dout]
 
     def project(self):
         np.maximum(self.params["a"], self.FLOOR, out=self.params["a"])
@@ -481,8 +534,8 @@ class Sum(Layer):
         for x in xs[1:]:
             if x.shape != shape:
                 raise ConfigError(f"sum port shape mismatch: {shape} vs {x.shape}")
-        out = xs[0].copy()
-        for x in xs[1:]:
+        out = np.add(xs[0], xs[1], out=np.empty(shape))
+        for x in xs[2:]:
             out += x
         return out, len(xs)
 

@@ -259,6 +259,64 @@ def conv2d_grads_direct(x, weight, dout):
 
 
 # ---------------------------------------------------------------------------
+# activation, batch-norm and dropout layers in their textbook select forms
+
+
+def _channel(v, ndim):
+    return v.reshape((1, -1, 1, 1) if ndim == 4 else (1, -1))
+
+
+def _reduce_axes(ndim):
+    return (0, 2, 3) if ndim == 4 else (0,)
+
+
+def prelu_direct(x, alpha, dout):
+    """PReLU ``(out, dx, {"alpha": grad})``, each branch chosen by ``np.where``."""
+    alpha = _channel(alpha, x.ndim)
+    neg = x < 0
+    out = np.where(x >= 0, x, alpha * x)
+    d_alpha = np.where(neg, dout * x, 0.0).sum(axis=_reduce_axes(x.ndim))
+    return out, np.where(neg, alpha * dout, dout), {"alpha": d_alpha}
+
+
+def pelu_direct(x, a, b, dout):
+    """PELU ``(out, dx, {"a": grad, "b": grad})``: (a/b) x for x >= 0, a (exp(x/b) - 1) below."""
+    a, b = _channel(a, x.ndim), _channel(b, x.ndim)
+    pos = x >= 0
+    expx = np.exp(np.minimum(x, 0.0) / b)
+    out = np.where(pos, (a / b) * x, a * (expx - 1.0))
+    axes = _reduce_axes(x.ndim)
+    da = (np.where(pos, x / b, expx - 1.0) * dout).sum(axis=axes)
+    db = (np.where(pos, -a * x / b**2, -a * x * expx / b**2) * dout).sum(axis=axes)
+    dx = np.where(pos, a / b, (a / b) * expx) * dout
+    return out, dx, {"a": da, "b": db}
+
+
+def batch_norm_train_direct(x, gamma, beta, dout, eps):
+    """Train-mode batch norm ``(out, dx, {"gamma", "beta"}, (mean, var))`` over batch statistics."""
+    axes = _reduce_axes(x.ndim)
+    mean = x.mean(axis=axes)
+    centered = x - _channel(mean, x.ndim)
+    var = np.mean(centered * centered, axis=axes)
+    inv_std = 1.0 / np.sqrt(var + eps)
+    x_hat = centered * _channel(inv_std, x.ndim)
+    g = _channel(gamma, x.ndim)
+    out = g * x_hat + _channel(beta, x.ndim)
+    grads = {"gamma": (dout * x_hat).sum(axis=axes), "beta": dout.sum(axis=axes)}
+    mean_d = dout.mean(axis=axes)
+    mean_dx = (dout * x_hat).mean(axis=axes)
+    inv = _channel(inv_std, x.ndim)
+    dx = g * inv * (dout - _channel(mean_d, x.ndim) - x_hat * _channel(mean_dx, x.ndim))
+    return out, dx, grads, (mean, var)
+
+
+def dropout_mask_direct(rng, shape, rate):
+    """Inverted-dropout mask: 1/keep where a uniform draw falls below keep, else 0."""
+    keep = 1.0 - rate
+    return (rng.random(shape) < keep) / keep
+
+
+# ---------------------------------------------------------------------------
 # inference
 
 

@@ -19,6 +19,7 @@ from myogest.nn import (
     Sum,
     TrainConfig,
 )
+from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT
 from myogest.transfer import SourceNetwork, build_target, prepare_target_subject
 
 # narrow widths keep every architecture at a few hundred parameters
@@ -290,3 +291,137 @@ def test_batch_norm_that_cannot_fold_runs_its_own_eval_forward():
     calls = _record_forward_calls(net)
     _assert_matches_oracle(net, x, (7,))
     assert calls.count("bn") == calls.count("bn2") == 4  # 2 batch sizes x (forward, predict)
+
+
+# ---- activation, batch-norm and dropout equal their select forms bit for bit ----
+
+# (shape, input layout, output-gradient layout); "conv" is a conv output's
+# layout, an (n, h, w, c) array seen as (n, c, h, w).  61 440 elements is past
+# the size from which numpy reuses a temporary's buffer in place.
+LAYOUT_CASES = [
+    (shape, x_layout, d_layout)
+    for shape in ((4, 3, 5, 6), (128, 16, 6, 5))
+    for x_layout in ("c", "conv")
+    for d_layout in ("c", "conv")
+] + [((6, 5), "c", "c"), ((4096, 10), "c", "c")]
+
+
+def _map(rng, shape, layout):
+    if layout == "c":
+        return rng.standard_normal(shape)
+    n, c, h, w = shape
+    return rng.standard_normal((n, h, w, c)).transpose(0, 3, 1, 2)
+
+
+def _with_edges(x):
+    """Exact zeros of both signs, a subnormal and values whose exp(x / b) underflows."""
+    for start, value in enumerate((0.0, -0.0, -5e-324, -800.0, -1.0)):
+        x[np.unravel_index(np.arange(start, x.size, 97), x.shape)] = value
+    return x
+
+
+def _assert_bits(new, ref, signed_zero_ok=None):
+    """Same layout and bytes; elements under ``signed_zero_ok`` need only equal values."""
+    assert new.shape == ref.shape and new.strides == ref.strides
+    free = np.zeros(new.shape, bool) if signed_zero_ok is None else signed_zero_ok
+    assert new[~free].tobytes() == ref[~free].tobytes()
+    assert np.array_equal(new[free], ref[free])
+
+
+def _assert_grads(layer, ref):
+    for name, g in ref.items():
+        assert layer.grads[name].tobytes() == (np.zeros_like(g) + g).tobytes(), name
+
+
+def _train_pass(layer, x, dout):
+    layer.zero_grads()
+    out, cache = layer.forward([x], Context(mode="train"))
+    (dx,) = layer.backward(dout, cache, True)
+    return out, dx
+
+
+@pytest.mark.parametrize("shape,x_layout,d_layout", LAYOUT_CASES)
+def test_prelu_equals_its_select_form(shape, x_layout, d_layout):
+    rng = np.random.default_rng(21)
+    x = _with_edges(_map(rng, shape, x_layout))
+    dout = _map(rng, shape, d_layout)
+    layer = PReLU(shape[1])
+    layer.params["alpha"][...] = rng.uniform(0.05, 0.5, shape[1])
+    out, dx = _train_pass(layer, x, dout)
+    ref_out, ref_dx, ref_grads = oracles.prelu_direct(x, layer.params["alpha"], dout)
+    # max(x, 0) + alpha min(x, 0) is +0 where the select gives -0: at x = -0
+    # and where alpha x underflows
+    alpha = layer.params["alpha"].reshape((1, -1) + (1,) * (x.ndim - 2))
+    _assert_bits(out, ref_out, signed_zero_ok=(alpha * x == 0))
+    _assert_bits(dx, ref_dx)
+    _assert_grads(layer, ref_grads)
+
+
+@pytest.mark.parametrize("shape,x_layout,d_layout", LAYOUT_CASES)
+def test_pelu_equals_its_select_form(shape, x_layout, d_layout):
+    rng = np.random.default_rng(22)
+    x = _with_edges(_map(rng, shape, x_layout))
+    dout = _map(rng, shape, d_layout)
+    layer = PELU(shape[1])
+    layer.params["a"][...] = rng.uniform(0.5, 2.0, shape[1])
+    layer.params["b"][...] = rng.uniform(0.5, 2.0, shape[1])
+    layer.params["a"][0] = layer.params["b"][0] = PELU.FLOOR
+    out, dx = _train_pass(layer, x, dout)
+    ref_out, ref_dx, ref_grads = oracles.pelu_direct(x, layer.params["a"], layer.params["b"], dout)
+    # (a/b) max(x, 0) + a (exp - 1) is +0 at x = -0, where the select gives -0
+    _assert_bits(out, ref_out, signed_zero_ok=(x == 0))
+    _assert_bits(dx, ref_dx)
+    _assert_grads(layer, ref_grads)
+    assert np.any(x < -700) and np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("shape,x_layout,d_layout", LAYOUT_CASES)
+def test_batch_norm_train_equals_its_textbook_form(shape, x_layout, d_layout):
+    rng = np.random.default_rng(23)
+    x = _map(rng, shape, x_layout) * 3.0 + 1.0
+    dout = _map(rng, shape, d_layout)
+    layer = BatchNorm(shape[1])
+    layer.params["gamma"][...] = rng.uniform(0.5, 2.0, shape[1])
+    layer.params["beta"][...] = rng.standard_normal(shape[1])
+    out, dx = _train_pass(layer, x, dout)
+    ref_out, ref_dx, ref_grads, (mean, var) = oracles.batch_norm_train_direct(
+        x, layer.params["gamma"], layer.params["beta"], dout, BN_EPS
+    )
+    _assert_bits(out, ref_out)
+    _assert_bits(dx, ref_dx)
+    _assert_grads(layer, ref_grads)
+    layer.forward([x], Context(mode="finalize"))
+    bank = layer.banks[DEFAULT_SUBJECT]
+    assert bank["mean"].tobytes() == mean.tobytes() and bank["var"].tobytes() == var.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["c", "conv"])
+def test_dropout_mask_equals_the_select_form_from_the_same_stream(layout):
+    rng = np.random.default_rng(24)
+    x = _map(rng, (128, 16, 6, 5), layout)
+    layer = Dropout(0.3)
+    ctx = Context(mode="train", rng=np.random.default_rng(5))
+    out, mask = layer.forward([x], ctx)
+    ref_rng = np.random.default_rng(5)
+    ref_mask = oracles.dropout_mask_direct(ref_rng, x.shape, 0.3)
+    _assert_bits(mask, ref_mask)
+    _assert_bits(out, x * ref_mask)
+    assert ctx.rng.random() == ref_rng.random()
+
+
+def test_frozen_conv_keeps_no_patch_matrix_and_refuses_a_late_unfreeze():
+    rng = np.random.default_rng(25)
+    x = rng.standard_normal((4, 3, 5, 6))
+    conv = Conv2d(3, 2, 2, 2, rng=rng)
+    out, live_cache = conv.forward([x], Context(mode="train"))
+    dout = rng.standard_normal(out.shape)
+    (dx_live,) = conv.backward(dout, live_cache, True)
+    conv.frozen = True
+    _, cache = conv.forward([x], Context(mode="train"))
+    assert any(isinstance(v, np.ndarray) for v in live_cache)
+    assert not any(isinstance(v, np.ndarray) for v in cache)
+    (dx,) = conv.backward(dout, cache, True)
+    assert np.array_equal(dx, dx_live)
+    conv.frozen = False
+    with pytest.raises(ConfigError):
+        conv.backward(dout, cache, True)
