@@ -33,7 +33,7 @@ from .dataset import (
     write_manifest,
 )
 from .errors import ConfigError, DataError, MyogestError, NumericalError
-from .features import FeatureConfig, feature_matrix
+from .features import feature_matrix
 from .harness import (
     ExperimentConfig,
     emit_report,
@@ -113,13 +113,12 @@ def cmd_extract(args):
     recordings = load_dataset(args.dataset)
     if not recordings:
         raise DataError(f"{args.dataset}: empty dataset")
-    cfg = FeatureConfig()
     out_path = Path(args.out or "features.csv")
     header = None
     rows = []
     for rec in recordings:
         windows = slice_windows(rec, args.stride)
-        matrix, layout = feature_matrix(windows, args.feature_set, cfg)
+        matrix, layout = feature_matrix(windows, args.feature_set)
         if header is None:
             header = ["subject", "round", "cycle", "label", "offset"] + [
                 f"{name}_ch{ch}_{i}" for name, ch, i in layout

@@ -33,7 +33,7 @@ from .dataset import (
     windows_to_arrays,
 )
 from .errors import ConfigError, DataError
-from .features import FEATURE_SETS, FeatureConfig, feature_matrix
+from .features import FEATURE_SETS, feature_matrix
 from .nn import TrainConfig, load_network, train
 from .stats import friedman_holm, knn_classify, lda_classify, lda_fit, lda_project, wilcoxon_one_tail
 from .timefreq import cwt_batch, spectrogram_batch
@@ -361,9 +361,8 @@ def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
 
 def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None):
     set_name, clf = spec
-    fc = FeatureConfig()
-    F_tr, _ = feature_matrix(train_w, set_name, fc)
-    F_te, _ = feature_matrix(test_w, set_name, fc)
+    F_tr, _ = feature_matrix(train_w, set_name)
+    F_te, _ = feature_matrix(test_w, set_name)
     y_tr = np.array([label_map[w.label] for w in train_w])
     y_te = np.array([label_map[w.label] for w in test_w])
     reduce = cfg.dim_reduction if dim_reduction is None else dim_reduction

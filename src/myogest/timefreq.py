@@ -7,12 +7,11 @@ The CWT uses 32 integer scales of the Mexican Hat wavelet; an order-0
 downsample by 4 on both axes, then dropping the last scale row and time
 column, gives the 12x8x7 input.  ``cwt_batch`` computes only those kept
 coefficients, with a precomputed bank of the 7 kept scales x 12 kept
-translations; the full 32x52 transform is ``cwt_channel``.
+translations.  The db7 level-3 cascade feeds the marginal DWT feature
+(``_mdwt_rows``).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,10 +22,6 @@ from .errors import DataError
 STFT_WIN = 28
 STFT_HOP = 8
 STFT_FRAMES = 4
-STFT_BINS = STFT_WIN // 2 + 1
-
-# CWT geometry
-CWT_SCALES = 32
 
 # db7 decomposition low-pass filter (14 taps, ascending index), standard
 # orthonormal Daubechies tabulation: sum = sqrt(2), unit L2 norm, and the
@@ -52,39 +47,12 @@ DB7_DEC_LO = np.array(
 DB7_DEC_HI = np.array(
     [(-1) ** k * DB7_DEC_LO[len(DB7_DEC_LO) - 1 - k] for k in range(len(DB7_DEC_LO))]
 )
-DB7_REC_LO = DB7_DEC_LO[::-1].copy()
-DB7_REC_HI = DB7_DEC_HI[::-1].copy()
 DWT_LEVEL = 3
 
 
-def hann_window(n: int = STFT_WIN) -> np.ndarray:
-    """Symmetric Hann window, w[k] = 0.5 (1 - cos(2 pi k / (n-1)))."""
-    return np.hanning(n)
-
-
-def spectrogram_channel(signal: np.ndarray) -> np.ndarray:
-    """Squared-magnitude STFT of one channel: 4 frames x 15 bins."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (WINDOW_LENGTH,):
-        raise DataError(f"spectrogram expects length {WINDOW_LENGTH}, got {signal.shape}")
-    win = hann_window()
-    frames = np.empty((STFT_FRAMES, STFT_BINS))
-    for i in range(STFT_FRAMES):
-        seg = signal[i * STFT_HOP : i * STFT_HOP + STFT_WIN] * win
-        frames[i] = np.abs(np.fft.rfft(seg)) ** 2
-    return frames
-
-
-def spectrogram_example(window_data: np.ndarray) -> np.ndarray:
-    """Stack per-channel spectrograms, DC band removed: (time 4, channel 8, freq 14)."""
-    return spectrogram_batch(_one_window(window_data)[None])[0]
-
-
-def _one_window(window_data: np.ndarray) -> np.ndarray:
-    window_data = np.asarray(window_data, dtype=np.float64)
-    if window_data.shape != (8, WINDOW_LENGTH):
-        raise DataError(f"expected 8x{WINDOW_LENGTH} window, got {window_data.shape}")
-    return window_data
+def hann_window() -> np.ndarray:
+    """Symmetric Hann window of the STFT, w[k] = 0.5 (1 - cos(2 pi k / 27))."""
+    return np.hanning(STFT_WIN)
 
 
 def mexican_hat(t: np.ndarray) -> np.ndarray:
@@ -94,41 +62,31 @@ def mexican_hat(t: np.ndarray) -> np.ndarray:
     return norm * (1.0 - t**2) * np.exp(-(t**2) / 2.0)
 
 
-def _cwt_kernel_bank(length: int = WINDOW_LENGTH, scales: int = CWT_SCALES) -> np.ndarray:
-    """Precomputed (scales, length, length) bank: row a is conv with psi_a.
+def _cwt_kept_bank() -> np.ndarray:
+    """(52, 12 * 7) bank of the kept scales 1, 5, ..., 25 x translations 0, 4, ..., 44.
 
-    K[a, n, m] = psi((m - n) / a) / sqrt(a), i.e. the wavelet at scale a
-    centered on output position n, zero outside the window (zero padding).
+    Column (n, a) holds psi((m - n) / a) / sqrt(a) over m: the wavelet at
+    scale a centered on output position n, zero outside the window (zero
+    padding).
     """
-    offsets = np.subtract.outer(np.arange(length), np.arange(length))  # n - m
-    bank = np.empty((scales, length, length))
-    for a in range(1, scales + 1):
-        bank[a - 1] = mexican_hat(offsets / a) / np.sqrt(a)
-    return bank
+    offsets = np.subtract.outer(np.arange(0, 48, 4), np.arange(WINDOW_LENGTH))  # n - m
+    bank = np.stack([mexican_hat(offsets / a) / np.sqrt(a) for a in range(1, 26, 4)])
+    return bank.transpose(2, 1, 0).reshape(WINDOW_LENGTH, -1)
 
 
-_CWT_BANK = _cwt_kernel_bank()
-# kept (scale, translation) rows of the bank, (7, 12, 52), as a (52, 12 * 7) matrix
-_CWT_KEPT = _CWT_BANK[::4, ::4][:-1, :-1].transpose(2, 1, 0).reshape(WINDOW_LENGTH, -1).copy()
+_CWT_KEPT = _cwt_kept_bank()
 
 
-def cwt_channel(signal: np.ndarray, scales: int = CWT_SCALES) -> np.ndarray:
-    """Mexican Hat CWT of one channel: (32 scales, 52 translations)."""
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.shape != (WINDOW_LENGTH,):
-        raise DataError(f"cwt expects length {WINDOW_LENGTH}, got {signal.shape}")
-    bank = _CWT_BANK if scales == CWT_SCALES else _cwt_kernel_bank(WINDOW_LENGTH, scales)
-    return bank @ signal
-
-
-def cwt_example(window_data: np.ndarray) -> np.ndarray:
-    """CWT tensor for one window: (time 12, channel 8, scale 7)."""
-    return cwt_batch(_one_window(window_data)[None])[0]
+def _checked(windows: np.ndarray, name: str) -> np.ndarray:
+    windows = np.asarray(windows, dtype=np.float64)
+    if windows.shape[1:] != (8, WINDOW_LENGTH):
+        raise DataError(f"{name} expects (N, 8, {WINDOW_LENGTH}) windows, got {windows.shape}")
+    return windows
 
 
 def spectrogram_batch(windows: np.ndarray) -> np.ndarray:
     """Spectrogram tensors of (N, 8, 52) windows -> (N, 4, 8, 14)."""
-    windows = np.asarray(windows, dtype=np.float64)
+    windows = _checked(windows, "spectrogram")
     n = windows.shape[0]
     win = hann_window()
     frames = np.empty((n, 8, STFT_FRAMES, STFT_WIN))
@@ -147,12 +105,10 @@ def cwt_batch(windows: np.ndarray) -> np.ndarray:
     are computed: one matrix product of the windows with the kept rows of
     the wavelet bank, read out in the (time, channel, scale) layout.
     """
-    windows = np.asarray(windows, dtype=np.float64)
-    if windows.ndim != 3 or windows.shape[-1] != WINDOW_LENGTH:
-        raise DataError(f"cwt expects (N, channels, {WINDOW_LENGTH}) windows, got {windows.shape}")
-    n, c, _ = windows.shape
-    coeffs = windows.reshape(n * c, WINDOW_LENGTH) @ _CWT_KEPT  # (N * c, 12 * 7)
-    return coeffs.reshape(n, c, 12, 7).transpose(0, 2, 1, 3)
+    windows = _checked(windows, "cwt")
+    n = windows.shape[0]
+    coeffs = windows.reshape(n * 8, WINDOW_LENGTH) @ _CWT_KEPT  # (N * 8, 12 * 7)
+    return coeffs.reshape(n, 8, 12, 7).transpose(0, 2, 1, 3)
 
 
 def _symmetric_ext(x: np.ndarray, n: int) -> np.ndarray:
@@ -193,84 +149,13 @@ def _wavedec(x: np.ndarray, level: int = DWT_LEVEL) -> list:
     return [approx] + details[::-1]
 
 
-def _idwt_step(ca: np.ndarray, cd: np.ndarray, out_len: int) -> np.ndarray:
-    fl = len(DB7_REC_LO)
-    up_a = np.zeros(2 * len(ca))
-    up_a[1::2] = ca
-    up_d = np.zeros(2 * len(cd))
-    up_d[1::2] = cd
-    y = np.convolve(up_a, DB7_REC_LO) + np.convolve(up_d, DB7_REC_HI)
-    return y[fl - 1 : fl - 1 + out_len]
-
-
-@dataclass
-class WaveletDecomposition:
-    """db7 level-3 analysis: flat coefficients ordered [CA, CD3, CD2, CD1]."""
-
-    coefficients: np.ndarray
-    band_lengths: tuple  # (len CA, len CD3, len CD2, len CD1)
-    signal_length: int
-    level: int = DWT_LEVEL
-    wavelet: str = "db7"
-
-    def bands(self):
-        out = []
-        pos = 0
-        for n in self.band_lengths:
-            out.append(self.coefficients[pos : pos + n])
-            pos += n
-        return out
-
-
-def dwt_db7(signal: np.ndarray, level: int = DWT_LEVEL) -> WaveletDecomposition:
-    """Cascade of db7 analysis filters with half-sample symmetric extension.
-
-    Each stage halves the approximation band (length floor((n + 13) / 2));
-    details are concatenated coarsest-first after the final approximation.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.ndim != 1 or x.size == 0:
-        raise DataError("dwt expects a non-empty 1-d signal")
-    parts = _wavedec(x, level)
-    return WaveletDecomposition(
-        coefficients=np.concatenate(parts),
-        band_lengths=tuple(len(p) for p in parts),
-        signal_length=len(x),
-        level=level,
-    )
-
-
-def idwt_db7(dec: WaveletDecomposition) -> np.ndarray:
-    """Inverse of dwt_db7; reconstructs the original signal length."""
-    bands = dec.bands()
-    approx = bands[0]
-    details = bands[1:]  # coarsest first
-    # target lengths going back up the cascade
-    lengths = [dec.signal_length]
-    for _ in range(dec.level - 1):
-        lengths.append((lengths[-1] + len(DB7_DEC_LO) - 1) // 2)
-    lengths = lengths[::-1]
-    for cd, out_len in zip(details, lengths):
-        approx = _idwt_step(approx, cd, out_len)
-    return approx
-
-
-def mdwt(signal: np.ndarray) -> np.ndarray:
-    """Cumulative absolute coefficient sums per dyadic level.
-
-    With the full db7 level-3 coefficient vector of length N laid out
-    [CA, CD3, CD2, CD1], returns for s = 1..floor(log2(N)) the sum of
-    |coefficients[u]| over u = 0 .. N / 2^s - 1.  For 52-sample windows
-    N = 88 so the feature has 6 values.
-    """
-    x = np.asarray(signal, dtype=np.float64)
-    if x.shape != (WINDOW_LENGTH,):
-        raise DataError(f"mdwt expects length {WINDOW_LENGTH}, got {x.shape}")
-    return _mdwt_rows(x)
-
-
 def _mdwt_rows(x: np.ndarray) -> np.ndarray:
-    """mdwt of every (..., 52) row at once -> (..., 6)."""
+    """Marginal DWT of every (..., 52) row: cumulative absolute coefficient sums.
+
+    With the db7 level-3 coefficients of a row laid out [CA, CD3, CD2, CD1]
+    (N = 88 values for 52 samples), returns for s = 1..floor(log2(N)) the
+    sum of |coefficients[u]| over u = 0 .. N / 2^s - 1: (..., 6).
+    """
     if x.shape[-1] != WINDOW_LENGTH:
         raise DataError(f"mdwt expects length {WINDOW_LENGTH}, got {x.shape}")
     return mdwt_from_coefficients(np.concatenate(_wavedec(x), axis=-1))
@@ -285,10 +170,11 @@ def mdwt_from_coefficients(coeffs: np.ndarray) -> np.ndarray:
     return np.stack([absc[..., : n // 2**s].sum(axis=-1) for s in range(1, s_max + 1)], axis=-1)
 
 
-def mdwt_length(signal_length: int = WINDOW_LENGTH, level: int = DWT_LEVEL) -> int:
-    n = signal_length
+def mdwt_length() -> int:
+    """Values of the marginal DWT of one 52-sample row."""
+    n = WINDOW_LENGTH
     total = 0
-    for _ in range(level):
+    for _ in range(DWT_LEVEL):
         ca_len = (n + len(DB7_DEC_LO) - 1) // 2
         total += ca_len  # detail band has the same length as the approximation
         n = ca_len

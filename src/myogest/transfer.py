@@ -58,17 +58,6 @@ def _is_bn(node: Node) -> bool:
     return node.layer.kind == "batch-norm"
 
 
-def source_parameter_snapshot(net: Network, prefix: str = "") -> dict:
-    """Bytes of every frozen (non-BN) source parameter, for freeze auditing."""
-    snap = {}
-    for node in net.nodes:
-        if not node.name.startswith(prefix) or _is_bn(node):
-            continue
-        for pname, arr in node.layer.params.items():
-            snap[(node.name, pname)] = arr.tobytes()
-    return snap
-
-
 def pretrain(net: Network, X, y, subjects, cfg: TrainConfig = None) -> SourceNetwork:
     """Train the shared source network over all subjects, then freeze it.
 

@@ -47,6 +47,45 @@ def cwt_direct(signal, scales):
     return out
 
 
+def cwt_kernel_bank(scales, length, wavelet=mexican_hat_direct):
+    """(scales, length, length) bank: K[a - 1, n, m] = psi((n - m) / a) / sqrt(a)."""
+    offsets = np.subtract.outer(np.arange(length), np.arange(length))  # n - m
+    return np.stack([wavelet(offsets / a) / np.sqrt(a) for a in range(1, scales + 1)])
+
+
+def cwt_bank(signals, scales=32):
+    """``cwt_direct`` of every (..., L) row as one product with the kernel bank -> (..., scales, L).
+
+    The Mexican Hat is even, so the bank's n - m gives the same wavelet as m - n.
+    """
+    signals = np.asarray(signals, float)
+    bank = cwt_kernel_bank(scales, signals.shape[-1])
+    return np.tensordot(signals, bank, axes=([-1], [2]))
+
+
+def idwt_db7(bands, signal_length):
+    """Inverse of the db7 cascade: bands [CA, CD_level, ..., CD_1] -> the signal.
+
+    Each stage upsamples both bands and convolves them with the time-reversed
+    analysis filters (the perfect-reconstruction synthesis pair).
+    """
+    from myogest.timefreq import DB7_DEC_HI, DB7_DEC_LO
+
+    approx, details = bands[0], bands[1:]  # details coarsest first
+    fl = len(DB7_DEC_LO)
+    lengths = [signal_length]  # target lengths going back up the cascade
+    for _ in range(len(details) - 1):
+        lengths.append((lengths[-1] + fl - 1) // 2)
+    for cd, out_len in zip(details, lengths[::-1]):
+        up_a = np.zeros(2 * len(approx))
+        up_a[1::2] = approx
+        up_d = np.zeros(2 * len(cd))
+        up_d[1::2] = cd
+        y = np.convolve(up_a, DB7_DEC_LO[::-1]) + np.convolve(up_d, DB7_DEC_HI[::-1])
+        approx = y[fl - 1 : fl - 1 + out_len]
+    return approx
+
+
 def mdwt_direct(coefficients):
     """Literal transcription of the cumulative-sum pseudo-code."""
     N = len(coefficients)

@@ -10,7 +10,6 @@ from myogest.transfer import (
     build_target,
     pretrain,
     prepare_target_subject,
-    source_parameter_snapshot,
     train_target,
 )
 
@@ -36,6 +35,16 @@ def source():
     subjects = np.repeat([1, 2], 48)
     net = build_architecture("cwt", num_classes=CLASSES, widths=WIDTHS, seed=0)
     return pretrain(net, X, y, subjects, _cfg())
+
+
+def source_parameter_snapshot(net, prefix):
+    """Bytes of every frozen (non-BN) source parameter, for freeze auditing."""
+    return {
+        (node.name, pname): arr.tobytes()
+        for node in net.nodes
+        if node.name.startswith(prefix) and node.layer.kind != "batch-norm"
+        for pname, arr in node.layer.params.items()
+    }
 
 
 def _source_banks(target, subjects):
