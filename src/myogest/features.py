@@ -255,6 +255,13 @@ _SET_FEATURES = {
     "NinaPro": ("rms", "mdwt", "hist") + _TD,
     "SampEnPipeline": ("sampen", "cepstral", "rms", "wl"),
 }
+# set name -> the name of each matrix column, as (feature, channel, index)
+_SET_LAYOUTS = {
+    set_name: tuple(
+        (name, ch, i) for ch in range(8) for name in names for i in range(_FEATURES[name][2])
+    )
+    for set_name, names in _SET_FEATURES.items()
+}
 
 
 def _window_data(window) -> np.ndarray:
@@ -276,8 +283,8 @@ def feature_matrix(windows, set_name: str):
     if set_name not in _SET_FEATURES:
         raise ConfigError(f"unknown feature set '{set_name}' (choose from {FEATURE_SETS})")
     names = _SET_FEATURES[set_name]
-    width = sum(_FEATURES[name][2] for name in names)
-    layout = [(name, ch, i) for ch in range(8) for name in names for i in range(_FEATURES[name][2])]
+    layout = _SET_LAYOUTS[set_name]
+    width = len(layout) // 8
     windows = list(windows)
     matrix = np.empty((len(windows), 8 * width))
     per_channel = matrix.reshape(len(windows), 8, width)
@@ -294,4 +301,4 @@ def feature_matrix(windows, set_name: str):
             out = kernel(x, *args)
             per_channel[start : start + len(chunk), :, col : col + w] = out.reshape(len(chunk), 8, w)
             col += w
-    return matrix, layout
+    return matrix, list(layout)

@@ -9,12 +9,18 @@ need_dx)`` consumes that cache and returns one gradient per input:
   with parameters returns ``[None]`` without computing it.  Layers without
   parameters are only visited when one of their inputs needs a gradient.
 
-``Network.backward_from`` is the only caller and sets ``need_dx``.
+``Network.backward_from`` is the only caller and sets ``need_dx``.  A layer
+may keep in its cache what ``backward`` needs, but ``Network`` keeps nothing
+alive for it: each output leaves the network's values as soon as its last
+reader has run, and past that point lives on only inside a cache.
+
 Convolutions are valid (no padding), stride 1, and run as im2col matrix
-products: forward multiplies the (kh, kw) patch matrix by the weights, the
-weight gradient multiplies the transposed output gradient by the same patch
-matrix, and the input gradient multiplies the output gradient by the
-weights and scatter-adds each (kh, kw) tap back onto the input map.
+products.  Forward gathers the (kh, kw) patch matrix with one ``np.take``
+through a flat index cached per map shape and memory layout, and multiplies
+it by the weights; the weight gradient multiplies the transposed output
+gradient by the same patch matrix, and the input gradient multiplies the
+output gradient by the weights and scatter-adds each (kh, kw) tap back onto
+the input map.
 
 Forward context carries the execution mode:
 
@@ -49,6 +55,7 @@ as the select form or written into a buffer laid out as numpy lays out
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,6 +130,25 @@ def _single(xs):
     return xs[0]
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(c, h, w, kh, kw, channels_last):
+    """Flat index of every (kh, kw) patch in one sample's map, in im2col order.
+
+    The index runs over (oh, ow, c, kh, kw) in C order, the layout of
+    ``cols``; the sample is read flat in (c, h, w) order, or (h, w, c) when
+    ``channels_last``.
+    """
+    oh, ow = h - kh + 1, w - kw + 1
+    step_c, step_h, step_w = (1, w * c, c) if channels_last else (h * w, w, 1)
+    # the map row, column and channel each tap reads, broadcast to (oh, ow, c, kh, kw)
+    rows = np.arange(oh).reshape(-1, 1, 1, 1, 1) + np.arange(kh).reshape(-1, 1)
+    columns = np.arange(ow).reshape(-1, 1, 1, 1) + np.arange(kw)
+    channels = np.arange(c).reshape(-1, 1, 1)
+    index = (channels * step_c + rows * step_h + columns * step_w).ravel()
+    index.flags.writeable = False
+    return index
+
+
 class Conv2d(Layer):
     kind = "conv2d"
 
@@ -155,15 +181,13 @@ class Conv2d(Layer):
         return out, (x.shape, None if self.frozen else cols, (oh, ow))
 
     def _im2col(self, x, oh, ow):
-        n, c = x.shape[:2]
-        s0, s1, s2, s3 = x.strides
-        view = np.lib.stride_tricks.as_strided(
-            x,
-            shape=(n, c, self.kh, self.kw, oh, ow),
-            strides=(s0, s1, s2, s3, s2, s3),
-            writeable=False,
-        )
-        return view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
+        n, c, h, w = x.shape
+        # a conv output is an (n, h, w, c) array seen as (n, c, h, w); reading
+        # it in that order keeps the reshape a view (any other layout is copied)
+        channels_last = x.strides[1] < x.strides[3]
+        flat = (x.transpose(0, 2, 3, 1) if channels_last else x).reshape(n, -1)
+        index = _patch_index(c, h, w, self.kh, self.kw, channels_last)
+        return np.take(flat, index, axis=1).reshape(n * oh * ow, -1)
 
     def backward(self, dout, cache, need_dx):
         x_shape, cols, (oh, ow) = cache

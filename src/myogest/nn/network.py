@@ -47,17 +47,24 @@ class Network:
                     raise ConfigError(f"node '{node.name}' uses undefined input '{ref}'")
             seen.add(node.name)
             self._index[node.name] = node
+        names = [node.name for node in self.nodes]
+        self._released = _released([node.inputs for node in self.nodes], names, self.output_name)
         self._eval_plan = self._plan_eval()
 
     def _plan_eval(self):
-        """Eval steps ``(node, output name, folded BatchNorm or None, passes through)``.
+        """Eval steps ``(node, output name, folded BatchNorm or None, passes through, released)``.
 
-        A BatchNorm can fold into its input when that input is a Conv2d/Dense
-        node read by nothing else: the producer's step then writes the
-        normalized output under the BatchNorm's name, and the BatchNorm has
-        no step of its own.  Dropout is the identity at eval and passes its
-        input through.
+        Only nodes whose output reaches the logits get a step.  A BatchNorm
+        can fold into its input when that input is a Conv2d/Dense node read
+        by nothing else: the producer's step then writes the normalized
+        output under the BatchNorm's name, and the BatchNorm has no step of
+        its own.  Dropout is the identity at eval and passes its input
+        through.  ``released`` names the step's inputs that no later step reads.
         """
+        needed = {self.output_name}
+        for node in reversed(self.nodes):
+            if node.name in needed:
+                needed.update(node.inputs)
         readers = Counter(ref for node in self.nodes for ref in node.inputs)
         folds = {}  # producer name -> the BatchNorm node that reads it
         for node in self.nodes:
@@ -70,14 +77,19 @@ class Network:
             ):
                 folds[src.name] = node
         folded = {bn.name for bn in folds.values()}
-        plan = []
+        steps = []
         for node in self.nodes:
+            if node.name not in needed:
+                continue
             bn = folds.get(node.name)
             if bn is not None:
-                plan.append((node, bn.name, bn.layer, False))
+                steps.append((node, bn.name, bn.layer, False))
             elif node.name not in folded:
-                plan.append((node, node.name, None, node.layer.kind == "dropout"))
-        return plan
+                steps.append((node, node.name, None, node.layer.kind == "dropout"))
+        released = _released(
+            [node.inputs for node, *_ in steps], [out for _, out, *_ in steps], self.output_name
+        )
+        return [(*step, names) for step, names in zip(steps, released)]
 
     # ---- structure ----------------------------------------------------
 
@@ -123,49 +135,64 @@ class Network:
     def forward(self, x, mode="eval", subject=None, rng=None, trace=False):
         """Logits of ``x``; with ``trace`` also every node's output by name.
 
-        Eval without ``trace`` runs the plan of ``_plan_eval``: a foldable
-        BatchNorm is folded into its producer's weights, recomputed from the
-        current parameters and the subject's bank on every call, whenever
-        the weights are no larger than the producer's output for this batch
+        Eval without ``trace`` runs the plan of ``_plan_eval``: nodes that
+        cannot reach the logits are skipped, and a foldable BatchNorm is
+        folded into its producer's weights, recomputed from the current
+        parameters and the subject's bank on every call, whenever the
+        weights are no larger than the producer's output for this batch
         (``_fold_pays``); otherwise the producer and the BatchNorm run as
         they are.  With ``trace`` every node runs unfolded, so ``values``
-        holds each node's own output under its name.
+        holds each node's own output under its name.  Without ``trace`` each
+        output is dropped, in every mode, as soon as its last reader has run:
+        a layer may keep in its cache what ``backward`` needs, but the
+        network keeps no output alive past its last reader.
         """
         if mode == "eval" and not trace:
             return self._forward_eval(np.asarray(x, dtype=np.float64), subject)
-        logits, values, _ = self._forward_full(x, mode, subject, rng)
+        logits, values, _ = self._forward_full(x, mode, subject, rng, trace)
         return (logits, values) if trace else logits
 
     def _forward_eval(self, x, subject):
         ctx = Context(mode="eval", subject=subject)
         key = ctx.subject_key()
         values = {INPUT: x}
-        for node, out_name, bn, passes in self._eval_plan:
+        for node, out_name, bn, passes, released in self._eval_plan:
             ins = [values[ref] for ref in node.inputs]
+            for name in released:  # inputs no later step reads; ``ins`` holds them for now
+                del values[name]
             if passes:
                 values[out_name] = ins[0]
-                continue
-            if bn is None:
-                out, _ = node.layer.forward(ins, ctx)
+            elif bn is None:
+                values[out_name] = node.layer.forward(ins, ctx)[0]
             elif _fold_pays(node.layer.params["weight"], ins[0]):
                 folded = _folded(node.layer.params, *bn.eval_affine(key))
-                out, _ = node.layer.forward(ins, ctx, folded)
+                values[out_name] = node.layer.forward(ins, ctx, folded)[0]
             else:
-                out, _ = bn.forward([node.layer.forward(ins, ctx)[0]], ctx)
-            values[out_name] = out
+                ins = [node.layer.forward(ins, ctx)[0]]  # frees the producer's inputs
+                values[out_name] = bn.forward(ins, ctx)[0]
         return values[self.output_name]
 
-    def _forward_full(self, x, mode, subject, rng):
-        """Run every node; layer caches are kept in train mode only, the one mode backpropagated."""
+    def _forward_full(self, x, mode, subject, rng, trace=False):
+        """Run every node; returns ``(logits, values, caches)``.
+
+        Layer caches are kept in train mode only, the one mode
+        backpropagated.  Unless ``trace`` is set, each output leaves
+        ``values`` right after its last reader has run, so ``values`` ends
+        holding only the logits: a layer may keep in its cache what
+        ``backward`` needs, but ``values`` does not keep it alive.
+        """
         ctx = Context(mode=mode, subject=subject, rng=rng)
         values = {INPUT: np.asarray(x, dtype=np.float64)}
         caches = {}
-        for node in self.nodes:
+        for node, released in zip(self.nodes, self._released):
             ins = [values[ref] for ref in node.inputs]
-            out, cache = node.layer.forward(ins, ctx)
-            values[node.name] = out
             if mode == "train":
-                caches[node.name] = cache
+                values[node.name], caches[node.name] = node.layer.forward(ins, ctx)
+            else:
+                values[node.name] = node.layer.forward(ins, ctx)[0]
+            if not trace:
+                for name in released:
+                    del values[name]
         return values[self.output_name], values, caches
 
     def _reaches_trainable(self):
@@ -263,6 +290,24 @@ class Network:
 
     def clone(self) -> "Network":
         return network_from_state(self.state_dict())
+
+
+def _released(reads, writes, keep):
+    """Per step, the value names that no later step reads, ``keep`` excepted.
+
+    Step ``i`` reads the names ``reads[i]`` and writes ``writes[i]``; a name
+    is released after its last reader, or right after it is written when
+    nothing reads it.
+    """
+    last = {}
+    for i, (ins, out) in enumerate(zip(reads, writes)):
+        for name in (*ins, out):
+            last[name] = i
+    released = [[] for _ in writes]
+    for name, i in last.items():
+        if name != keep:
+            released[i].append(name)
+    return [tuple(names) for names in released]
 
 
 def _fold_pays(weight, x):

@@ -297,6 +297,21 @@ def conv2d_grads_direct(x, weight, dout):
     return dx, dw, dout.sum(axis=(0, 2, 3))
 
 
+def im2col_direct(x, kh, kw):
+    """Patch matrix (n*oh*ow, c*kh*kw) of ``x`` read through one strided view.
+
+    Row (b, i, j) holds the patch x[b, :, i:i+kh, j:j+kw] flattened in
+    (c, kh, kw) order; the reshape copies the view into C order.
+    """
+    n, c, h, w = x.shape
+    oh, ow = h - kh + 1, w - kw + 1
+    s0, s1, s2, s3 = x.strides
+    view = np.lib.stride_tricks.as_strided(
+        x, shape=(n, c, kh, kw, oh, ow), strides=(s0, s1, s2, s3, s2, s3), writeable=False
+    )
+    return view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
+
+
 # ---------------------------------------------------------------------------
 # activation, batch-norm and dropout layers in their textbook select forms
 

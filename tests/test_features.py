@@ -306,6 +306,12 @@ class TestAssemble:
             values, layout = self.vector(self.make_window(rng), name)
             assert len(set(layout)) == len(layout) == len(values)
 
+    def test_layout_is_a_fresh_list_per_call(self, rng):
+        _, layout = self.vector(self.make_window(rng), "TD")
+        expected = list(layout)
+        layout.clear()
+        assert self.vector(self.make_window(rng), "TD")[1] == expected
+
     def test_channel_permutation_permutes_blocks(self, rng):
         data = rng.standard_normal((8, 52))
         perm = (np.arange(8) + 3) % 8

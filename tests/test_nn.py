@@ -1,3 +1,6 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -121,8 +124,11 @@ def test_caches_are_kept_in_train_mode_only():
     x, _ = _batch("raw-1d")
     for mode in ("eval", "finalize"):
         assert net._forward_full(x, mode, None, None)[2] == {}
-    _, values, caches = net._forward_full(x, "train", None, np.random.default_rng(0))
+    logits, values, caches = net._forward_full(x, "train", None, np.random.default_rng(0))
     assert set(caches) == {node.name for node in net.nodes}
+    # every other output left ``values`` after its last reader; only the logits remain
+    assert values.keys() == {net.output_name} and values[net.output_name] is logits
+    _, values, _ = net._forward_full(x, "train", None, np.random.default_rng(0), trace=True)
     assert set(values) == {"input"} | set(caches)
 
 
@@ -172,8 +178,8 @@ def _assert_matches_oracle(net, x, subjects):
             assert np.array_equal(net.predict(xb, subject=s), ref.argmax(axis=1))
 
 
-def _merged_cwt_target(rng):
-    source = build_architecture("cwt", num_classes=3, widths=NARROW["cwt"], seed=1)
+def _merged_cwt_target(rng, widths=NARROW["cwt"]):
+    source = build_architecture("cwt", num_classes=3, widths=widths, seed=1)
     _randomize(source, rng, subjects=(1, 2))
     source.freeze(lambda node: node.layer.kind != "batch-norm")
     target = build_target(SourceNetwork(network=source, pretrain_subjects=[1, 2]), seed=2)
@@ -258,6 +264,18 @@ def test_eval_runs_no_batch_norm_or_dropout_layer_when_every_bn_folds():
     assert set(calls) == {node.name for node in net.nodes}
 
 
+def test_eval_skips_the_source_head_that_cannot_reach_the_logits():
+    rng = np.random.default_rng(18)
+    net = _merged_cwt_target(rng)
+    calls = _record_forward_calls(net)
+    x = rng.standard_normal((4, *INPUT_SHAPES["cwt"]))
+    net.predict(x, subject=3)
+    assert "src/head" not in calls and "snd/head" in calls
+    calls.clear()
+    _, values = net.forward(x, subject=3, trace=True)
+    assert "src/head" in calls and "src/head" in values
+
+
 def test_fold_only_where_the_weights_are_no_larger_than_the_output():
     # raw-1d: c2 has 5120 weights and 384 outputs per window, fc4 32768 and 256
     rng = np.random.default_rng(17)
@@ -291,6 +309,139 @@ def test_batch_norm_that_cannot_fold_runs_its_own_eval_forward():
     calls = _record_forward_calls(net)
     _assert_matches_oracle(net, x, (7,))
     assert calls.count("bn") == calls.count("bn2") == 4  # 2 batch sizes x (forward, predict)
+
+
+# ---- each output lives until its last reader, no longer --------------------
+
+
+def _cached_arrays(caches):
+    """Ids of the arrays a list of layer caches holds, and of their bases."""
+    ids = set()
+    for cache in caches:
+        for item in cache if isinstance(cache, tuple) else (cache,):
+            if isinstance(item, np.ndarray):
+                ids.update((id(item), id(item.base)))
+    return ids
+
+
+class _LifetimeSpy:
+    """Wraps every layer's ``forward`` and notes, at each call, which earlier outputs live.
+
+    Outputs are held by weak reference only.  Each live output is noted with
+    whether a train cache holds it (the network keeps those for backward)
+    and which live outputs are it or a view of it.  Once the run is over,
+    ``stale()`` names the outputs that were alive at a call after their last
+    reader although no cache held them and no output still to be read
+    viewed them.
+    """
+
+    def __init__(self, net):
+        self.names, self.outputs, self.last_read, self.notes = [], [], [], []
+        self.caches = []
+        for node in net.nodes:
+            def spy(xs, ctx, *rest, _name=node.name, _inner=node.layer.forward):
+                self._note(xs)
+                out, cache = _inner(xs, ctx, *rest)
+                self.names.append(_name)
+                self.outputs.append(weakref.ref(out))
+                self.last_read.append(-1)
+                if ctx.mode == "train":
+                    self.caches.append(cache)
+                return out, cache
+
+            node.layer.forward = spy
+
+    def _note(self, xs):
+        j = len(self.outputs)
+        live = [(k, ref()) for k, ref in enumerate(self.outputs)]
+        live = [(k, out) for k, out in live if out is not None]
+        cached = _cached_arrays(self.caches)
+        for k, out in live:
+            if any(x is out for x in xs):
+                self.last_read[k] = j
+            holders = [m for m, other in live if m != k and (other is out or other.base is out)]
+            self.notes.append((j, k, id(out) in cached, holders))
+
+    def stale(self):
+        return sorted(
+            {
+                self.names[k]
+                for j, k, cached, holders in self.notes
+                if j > self.last_read[k]
+                and not cached
+                and not any(self.last_read[m] >= j for m in holders)
+            }
+        )
+
+    def finish(self):
+        """Drop the train caches, then the names of the outputs still alive."""
+        self.caches.clear()
+        return [name for name, ref in zip(self.names, self.outputs) if ref() is not None]
+
+
+@pytest.mark.parametrize("arch", ["merged-cwt", "spectrogram"])
+@pytest.mark.parametrize("run", ["predict-1", "predict-64", "finalize", "train"])
+def test_no_output_outlives_its_last_reader(arch, run):
+    rng = np.random.default_rng(19)
+    if arch == "merged-cwt":
+        net = _merged_cwt_target(rng)
+    else:
+        net = build_architecture(arch, num_classes=3, widths=NARROW[arch], seed=1)
+        _randomize(net, rng, subjects=(3,))
+    x = rng.standard_normal((64, *net.metadata["input_shape"]))
+    spy = _LifetimeSpy(net)
+    if run.startswith("predict"):
+        net.predict(x[: int(run.split("-")[1])], subject=3)
+    elif run == "finalize":
+        net.forward(x, mode="finalize", subject=3)
+    else:
+        net.train_batch(x, np.arange(64) % 3, subject=3, rng=np.random.default_rng(0))
+    assert len(spy.outputs) > len(net.nodes) // 2
+    assert spy.stale() == []
+    assert spy.finish() == []
+
+
+def _peak_mb(fn):
+    """Peak traced memory of ``fn()`` above what was allocated before it, in MB."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+
+
+def test_merged_cwt_target_peak_memory_is_bounded():
+    # full widths; the peaks were 80 MB (predict) and 57 MB (train step) when
+    # every output stayed alive to the end of the forward pass, 20 and 36 MB after
+    rng = np.random.default_rng(20)
+    net = _merged_cwt_target(rng, widths=None)
+    x = rng.standard_normal((512, *INPUT_SHAPES["cwt"]))
+    y = np.arange(128) % 3
+    net.predict(x[:2], subject=3)
+    assert _peak_mb(lambda: net.predict(x, subject=3)) < 32
+    train_rng = np.random.default_rng(0)
+    assert _peak_mb(lambda: net.train_batch(x[:128], y, subject=3, rng=train_rng)) < 45
+
+
+# ---- im2col gathers exactly the strided view's patch matrix ----------------
+
+
+@pytest.mark.parametrize("n", [1, 128])
+@pytest.mark.parametrize("layout", ["c", "conv", "slice"])
+@pytest.mark.parametrize("kh,kw,h,w", [(3, 3, 6, 5), (1, 5, 1, 12)])
+def test_im2col_equals_the_strided_view(kh, kw, h, w, layout, n):
+    rng = np.random.default_rng(26)
+    c = 4
+    if layout == "slice":
+        x = rng.standard_normal((n, c + 3, h, w))[:, 1 : 1 + c]
+    else:
+        x = _map(rng, (n, c, h, w), layout)
+    cols = Conv2d(c, 2, kh, kw, rng=rng)._im2col(x, h - kh + 1, w - kw + 1)
+    ref = oracles.im2col_direct(x, kh, kw)
+    assert cols.shape == ref.shape and cols.strides == ref.strides
+    assert cols.tobytes() == ref.tobytes()
 
 
 # ---- activation, batch-norm and dropout equal their select forms bit for bit ----
