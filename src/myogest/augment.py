@@ -1,15 +1,21 @@
 """Training-set augmentation: noise, spectral fatigue, electrode displacement.
 
-Every technique preserves labels and never touches the test set.  Synthetic
-techniques operate on the 52-sample window rfft; window counts follow the
-multiplier contract (train grows to multiplier x the original count).
-Sliding-window augmentation densifies the slicing stride instead of
-synthesizing samples, so it needs the source recordings.
+Every technique preserves labels and never touches the test set; each one
+but ``baseline`` doubles the training set (``MULTIPLIER``).  The synthetic
+techniques work on the 52-sample window rfft with the paper's fixed
+parameters (Cote-Allard et al., "Deep Learning for Electromyographic Hand
+Gesture Signal Classification Using Transfer Learning"): muscle fatigue
+hits each channel with probability ``FATIGUE_PROBABILITY`` and moves
+``FATIGUE_FRACTION`` of each bin's power down, electrode displacement moves
+``DISPLACEMENT_FRACTION`` of each channel's magnitude to its neighbour, and
+Gaussian noise is added at ``SNR_DB``.  Sliding-window augmentation
+densifies the slicing stride instead of synthesizing samples, so it needs
+the source recordings.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -25,33 +31,18 @@ TECHNIQUES = (
     "aggregated",
 )
 
-
-@dataclass
-class AugmentationConfig:
-    technique: str = "sliding-window"
-    fatigue_probability: float = 0.5
-    fatigue_fraction: float = 0.35
-    displacement_fraction: float = 0.35
-    snr_db: float = 25.0
-    multiplier: int = 2
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.technique not in TECHNIQUES:
-            raise ConfigError(f"unknown augmentation '{self.technique}'")
-        for name in ("fatigue_probability", "fatigue_fraction", "displacement_fraction"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{name} must be in [0, 1], got {v}")
-        if self.multiplier < 1:
-            raise ConfigError("multiplier must be >= 1")
+MULTIPLIER = 2
+FATIGUE_PROBABILITY = 0.5
+FATIGUE_FRACTION = 0.35
+DISPLACEMENT_FRACTION = 0.35
+SNR_DB = 25.0
 
 
 def _copy_window(w: Window, data: np.ndarray) -> Window:
     return replace(w, data=data)
 
 
-def augment_gaussian(w: Window, snr_db: float = 25.0, seed: int = 0) -> Window:
+def augment_gaussian(w: Window, snr_db: float, seed: int) -> Window:
     """Additive white Gaussian noise at the requested SNR per channel.
 
     Noise power is signal_power / 10^(snr_db / 10); zero-power channels come
@@ -77,9 +68,7 @@ def _weights(n_bins: int) -> np.ndarray:
     return wgt
 
 
-def augment_fatigue(
-    w: Window, probability: float = 0.5, fraction: float = 0.35, seed: int = 0
-) -> Window:
+def augment_fatigue(w: Window, probability: float, fraction: float, seed: int) -> Window:
     """Emulate muscle fatigue by cascading spectral power downward.
 
     Per channel (with the given probability) each bin passes `fraction` of
@@ -105,7 +94,7 @@ def augment_fatigue(
     return _copy_window(w, data)
 
 
-def augment_displacement(w: Window, fraction: float = 0.35, seed: int = 0) -> Window:
+def augment_displacement(w: Window, fraction: float, seed: int) -> Window:
     """Emulate electrode displacement by rotating spectral magnitude.
 
     For every frequency bin, `fraction` of each channel's magnitude moves to
@@ -121,23 +110,21 @@ def augment_displacement(w: Window, fraction: float = 0.35, seed: int = 0) -> Wi
     return _copy_window(w, out)
 
 
-def _synthesize(w: Window, technique: str, cfg: AugmentationConfig, seed: int) -> Window:
+def _synthesize(w: Window, technique: str, seed: int) -> Window:
     if technique == "gaussian-noise":
-        return augment_gaussian(w, cfg.snr_db, seed)
+        return augment_gaussian(w, SNR_DB, seed)
     if technique == "muscle-fatigue":
-        return augment_fatigue(w, cfg.fatigue_probability, cfg.fatigue_fraction, seed)
+        return augment_fatigue(w, FATIGUE_PROBABILITY, FATIGUE_FRACTION, seed)
     if technique == "electrode-displacement":
-        return augment_displacement(w, cfg.displacement_fraction, seed)
-    if technique == "aggregated":
-        out = augment_fatigue(w, cfg.fatigue_probability, cfg.fatigue_fraction, seed)
-        out = augment_displacement(out, cfg.displacement_fraction, seed)
-        return augment_gaussian(out, cfg.snr_db, seed + 1)
-    raise ConfigError(f"technique '{technique}' cannot synthesize windows")
+        return augment_displacement(w, DISPLACEMENT_FRACTION, seed)
+    out = augment_fatigue(w, FATIGUE_PROBABILITY, FATIGUE_FRACTION, seed)
+    out = augment_displacement(out, DISPLACEMENT_FRACTION, seed)
+    return augment_gaussian(out, SNR_DB, seed + 1)
 
 
-def _densified_windows(recordings, base_windows, multiplier):
-    """Re-slice the same recordings densely enough to reach multiplier x count."""
-    target = multiplier * len(base_windows)
+def _densified_windows(recordings, base_windows):
+    """Re-slice the same recordings densely enough to reach MULTIPLIER x count."""
+    target = MULTIPLIER * len(base_windows)
     keys = {(w.subject_id, w.round, w.cycle, w.label) for w in base_windows}
     recs = [
         r for r in recordings if (r.subject_id, r.round, r.cycle, r.gesture) in keys
@@ -155,30 +142,26 @@ def _densified_windows(recordings, base_windows, multiplier):
         out.extend(dense[:per_rec_target])
     if len(out) < target:
         raise ConfigError(
-            f"recordings too short to densify to {multiplier}x "
+            f"recordings too short to densify to {MULTIPLIER}x "
             f"({len(out)} of {target} windows available)"
         )
     return out[:target]
 
 
-def augment_dataset(
-    split: DatasetSplit, cfg: AugmentationConfig, recordings=None
-) -> DatasetSplit:
-    """Grow the training set to multiplier x its size; test is untouched."""
+def augment_dataset(split: DatasetSplit, technique: str, recordings) -> DatasetSplit:
+    """Grow the training set to MULTIPLIER x its size (baseline keeps it); test is untouched."""
+    if technique not in TECHNIQUES:
+        raise ConfigError(f"unknown augmentation '{technique}'")
     if not split.train:
         raise ConfigError("cannot augment an empty training set")
-    if cfg.technique == "baseline" or cfg.multiplier == 1:
+    if technique == "baseline":
         train = list(split.train)
-    elif cfg.technique == "sliding-window":
-        if recordings is None:
-            raise ConfigError("sliding-window augmentation needs the source recordings")
-        train = _densified_windows(recordings, split.train, cfg.multiplier)
+    elif technique == "sliding-window":
+        train = _densified_windows(recordings, split.train)
     else:
-        train = list(split.train)
-        for round_idx in range(cfg.multiplier - 1):
-            for i, w in enumerate(split.train):
-                seed = (cfg.seed * 1_000_003 + round_idx * 131_071 + i) & 0x7FFFFFFF
-                train.append(_synthesize(w, cfg.technique, cfg, seed))
+        # MULTIPLIER 2: one synthesized copy of each window, seeded by its index
+        copies = [_synthesize(w, technique, i) for i, w in enumerate(split.train)]
+        train = list(split.train) + copies
     return DatasetSplit(
         train=train,
         test=split.test,

@@ -6,8 +6,11 @@ explicit flags override it.  ``train --save-models DIR`` saves, per subject,
 the model scored at the first seed (the merged transfer network under
 --transfer); its metadata records ``subject`` and ``channel_shift``, which
 evaluate and replay apply, and the ``stride`` and ``gesture_subset`` that
-evaluate rebuilds the test split with.  Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical failure.
+evaluate rebuilds the test split with.  ``--train-overrides`` takes a JSON
+object of TrainConfig keys: learning_rate, batch_size, dropout_rate,
+patience_epochs, max_epochs and seed.  An unknown key there or in the
+--config file exits 2.  Exit codes: 0 success, 2 configuration error, 3
+data error, 4 numerical failure.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +31,7 @@ from .dataset import (
     apply_shift,
     build_split,
     load_dataset,
+    read_rows,
     read_samples,
     save_recording,
     slice_windows,
@@ -36,6 +41,7 @@ from .errors import ConfigError, DataError, MyogestError, NumericalError
 from .features import feature_matrix
 from .harness import (
     ExperimentConfig,
+    check_keys,
     emit_report,
     pretrain_source,
     run_experiment,
@@ -43,8 +49,8 @@ from .harness import (
     run_session_replay,
     save_source_checkpoint,
 )
-from .nn import load_network
-from .stats import friedman_holm, wilcoxon_one_tail
+from .nn import TrainConfig, load_network
+from .stats import friedman_holm, friedman_payload, wilcoxon_one_tail, wilcoxon_payload
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,11 +58,18 @@ EXIT_DATA = 3
 EXIT_NUMERICAL = 4
 
 
+def _json(text, what):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{what} is not valid JSON ({exc})") from None
+
+
 def _experiment_config(args, **overrides) -> ExperimentConfig:
     payload = {}
     if args.config:
         with open(args.config) as fh:
-            payload.update(json.load(fh))
+            payload.update(check_keys(ExperimentConfig, _json(fh.read(), args.config), "config"))
     payload.update({k: v for k, v in overrides.items() if v is not None})
     if args.seed is not None:
         payload["seeds"] = [args.seed]
@@ -143,7 +156,7 @@ def cmd_pretrain(args):
         dataset=args.dataset,
         model=args.model,
         protocol="myo-eval",
-        train=json.loads(args.train_overrides) if args.train_overrides else None,
+        train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
     )
     source = pretrain_source(cfg)
     out = Path(args.out or "source_checkpoint.json")
@@ -162,7 +175,7 @@ def cmd_train(args):
         source_checkpoint=args.source,
         cycles=args.cycles,
         repetitions=args.repetitions,
-        train=json.loads(args.train_overrides) if args.train_overrides else None,
+        train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
     )
     report = run_experiment(cfg, models_dir=args.save_models)
     print(json.dumps({"method": report.method, "mean": report.mean, "pooled_std": report.pooled_std}))
@@ -233,31 +246,19 @@ def cmd_stats(args):
         cols = args.columns or header[:2]
         if len(cols) != 2:
             raise ConfigError("wilcoxon needs exactly two columns")
+        missing = [c for c in cols if c not in header]
+        if missing:
+            raise ConfigError(f"columns {missing} not in the table header {header}")
         idx = [header.index(c) for c in cols]
         res = wilcoxon_one_tail(table[:, idx[0]], table[:, idx[1]])
         payload = {
             "test": "wilcoxon-one-tail",
             "alternative": f"{cols[0]} > {cols[1]}",
-            "statistic": res.statistic,
-            "p_value": res.p_value,
-            "reject_h0": bool(res.reject_h0),
-            "n": res.n,
+            **wilcoxon_payload(res),
             "method": res.method,
         }
     else:
-        res = friedman_holm(table)
-        payload = {
-            "test": "friedman+holm",
-            "methods": header,
-            "mean_ranks": res.mean_ranks.tolist(),
-            "statistic": res.statistic,
-            "p_value": res.p_value,
-            "best": header[res.best_index],
-            "comparisons": [
-                {"method": header[j], "z": z, "raw_p": p, "adjusted_p": ap, "reject_h0": bool(r)}
-                for j, z, p, ap, r in res.comparisons
-            ],
-        }
+        payload = {"test": "friedman+holm", **friedman_payload(friedman_holm(table), header)}
     text = json.dumps(payload, indent=2)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -266,16 +267,24 @@ def cmd_stats(args):
 
 
 def _load_table(path):
+    data = read_rows(path, "accuracy table", skip=1)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if header and header[0].lower() in ("subject", "dataset", "id"):
+    if len(header) != data.shape[1]:
+        raise DataError(f"{path}: {len(header)} header names for {data.shape[1]} columns")
+    if header[0].lower() in ("subject", "dataset", "id"):
         header = header[1:]
         data = data[:, 1:]
     return data, header
 
 
 # ---------------------------------------------------------------------------
+
+
+TRAIN_OVERRIDES_HELP = (
+    f"JSON object overriding TrainConfig keys ({', '.join(f.name for f in fields(TrainConfig))}); "
+    "an unknown key exits 2"
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -300,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="pre-train a shared source network")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model", default="cwt")
-    p.add_argument("--train-overrides", help="JSON dict of TrainConfig overrides")
+    p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run a training protocol end to end")
@@ -311,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", help="source checkpoint for --transfer")
     p.add_argument("--cycles", type=int, default=4)
     p.add_argument("--repetitions", type=int, default=4)
-    p.add_argument("--train-overrides", help="JSON dict of TrainConfig overrides")
+    p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
     p.add_argument(
         "--save-models",
         help="directory for the model scored at the first seed, one per subject, "

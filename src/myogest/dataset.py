@@ -120,6 +120,26 @@ def read_manifest(root) -> dict:
     return manifest
 
 
+def read_rows(path, what: str, delimiter=",", skip: int = 0) -> np.ndarray:
+    """Numeric rows of a text file, after ``skip`` header lines, as a 2-D array.
+
+    A missing, empty or non-numeric file raises DataError naming ``path`` and
+    ``what`` it was read as.
+    """
+    path = Path(path)
+    try:
+        lines = path.read_text().splitlines()[skip:]
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    # numpy warns before returning no rows, so an empty file stops here
+    if not any(line.strip() for line in lines):
+        raise DataError(f"{path}: empty {what}")
+    try:
+        return np.loadtxt(lines, delimiter=delimiter, ndmin=2)
+    except ValueError as exc:
+        raise DataError(f"{path}: could not parse {what} ({exc})") from None
+
+
 def read_samples(path) -> np.ndarray:
     """Read one gesture file into an (8, T) int64 array.
 
@@ -128,16 +148,7 @@ def read_samples(path) -> np.ndarray:
     comma-separated; any other suffix is whitespace-separated.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-        # numpy warns before returning no rows, so an empty file stops here
-        if not text.strip():
-            raise DataError(f"{path}: empty gesture file")
-        raw = np.loadtxt(
-            text.splitlines(), delimiter="," if path.suffix == ".csv" else None, ndmin=2
-        )
-    except ValueError as exc:
-        raise DataError(f"{path}: could not parse samples ({exc})") from None
+    raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None)
     if raw.size == 0:
         raise DataError(f"{path}: empty gesture file")
     if raw.shape[1] != NUM_CHANNELS:
@@ -155,16 +166,13 @@ def read_samples(path) -> np.ndarray:
 _PATH_RE = re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.csv$")
 
 
-def load_dataset(root_path, schema=None) -> list:
+def load_dataset(root_path) -> list:
     """Load every recording under the canonical directory tree.
 
     Files are discovered in sorted path order so results are deterministic.
-    ``schema`` may be given to assert the manifest matches expectations.
     """
     root = Path(root_path)
     manifest = read_manifest(root)
-    if schema is not None and manifest["schema"] != schema:
-        raise DataError(f"{root}: manifest schema '{manifest['schema']}' != requested '{schema}'")
     recordings = []
     for path in sorted(root.glob("subject_*/round_*/cycle_*/gesture_*.csv")):
         m = _PATH_RE.search(path.as_posix())

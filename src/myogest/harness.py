@@ -13,14 +13,16 @@ import csv
 import hashlib
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
-from .augment import TECHNIQUES, AugmentationConfig, augment_dataset
+from .augment import TECHNIQUES, augment_dataset
 from .architectures import ARCHITECTURES, build_architecture
 from .dataset import (
+    DEFAULT_STRIDE,
+    SAMPLE_RATE,
     DatasetSplit,
     EmgRecording,
     activation_profile_from_windows,
@@ -28,6 +30,7 @@ from .dataset import (
     build_split,
     find_alignment,
     load_dataset,
+    read_rows,
     slice_windows,
     window_count,
     windows_to_arrays,
@@ -35,7 +38,16 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .features import FEATURE_SETS, feature_matrix
 from .nn import TrainConfig, load_network, train
-from .stats import friedman_holm, knn_classify, lda_classify, lda_fit, lda_project, wilcoxon_one_tail
+from .stats import (
+    friedman_holm,
+    friedman_payload,
+    knn_classify,
+    lda_classify,
+    lda_fit,
+    lda_project,
+    wilcoxon_one_tail,
+    wilcoxon_payload,
+)
 from .timefreq import cwt_batch, spectrogram_batch
 from .transfer import (
     PRETRAIN_DROPOUT,
@@ -62,13 +74,10 @@ class ExperimentConfig:
     repetitions: int = 4
     gesture_subset: list = None
     seeds: list = field(default_factory=lambda: [0, 1, 2])
-    knn_k: int = 5
     dim_reduction: bool = True
-    augmentation: dict = field(default_factory=dict)
-    ablation_techniques: list = None
     train: dict = field(default_factory=dict)
     subjects: list = None
-    stride: int = 5
+    stride: int = DEFAULT_STRIDE
     out_dir: str = None
 
     def __post_init__(self):
@@ -169,12 +178,23 @@ def parse_model(model: str):
     )
 
 
+def check_keys(cls, payload, what: str) -> dict:
+    """Return ``payload`` if it is a dict naming only fields of dataclass ``cls``."""
+    if not isinstance(payload, dict):
+        raise ConfigError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    accepted = [f.name for f in fields(cls)]
+    unknown = sorted(set(payload) - set(accepted))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s) {unknown}; accepted: {accepted}")
+    return payload
+
+
 def make_train_config(net_metadata: dict, overrides: dict, seed: int) -> TrainConfig:
     kwargs = {
         "learning_rate": net_metadata.get("learning_rate_default", 0.002),
         "seed": seed,
     }
-    kwargs.update(overrides or {})
+    kwargs.update(check_keys(TrainConfig, overrides or {}, "TrainConfig"))
     return TrainConfig(**kwargs)
 
 
@@ -374,7 +394,7 @@ def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None
         model = lda_fit(F_tr, y_tr)
         pred = lda_classify(model, F_te)
     else:
-        pred = knn_classify(F_tr, y_tr, F_te, k=cfg.knn_k)
+        pred = knn_classify(F_tr, y_tr, F_te)
     return float((pred == y_te).mean())
 
 
@@ -388,10 +408,7 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
     if kind != "net":
         raise ConfigError("the ablation protocol trains a network model")
     recordings, subjects = _grouped_recordings(cfg)
-    techniques = cfg.ablation_techniques or list(TECHNIQUES)
-    base_aug = dict(cfg.augmentation or {})
-    base_aug.pop("technique", None)
-    columns = {t: {} for t in techniques}
+    columns = {t: {} for t in TECHNIQUES}
     for subject in subjects:
         recs = [r for r in recordings if r.subject_id == subject and r.round == 1]
         cyc = lambda c: [r for r in recs if r.cycle == c]
@@ -404,9 +421,8 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
         split = DatasetSplit(train=base_train, test=test_w, subjects=[subject], cycles_used=2)
         X_val, y_val = _xy(val_w, spec, label_map)
         X_te, y_te = _xy(test_w, spec, label_map)
-        for technique in techniques:
-            aug_cfg = AugmentationConfig(technique=technique, **base_aug)
-            augmented = augment_dataset(split, aug_cfg, recordings=recs)
+        for technique in TECHNIQUES:
+            augmented = augment_dataset(split, technique, recs)
             X_tr, y_tr = _xy(augmented.train, spec, label_map)
             per_seed = []
             for seed in cfg.seeds:
@@ -417,8 +433,8 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
                 per_seed.append(float((pred == y_te).mean()))
             columns[technique][subject] = per_seed
     # the headline accuracies use the production default (sliding-window)
-    headline = "sliding-window" if "sliding-window" in techniques else techniques[0]
-    return _report(cfg, f"{cfg.model}@{headline}", subjects, columns[headline], columns=columns)
+    headline = columns["sliding-window"]
+    return _report(cfg, f"{cfg.model}@sliding-window", subjects, headline, columns=columns)
 
 
 def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
@@ -450,7 +466,7 @@ def read_session_file(path):
     A hold is a maximal run of consecutive rows with the same gesture.
     Returns (timestamps, labels, samples) per hold.
     """
-    rows = np.loadtxt(path, delimiter=",", ndmin=2)
+    rows = read_rows(path, "session file")
     if rows.shape[1] != 10:
         raise DataError(f"{path}: expected 10 columns (t, label, 8 samples)")
     holds = []
@@ -469,18 +485,13 @@ def read_session_file(path):
     return holds
 
 
-def run_session_replay(
-    session_file,
-    checkpoint_path,
-    skip_first_second: bool = True,
-    stride: int = 5,
-    sample_rate: int = 200,
-    out_path=None,
-):
+def run_session_replay(session_file, checkpoint_path, skip_first_second=True, out_path=None):
     """Classify a recorded session hold by hold; returns the accuracy timeline.
 
     The checkpoint's ``channel_shift`` is applied to every hold before it is
-    windowed; a hold too short for one window gets NaN accuracy.
+    windowed at ``DEFAULT_STRIDE``; ``skip_first_second`` drops each hold's
+    first ``SAMPLE_RATE`` samples; a hold too short for one window gets NaN
+    accuracy.
     """
     net = load_network(checkpoint_path)
     arch = net.metadata["architecture"]
@@ -490,19 +501,19 @@ def run_session_replay(
     for idx, hold in enumerate(read_session_file(session_file)):
         samples = hold["samples"]
         if skip_first_second:
-            samples = samples[:, sample_rate:]
+            samples = samples[:, SAMPLE_RATE:]
         entry = {
             "hold": idx,
             "t_start": hold["t_start"],
             "label": hold["label"],
-            "n_windows": window_count(samples.shape[1], stride),
+            "n_windows": window_count(samples.shape[1]),
             "accuracy": float("nan"),
         }
         if entry["n_windows"]:
             rec = EmgRecording(
                 subject_id=-1, round=0, cycle=0, gesture=hold["label"], samples=samples
             )
-            windows = slice_windows(apply_shift(rec, shift), stride)
+            windows = slice_windows(apply_shift(rec, shift))
             pred = net.predict(transform_windows(windows, arch), subject=subject)
             entry["accuracy"] = int((pred == hold["label"]).sum()) / len(windows)
         timeline.append(entry)
@@ -520,7 +531,7 @@ def run_session_replay(
 # Report aggregation
 
 
-def emit_report(reports, out_dir=None, alpha=0.05):
+def emit_report(reports, out_dir=None):
     """Aggregate RunReports into method comparison tables plus statistics.
 
     Wilcoxon (one-tail) compares each method against its '+TL' variant over
@@ -555,38 +566,14 @@ def emit_report(reports, out_dir=None, alpha=0.05):
                 res = wilcoxon_one_tail(
                     [per_subject[tl][s] for s in common],
                     [per_subject[name][s] for s in common],
-                    alpha=alpha,
                 )
                 stats_out["wilcoxon"].append(
-                    {
-                        "comparison": f"{tl} > {name}",
-                        "statistic": res.statistic,
-                        "p_value": res.p_value,
-                        "reject_h0": bool(res.reject_h0),
-                        "n": res.n,
-                    }
+                    {"comparison": f"{tl} > {name}", **wilcoxon_payload(res)}
                 )
     common = sorted(set.intersection(*(set(per_subject[m]) for m in methods)))
     if len(methods) >= 2 and len(common) >= 2:
         matrix = np.array([[per_subject[m][s] for m in methods] for s in common])
-        fr = friedman_holm(matrix, alpha=alpha)
-        stats_out["friedman"] = {
-            "methods": methods,
-            "mean_ranks": fr.mean_ranks.tolist(),
-            "statistic": fr.statistic,
-            "p_value": fr.p_value,
-            "best": methods[fr.best_index],
-            "comparisons": [
-                {
-                    "method": methods[j],
-                    "z": z,
-                    "raw_p": p,
-                    "adjusted_p": ap,
-                    "reject_h0": bool(rej),
-                }
-                for j, z, p, ap, rej in fr.comparisons
-            ],
-        }
+        stats_out["friedman"] = friedman_payload(friedman_holm(matrix), methods)
     result = {"table": table_rows, "stats": stats_out}
     if out_dir:
         out = Path(out_dir)

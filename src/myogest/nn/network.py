@@ -344,9 +344,13 @@ def network_from_state(state) -> Network:
 
 
 def load_network(path) -> Network:
-    with open(path) as fh:
-        state = json.loads(fh.read())
-    return network_from_state(state)
+    """Rebuild a saved network; a missing or malformed checkpoint is a DataError."""
+    try:
+        with open(path) as fh:
+            state = json.loads(fh.read())
+        return network_from_state(state)
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"{path}: not a checkpoint ({type(exc).__name__}: {exc})") from None
 
 
 def _encode(arr: np.ndarray):

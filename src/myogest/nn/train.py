@@ -1,12 +1,16 @@
 """Training loop: ADAM, validation holdout, annealing and early stopping.
 
-The schedule follows the networks' training recipe: 10% of the training data
-is held out for validation; when the validation loss stops improving for
-``patience_epochs`` epochs the learning rate divides by ``anneal_factor``
-and the best weights are restored; training stops after two consecutive
-decays with no improvement between them.  The best-validation weights are
-returned, and per-subject batch-norm statistics are finalized with one full
-pass over the training data.
+Every network trains with one recipe, taken from the paper (Cote-Allard et
+al., "Deep Learning for Electromyographic Hand Gesture Signal Classification
+Using Transfer Learning") and fixed as module constants: ``VALIDATION_FRACTION``
+(10%) of the training data is held out for validation; when the validation
+loss stops improving for ``patience_epochs`` epochs the learning rate
+divides by ``ANNEAL_FACTOR`` (5) and the best weights are restored; training
+stops after two consecutive decays with no improvement between them.  An
+epoch counts as an improvement when its validation loss beats the best by
+more than ``MIN_IMPROVEMENT`` (1e-5), this implementation's tolerance.  The
+best-validation weights are returned, and per-subject batch-norm statistics
+are finalized with one full pass over the training data.
 """
 
 from __future__ import annotations
@@ -22,25 +26,21 @@ from .optim import Adam
 
 log = logging.getLogger(__name__)
 
+ANNEAL_FACTOR = 5.0
+VALIDATION_FRACTION = 0.10
+MIN_IMPROVEMENT = 1e-5
+
 
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.002
     batch_size: int = 128
     dropout_rate: float = 0.5
-    anneal_factor: float = 5.0
     patience_epochs: int = 5
     max_epochs: int = 100
-    validation_fraction: float = 0.10
     seed: int = 0
-    min_improvement: float = 1e-5
-    finalize: bool = True
 
     def __post_init__(self):
-        if not 0.0 < self.validation_fraction < 1.0:
-            raise ConfigError("validation_fraction must be in (0, 1)")
-        if self.anneal_factor <= 1.0:
-            raise ConfigError("anneal_factor must exceed 1")
         # batches shorter than 2 are dropped (batch-norm needs two windows)
         if self.batch_size < 2:
             raise ConfigError("batch_size must be at least 2")
@@ -124,7 +124,7 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
     """Train in place; restores the best-validation weights before returning.
 
     ``val`` may supply an explicit (X_val, y_val) pair; otherwise a random
-    ``validation_fraction`` of the data is held out.
+    ``VALIDATION_FRACTION`` of the data is held out.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -141,7 +141,7 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
         train_idx = rng.permutation(n)
     else:
         order = rng.permutation(n)
-        n_val = max(1, int(round(cfg.validation_fraction * n)))
+        n_val = max(1, int(round(VALIDATION_FRACTION * n)))
         val_idx, train_idx = order[:n_val], order[n_val:]
         X_val, y_val = X[val_idx], y[val_idx]
         val_subjects = subjects[val_idx] if subjects is not None else None
@@ -176,7 +176,7 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
         history.lr.append(opt.lr)
         history.stopped_epoch = epoch + 1
 
-        if val_loss < history.best_val_loss - cfg.min_improvement:
+        if val_loss < history.best_val_loss - MIN_IMPROVEMENT:
             history.best_val_loss = val_loss
             best_state = net.state_dict()
             stall = 0
@@ -190,11 +190,10 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
             if consecutive_decays >= 2:
                 log.info("early stop at epoch %d after %d decays", epoch + 1, history.decays)
                 break
-            opt.lr /= cfg.anneal_factor
+            opt.lr /= ANNEAL_FACTOR
             opt.reset_moments()
             stall = 0
 
     net.load_state_dict(best_state)
-    if cfg.finalize:
-        finalize_bn(net, X, subjects)
+    finalize_bn(net, X, subjects)
     return history

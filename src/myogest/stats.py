@@ -213,6 +213,16 @@ def wilcoxon_one_tail(a, b, alpha: float = ALPHA) -> StatResult:
     return StatResult(w_plus, float(p), p < alpha, ranks=ranks, n=n, method=method)
 
 
+def wilcoxon_payload(res: StatResult) -> dict:
+    """JSON fields of a Wilcoxon result, shared by reports and the stats command."""
+    return {
+        "statistic": res.statistic,
+        "p_value": res.p_value,
+        "reject_h0": bool(res.reject_h0),
+        "n": res.n,
+    }
+
+
 def holm_adjust(p_values) -> np.ndarray:
     """Holm step-down adjusted p-values, monotone in the sorted order."""
     p = np.asarray(p_values, dtype=np.float64)
@@ -272,3 +282,18 @@ def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool =
         comparisons=comparisons,
         rank_table=rank_table,
     )
+
+
+def friedman_payload(res: FriedmanResult, methods) -> dict:
+    """JSON form of a Friedman + Holm result, methods named by column."""
+    return {
+        "methods": list(methods),
+        "mean_ranks": res.mean_ranks.tolist(),
+        "statistic": res.statistic,
+        "p_value": res.p_value,
+        "best": methods[res.best_index],
+        "comparisons": [
+            {"method": methods[j], "z": z, "raw_p": p, "adjusted_p": ap, "reject_h0": bool(rej)}
+            for j, z, p, ap, rej in res.comparisons
+        ],
+    }

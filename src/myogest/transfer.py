@@ -58,7 +58,7 @@ def _is_bn(node: Node) -> bool:
     return node.layer.kind == "batch-norm"
 
 
-def pretrain(net: Network, X, y, subjects, cfg: TrainConfig = None) -> SourceNetwork:
+def pretrain(net: Network, X, y, subjects, cfg: TrainConfig) -> SourceNetwork:
     """Train the shared source network over all subjects, then freeze it.
 
     Subjects contributing fewer windows than one batch are dropped with a
@@ -68,10 +68,6 @@ def pretrain(net: Network, X, y, subjects, cfg: TrainConfig = None) -> SourceNet
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     subjects = np.asarray(subjects, dtype=np.int64)
-    cfg = cfg or TrainConfig(
-        learning_rate=net.metadata.get("learning_rate_default", 0.002),
-        dropout_rate=PRETRAIN_DROPOUT,
-    )
     counts = {s: int((subjects == s).sum()) for s in sorted(set(subjects.tolist()))}
     kept = [s for s, c in counts.items() if c >= cfg.batch_size]
     dropped = sorted(set(counts) - set(kept))
@@ -182,18 +178,12 @@ def prepare_target_subject(target: TargetNetwork, subject: int):
             }
 
 
-def train_target(
-    target: TargetNetwork, X, y, subject: int, cfg: TrainConfig = None
-) -> TargetNetwork:
+def train_target(target: TargetNetwork, X, y, subject: int, cfg: TrainConfig) -> TargetNetwork:
     """Train the second network, scalar layers and BN parameters on a new user.
 
     Source non-BN parameters stay frozen; the new subject gets its own BN
     statistics so pre-training subjects' banks are never overwritten.
     """
-    cfg = cfg or TrainConfig(
-        learning_rate=target.network.metadata.get("learning_rate_default", 0.002),
-        dropout_rate=TARGET_DROPOUT,
-    )
     if cfg.max_epochs == 0:
         return target
     prepare_target_subject(target, subject)

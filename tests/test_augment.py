@@ -3,8 +3,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from myogest.augment import TECHNIQUES, AugmentationConfig, augment_dataset, augment_fatigue
+from myogest.augment import MULTIPLIER, TECHNIQUES, augment_dataset, augment_fatigue
 from myogest.dataset import build_split, load_dataset
+from myogest.errors import ConfigError
 
 GROWING = [t for t in TECHNIQUES if t != "baseline"]
 
@@ -15,29 +16,34 @@ def subject_data(small_dataset):
     return recs, build_split(recs, "myo-eval", cycles=2)
 
 
-def _augment(subject_data, technique, multiplier):
+def _augment(subject_data, technique):
     recs, split = subject_data
-    cfg = AugmentationConfig(technique=technique, multiplier=multiplier, seed=3)
-    return augment_dataset(split, cfg, recordings=recs)
+    return augment_dataset(split, technique, recs)
 
 
 @pytest.mark.parametrize("technique", GROWING)
-@pytest.mark.parametrize("multiplier", [1, 2, 3])
+@pytest.mark.parametrize("multiplier", [MULTIPLIER])
 def test_train_grows_to_multiplier_times_base(subject_data, technique, multiplier):
     base = len(subject_data[1].train)
-    assert len(_augment(subject_data, technique, multiplier).train) == multiplier * base
+    assert len(_augment(subject_data, technique).train) == multiplier * base
+
+
+def test_unknown_technique_is_a_config_error(subject_data):
+    recs, split = subject_data
+    with pytest.raises(ConfigError, match="sliding_window"):
+        augment_dataset(split, "sliding_window", recs)
 
 
 def test_baseline_keeps_the_training_set(subject_data):
     split = subject_data[1]
-    assert _augment(subject_data, "baseline", 3).train == split.train
+    assert _augment(subject_data, "baseline").train == split.train
 
 
 @pytest.mark.parametrize("technique", [t for t in GROWING if t != "sliding-window"])
 def test_synthesized_windows_keep_their_source_label(subject_data, technique):
     split = subject_data[1]
     base = len(split.train)
-    train = _augment(subject_data, technique, 3).train
+    train = _augment(subject_data, technique).train
     assert train[:base] == split.train
     for i, w in enumerate(train[base:]):
         src = split.train[i % base]
@@ -48,7 +54,7 @@ def test_synthesized_windows_keep_their_source_label(subject_data, technique):
 
 def test_sliding_windows_come_from_the_training_recordings_in_proportion(subject_data):
     split = subject_data[1]
-    train = _augment(subject_data, "sliding-window", 2).train
+    train = _augment(subject_data, "sliding-window").train
     base_keys = {(w.subject_id, w.round, w.cycle, w.label) for w in split.train}
     assert {(w.subject_id, w.round, w.cycle, w.label) for w in train} == base_keys
     base_labels = Counter(w.label for w in split.train)
@@ -59,7 +65,7 @@ def test_sliding_windows_come_from_the_training_recordings_in_proportion(subject
 def test_test_split_is_untouched(subject_data, technique):
     split = subject_data[1]
     before = [w.data.copy() for w in split.test]
-    out = _augment(subject_data, technique, 2)
+    out = _augment(subject_data, technique)
     assert out.test is split.test
     assert all(np.array_equal(w.data, d) for w, d in zip(split.test, before))
 

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from myogest import cli
+from myogest.architectures import build_architecture
+from myogest.augment import TECHNIQUES
 from myogest.dataset import build_split, load_dataset, slice_windows
 from myogest.errors import NumericalError
 from myogest.features import feature_matrix
-from myogest.nn import load_network
+from myogest.nn import TrainConfig, load_network
 from myogest.synthetic import generate_synthetic_dataset
 
 TRAIN = json.dumps({"max_epochs": 1, "patience_epochs": 2, "batch_size": 16})
@@ -131,6 +134,41 @@ def test_save_models_needs_a_scored_network(data, tmp_path, capsys, model, proto
     assert not models.exists() or not any(models.iterdir())
 
 
+REMOVED_CONFIG_KEYS = {"knn_k", "augmentation", "ablation_techniques"}
+
+
+@pytest.fixture(scope="module")
+def one_subject(tmp_path_factory):
+    """One subject, 3 rounds x 4 cycles of 300-sample holds."""
+    root = tmp_path_factory.mktemp("one") / "data"
+    generate_synthetic_dataset(root, subjects=(1,), rounds=3, cycles=4, n_samples=300, seed=23)
+    return root
+
+
+def _protocol_report(one_subject, tmp_path, capsys, protocol, model):
+    code, _ = run(capsys, "--seed", 3, "--out", tmp_path / "run", "train", "--dataset", one_subject,
+                  "--protocol", protocol, "--model", model, "--train-overrides", TRAIN)
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    assert not REMOVED_CONFIG_KEYS & set(report["config"])
+    return report
+
+
+def test_augmentation_ablation_reports_every_technique(one_subject, tmp_path, capsys):
+    report = _protocol_report(one_subject, tmp_path, capsys, "augmentation-ablation", "raw-1d")
+    assert list(report["columns"]) == sorted(TECHNIQUES)
+    assert all(list(col) == ["1"] and len(col["1"]) == 1 for col in report["columns"].values())
+    assert report["method"] == "raw-1d@sliding-window"
+    assert report["accuracies"] == report["columns"]["sliding-window"]
+
+
+def test_dim_reduction_reports_both_columns(one_subject, tmp_path, capsys):
+    report = _protocol_report(one_subject, tmp_path, capsys, "dim-reduction", "TD+lda")
+    assert list(report["columns"]) == ["with-reduction", "without-reduction"]
+    assert report["method"] == "TD+lda@with-reduction"
+    assert report["accuracies"] == report["columns"]["with-reduction"]
+
+
 def test_exit_code_bad_protocol(data, capsys):
     code, _ = run(capsys, "train", "--dataset", data / "eval", "--protocol", "nope")
     assert code == cli.EXIT_CONFIG == 2
@@ -143,6 +181,43 @@ def test_exit_code_batch_size_one(data, tmp_path, capsys):
                      "--model", "raw-1d", "--cycles", "2"])
     assert code == cli.EXIT_CONFIG == 2
     assert "batch_size" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload,match",
+    [({"knn_kk": 3}, "knn_kk"), ({"knn_k": 3}, "knn_k"), ([{"seeds": [1]}], "JSON object")],
+    ids=["unknown-key", "removed-key", "top-level-list"],
+)
+def test_exit_code_bad_config_file(data, tmp_path, capsys, payload, match):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(payload))
+    code = cli.main(["--config", str(config), "train", "--dataset", str(data / "eval"),
+                     "--model", "TD+lda"])
+    assert code == cli.EXIT_CONFIG
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "overrides", ['{"max_epoch": 1}', '{"finalize": false}'], ids=["unknown-key", "removed-key"]
+)
+def test_exit_code_unknown_train_override(data, capsys, overrides):
+    code = cli.main(["train", "--dataset", str(data / "eval"), "--model", "raw-1d",
+                     "--cycles", "2", "--train-overrides", overrides])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert json.loads(overrides).popitem()[0] in err and "patience_epochs" in err
+
+
+def test_exit_code_invalid_json_override(data, capsys):
+    code = cli.main(["train", "--dataset", str(data / "eval"), "--model", "raw-1d",
+                     "--train-overrides", "{max_epochs: 1}"])
+    assert code == cli.EXIT_CONFIG
+    assert "--train-overrides" in capsys.readouterr().err
+
+
+def test_docstring_lists_every_train_override():
+    names = [f.name for f in dataclasses.fields(TrainConfig)]
+    assert all(name in cli.__doc__ and name in cli.TRAIN_OVERRIDES_HELP for name in names)
 
 
 def test_exit_code_missing_manifest(tmp_path, capsys):
@@ -196,3 +271,178 @@ def test_convert_rejects_empty_file(tmp_path, capsys):
     src = _raw_input(tmp_path, "")
     code, _ = run(capsys, "--out", tmp_path / "out", "convert", "--input", src, "--format", "flat")
     assert code == cli.EXIT_DATA
+
+
+# ---- report / stats: the statistics payloads on fixed tables ---------------
+
+PINNED_ACCURACIES = {
+    "cwt": [0.50, 0.62, 0.58, 0.71, 0.66, 0.54],
+    "cwt+TL": [0.61, 0.70, 0.57, 0.83, 0.75, 0.69],
+    "raw-1d": [0.55, 0.60, 0.52, 0.74, 0.60, 0.58],
+}
+FRIEDMAN_COMPARISONS = [
+    {"method": "cwt", "z": 2.0207259421636903, "raw_p": 0.04330814281079198,
+     "adjusted_p": 0.04330814281079198, "reject_h0": True},
+    {"method": "raw-1d", "z": 2.309401076758503, "raw_p": 0.020921335337793945,
+     "adjusted_p": 0.04184267067558789, "reject_h0": True},
+]
+
+
+def assert_same(got, expected):
+    """Equal keys in the same order, equal lists, floats to 1e-12."""
+    if isinstance(expected, dict):
+        assert list(got) == list(expected)
+        for key in expected:
+            assert_same(got[key], expected[key])
+    elif isinstance(expected, list):
+        assert len(got) == len(expected)
+        for g, e in zip(got, expected):
+            assert_same(g, e)
+    elif isinstance(expected, float):
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-15)
+    else:
+        assert got == expected and type(got) is type(expected)
+
+
+def test_report_pins_table_and_statistics(tmp_path, capsys):
+    from myogest.harness import RunReport
+
+    inputs = []
+    for method, accs in PINNED_ACCURACIES.items():
+        report = RunReport(
+            config={}, method=method, subjects=list(range(1, 7)), seeds=[0],
+            accuracies={s: [a] for s, a in zip(range(1, 7), accs)},
+            mean=float(np.mean(accs)), pooled_std=float(np.std(accs, ddof=1)),
+            wall_clock_s=0.0, dataset_hash="fixed",
+        )
+        inputs.append(tmp_path / f"{method}.json")
+        inputs[-1].write_text(report.to_json())
+    code, out = run(capsys, "--out", tmp_path / "cmp", "report", "--inputs", *inputs)
+    assert code == 0
+    table = [
+        {"method": "cwt", "mean": 0.6016666666666667, "pooled_std": 0.07756717518813397,
+         "subjects": 6},
+        {"method": "cwt+TL", "mean": 0.6916666666666668, "pooled_std": 0.09389710680668849,
+         "subjects": 6},
+        {"method": "raw-1d", "mean": 0.5983333333333334, "pooled_std": 0.07600438583836241,
+         "subjects": 6},
+    ]
+    assert_same(json.loads(out), table)
+    stats = {
+        "friedman": {
+            "methods": ["cwt", "cwt+TL", "raw-1d"],
+            "mean_ranks": [2.3333333333333335, 1.1666666666666667, 2.5],
+            "statistic": 6.333333333333343,
+            "p_value": 0.04214384350927619,
+            "best": "cwt+TL",
+            "comparisons": FRIEDMAN_COMPARISONS,
+        },
+        "wilcoxon": [
+            {"comparison": "cwt+TL > cwt", "statistic": 20.0, "p_value": 0.03125,
+             "reject_h0": True, "n": 6},
+        ],
+    }
+    written = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    # comparison.json is written with sorted keys
+    assert_same(written, json.loads(json.dumps({"stats": stats, "table": table}, sort_keys=True)))
+    csv_rows = (tmp_path / "cmp" / "comparison.csv").read_text().splitlines()
+    assert csv_rows[0] == "method,mean,pooled_std,subjects"
+    assert [r.split(",")[0] for r in csv_rows[1:]] == list(PINNED_ACCURACIES)
+
+
+@pytest.fixture
+def pinned_table(tmp_path):
+    path = tmp_path / "table.csv"
+    acc = PINNED_ACCURACIES
+    path.write_text("subject,cwt+TL,cwt,raw-1d\n" + "".join(
+        f"{s},{acc['cwt+TL'][i]},{acc['cwt'][i]},{acc['raw-1d'][i]}\n" for i, s in enumerate(range(1, 7))
+    ))
+    return path
+
+
+def test_stats_pins_wilcoxon_payload(pinned_table, tmp_path, capsys):
+    code, out = run(capsys, "--out", tmp_path / "w.json", "stats", "--table", pinned_table)
+    assert code == 0
+    expected = {"test": "wilcoxon-one-tail", "alternative": "cwt+TL > cwt", "statistic": 20.0,
+                "p_value": 0.03125, "reject_h0": True, "n": 6, "method": "exact"}
+    assert_same(json.loads(out), expected)
+    assert (tmp_path / "w.json").read_text() == out
+
+
+def test_stats_pins_friedman_payload(pinned_table, capsys):
+    code, out = run(capsys, "stats", "--table", pinned_table, "--test", "friedman")
+    assert code == 0
+    expected = {
+        "test": "friedman+holm",
+        "methods": ["cwt+TL", "cwt", "raw-1d"],
+        "mean_ranks": [1.1666666666666667, 2.3333333333333335, 2.5],
+        "statistic": 6.333333333333343,
+        "p_value": 0.04214384350927619,
+        "best": "cwt+TL",
+        "comparisons": FRIEDMAN_COMPARISONS,
+    }
+    assert_same(json.loads(out), expected)
+
+
+# ---- readers fail with the documented exit codes ---------------------------
+
+
+@pytest.mark.parametrize(
+    "old,new", [("0.7,", "n/a,"), (",raw-1d", "")], ids=["non-numeric-cell", "short-header"]
+)
+def test_stats_malformed_table_is_a_data_error(pinned_table, capsys, old, new):
+    pinned_table.write_text(pinned_table.read_text().replace(old, new, 1))
+    code = cli.main(["stats", "--table", str(pinned_table), "--test", "friedman"])
+    assert code == cli.EXIT_DATA
+    assert "table.csv" in capsys.readouterr().err
+
+
+def test_stats_unknown_column_is_a_config_error(pinned_table, capsys):
+    code = cli.main(["stats", "--table", str(pinned_table), "--columns", "cwt", "zz"])
+    assert code == cli.EXIT_CONFIG
+    assert "zz" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "subject,cwt,raw-1d\n", "subject,cwt,raw-1d\n\n  \n"],
+    ids=["empty", "header-only", "blank-rows"],
+)
+def test_stats_empty_table_is_a_data_error(tmp_path, capsys, text):
+    table = tmp_path / "table.csv"
+    table.write_text(text)
+    code = cli.main(["stats", "--table", str(table)])
+    assert code == cli.EXIT_DATA
+    assert "empty" in capsys.readouterr().err
+
+
+@pytest.fixture
+def checkpoint(tmp_path):
+    path = tmp_path / "model.json"
+    build_architecture("raw-1d", num_classes=7, seed=5).save(path)
+    return path
+
+
+@pytest.mark.parametrize("text", ["0.0,1,2,3,4,5,6,7,8,x\n", ""], ids=["non-numeric", "empty"])
+def test_replay_bad_session_is_a_data_error(tmp_path, capsys, checkpoint, text):
+    session = tmp_path / "session.csv"
+    session.write_text(text)
+    code = cli.main(["replay", "--session", str(session), "--checkpoint", str(checkpoint)])
+    assert code == cli.EXIT_DATA
+    assert "session.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "content", [None, "not json", "{}", "[1, 2]"], ids=["missing", "not-json", "no-nodes", "list"]
+)
+def test_bad_checkpoint_is_a_data_error(data, tmp_path, capsys, content):
+    path = tmp_path / "model.json"
+    if content is not None:
+        path.write_text(content)
+    session = tmp_path / "session.csv"
+    session.write_text("0.0,1" + ",0" * 8 + "\n")
+    for argv in (["evaluate", "--dataset", data / "eval", "--checkpoint", path],
+                 ["replay", "--session", session, "--checkpoint", path]):
+        code = cli.main([str(a) for a in argv])
+        assert code == cli.EXIT_DATA
+        assert "model.json" in capsys.readouterr().err

@@ -59,11 +59,6 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="8 columns"):
             load_dataset(tmp_path)
 
-    def test_schema_mismatch(self, tmp_path):
-        write_manifest(tmp_path, ["a"], schema="myo")
-        with pytest.raises(DataError, match="schema"):
-            load_dataset(tmp_path, schema="ninapro-converted")
-
 
 class TestReadSamples:
     def write_gesture(self, root, text):
