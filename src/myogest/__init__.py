@@ -23,7 +23,6 @@ from .dataset import (
     Window,
     apply_shift,
     build_split,
-    compute_activation_profile,
     find_alignment,
     load_dataset,
     slice_windows,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import WINDOW_LENGTH
 from .errors import ConfigError
 from .nn import (
     BatchNorm,
@@ -45,9 +46,9 @@ LEARNING_RATES = {
 INPUT_SHAPES = {
     "spectrogram": (4, 8, 14),
     "cwt": (12, 8, 7),
-    "raw": (1, 8, 52),
-    "enhanced-raw": (1, 8, 52),
-    "raw-1d": (8, 1, 52),
+    "raw": (1, 8, WINDOW_LENGTH),
+    "enhanced-raw": (1, 8, WINDOW_LENGTH),
+    "raw-1d": (8, 1, WINDOW_LENGTH),
 }
 
 
@@ -211,7 +212,8 @@ def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0, in_
     fc = b.fc_stage("fc4", flat, w["c2"] * 1 * 4, w["fc"], act)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [c2], [fc]]
-    return _finish(b, "raw-1d", num_classes, w, 1, (in_channels, 1, 52), in_channels=in_channels)
+    input_shape = (in_channels, 1, WINDOW_LENGTH)
+    return _finish(b, "raw-1d", num_classes, w, 1, input_shape, in_channels=in_channels)
 
 
 ARCHITECTURES = {

@@ -162,9 +162,4 @@ def augment_dataset(split: DatasetSplit, technique: str, recordings) -> DatasetS
         # MULTIPLIER 2: one synthesized copy of each window, seeded by its index
         copies = [_synthesize(w, technique, i) for i, w in enumerate(split.train)]
         train = list(split.train) + copies
-    return DatasetSplit(
-        train=train,
-        test=split.test,
-        subjects=split.subjects,
-        cycles_used=split.cycles_used,
-    )
+    return DatasetSplit(train=train, test=split.test)

@@ -8,9 +8,11 @@ the model scored at the first seed (the merged transfer network under
 evaluate and replay apply, and the ``stride`` and ``gesture_subset`` that
 evaluate rebuilds the test split with.  ``--train-overrides`` takes a JSON
 object of TrainConfig keys: learning_rate, batch_size, dropout_rate,
-patience_epochs, max_epochs and seed.  An unknown key there or in the
---config file exits 2.  Exit codes: 0 success, 2 configuration error, 3
-data error, 4 numerical failure.
+patience_epochs, max_epochs and seed.  Exit codes: 0 success, 2
+configuration error, 3 data error, 4 numerical failure.  A --config file
+that is missing or unreadable, and an unknown key there or in
+--train-overrides, exit 2; a checkpoint that cannot be read, has an
+unsupported version or has no ``architecture`` in its metadata exits 3.
 """
 
 from __future__ import annotations
@@ -43,13 +45,14 @@ from .harness import (
     ExperimentConfig,
     check_keys,
     emit_report,
+    load_model_checkpoint,
     pretrain_source,
     run_experiment,
     run_report_from_json,
     run_session_replay,
     save_source_checkpoint,
 )
-from .nn import TrainConfig, load_network
+from .nn import TrainConfig
 from .stats import friedman_holm, friedman_payload, wilcoxon_one_tail, wilcoxon_payload
 
 EXIT_OK = 0
@@ -68,8 +71,11 @@ def _json(text, what):
 def _experiment_config(args, **overrides) -> ExperimentConfig:
     payload = {}
     if args.config:
-        with open(args.config) as fh:
-            payload.update(check_keys(ExperimentConfig, _json(fh.read(), args.config), "config"))
+        try:
+            text = Path(args.config).read_text()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config file {args.config} ({exc})") from None
+        payload.update(check_keys(ExperimentConfig, _json(text, args.config), "config"))
     payload.update({k: v for k, v in overrides.items() if v is not None})
     if args.seed is not None:
         payload["seeds"] = [args.seed]
@@ -183,8 +189,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    net = load_network(args.checkpoint)
-    arch = net.metadata["architecture"]
+    net, arch = load_model_checkpoint(args.checkpoint)
     subject = net.metadata.get("subject")
     recordings = load_dataset(args.dataset)
     if subject is not None:
@@ -303,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="emit a feature matrix CSV")
     p.add_argument("--dataset", required=True)
     p.add_argument("--feature-set", default="TD")
-    p.add_argument("--stride", type=int, default=5)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("pretrain", help="pre-train a shared source network")

@@ -6,7 +6,9 @@ Canonical on-disk layout::
     root/subject_<k>/round_<r>/cycle_<c>/gesture_<g>.csv
 
 The manifest carries ``sample_rate``, ``num_channels``, ``gesture_names`` and
-``schema`` (``myo`` or ``ninapro-converted``).  Gesture CSV files contain one
+``schema`` (``myo`` or ``ninapro-converted``).  The rate must be the armband's
+200 Hz and the channel count its 8: a manifest that says otherwise is
+rejected, not windowed as if it were 200 Hz.  Gesture CSV files contain one
 time sample per line as 8 comma-separated integers in [-128, 127], the raw
 output range of the armband.  Samples stay integer on disk and become floats
 when sliced into windows.
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +42,6 @@ class EmgRecording:
     cycle: int
     gesture: int
     samples: np.ndarray  # int array, shape (8, T)
-    sample_rate: int = SAMPLE_RATE
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -65,16 +66,11 @@ class Window:
     cycle: int = 0
     offset: int = 0
 
-    def key(self) -> tuple:
-        return (self.subject_id, self.round, self.cycle, self.label, self.offset)
-
 
 @dataclass
 class DatasetSplit:
     train: list
     test: list
-    subjects: list
-    cycles_used: int
 
 
 @dataclass
@@ -82,7 +78,6 @@ class AlignmentShift:
     """Circular channel shift that maps a subject onto the reference wearing."""
 
     shift: int
-    reference_profile: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         if not 0 <= self.shift < NUM_CHANNELS:
@@ -115,6 +110,8 @@ def read_manifest(root) -> dict:
             raise DataError(f"{path}: manifest missing field '{key}'")
     if manifest["num_channels"] != NUM_CHANNELS:
         raise DataError(f"{path}: num_channels must be {NUM_CHANNELS}")
+    if manifest["sample_rate"] != SAMPLE_RATE:
+        raise DataError(f"{path}: sample_rate must be {SAMPLE_RATE}")
     if manifest["schema"] not in _SCHEMAS:
         raise DataError(f"{path}: unknown schema '{manifest['schema']}'")
     return manifest
@@ -172,24 +169,14 @@ def load_dataset(root_path) -> list:
     Files are discovered in sorted path order so results are deterministic.
     """
     root = Path(root_path)
-    manifest = read_manifest(root)
+    read_manifest(root)
     recordings = []
     for path in sorted(root.glob("subject_*/round_*/cycle_*/gesture_*.csv")):
         m = _PATH_RE.search(path.as_posix())
         if m is None:
             raise DataError(f"{path}: unrecognized file placement")
         subject, rnd, cycle, gesture = (int(g) for g in m.groups())
-        samples = read_samples(path)
-        recordings.append(
-            EmgRecording(
-                subject_id=subject,
-                round=rnd,
-                cycle=cycle,
-                gesture=gesture,
-                samples=samples,
-                sample_rate=manifest["sample_rate"],
-            )
-        )
+        recordings.append(EmgRecording(subject, rnd, cycle, gesture, read_samples(path)))
     recordings.sort(key=lambda r: (r.subject_id, r.round, r.cycle, r.gesture))
     return recordings
 
@@ -245,24 +232,11 @@ def window_count(T: int, stride: int = DEFAULT_STRIDE) -> int:
     return (T - WINDOW_LENGTH) // stride + 1
 
 
-def compute_activation_profile(recordings, stride: int = DEFAULT_STRIDE) -> np.ndarray:
-    """Per-gesture, per-channel mean IEMG, rows L1-normalized.
+def activation_profile_from_windows(windows, expect_contiguous: bool = True) -> np.ndarray:
+    """Per-gesture, per-channel mean IEMG of the windows, rows L1-normalized.
 
     The profile drives inter-subject channel alignment: the most active
     channel per gesture should line up across subjects after shifting.
-    """
-    recordings = list(recordings)
-    if not recordings:
-        raise DataError("no recordings given")
-    windows = []
-    for rec in recordings:
-        windows.extend(slice_windows(rec, stride))
-    return activation_profile_from_windows(windows)
-
-
-def activation_profile_from_windows(windows, expect_contiguous: bool = True) -> np.ndarray:
-    """Same profile as compute_activation_profile, from pre-sliced windows.
-
     ``expect_contiguous=False`` permits gesture subsets (rows are then the
     sorted labels actually present).
     """
@@ -307,7 +281,7 @@ def find_alignment(reference: np.ndarray, candidate: np.ndarray) -> AlignmentShi
         for s in range(NUM_CHANNELS)
     ]
     best = int(np.argmin(costs))  # argmin returns the first (smallest) index on ties
-    return AlignmentShift(shift=best, reference_profile=reference)
+    return AlignmentShift(shift=best)
 
 
 def apply_shift(item, shift) -> "Window | EmgRecording":
@@ -347,7 +321,6 @@ def build_split(
     recs = list(recordings)
     if not recs:
         raise DataError("empty recording list")
-    subjects = sorted({r.subject_id for r in recs})
 
     if protocol == "myo-eval":
         if not 1 <= cycles <= 4:
@@ -360,7 +333,6 @@ def build_split(
         train_cycles = set(available[:cycles])
         train = _windows_for(recs, lambda r: r.round == 1 and r.cycle in train_cycles, stride)
         test = _windows_for(recs, lambda r: r.round in (2, 3), stride)
-        used = cycles
     elif protocol in ("ninapro", "out-of-sample"):
         if not 1 <= repetitions <= 4:
             raise ConfigError(f"repetitions must be in [1, 4], got {repetitions}")
@@ -380,13 +352,12 @@ def build_split(
         test = _windows_for(
             recs, lambda r: r.round == 1 and r.cycle in test_reps and keep(r), stride
         )
-        used = repetitions
     else:
         raise ConfigError(f"unknown protocol '{protocol}'")
 
     if not train or not test:
         raise DataError(f"protocol '{protocol}' produced an empty split")
-    return DatasetSplit(train=train, test=test, subjects=subjects, cycles_used=used)
+    return DatasetSplit(train=train, test=test)
 
 
 def windows_to_arrays(windows):

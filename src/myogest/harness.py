@@ -23,6 +23,7 @@ from .architectures import ARCHITECTURES, build_architecture
 from .dataset import (
     DEFAULT_STRIDE,
     SAMPLE_RATE,
+    WINDOW_LENGTH,
     DatasetSplit,
     EmgRecording,
     activation_profile_from_windows,
@@ -205,6 +206,15 @@ def save_source_checkpoint(source: SourceNetwork, path):
         net.metadata["reference_profile"] = np.asarray(source.reference_profile).tolist()
     net.save(path)
     return path
+
+
+def load_model_checkpoint(path):
+    """A saved model and its architecture; metadata without one is a DataError."""
+    net = load_network(path)
+    arch = net.metadata.get("architecture")
+    if arch is None:
+        raise DataError(f"{path}: checkpoint metadata has no 'architecture'")
+    return net, arch
 
 
 def load_source_checkpoint(path) -> SourceNetwork:
@@ -401,8 +411,9 @@ def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None
 def _run_ablation(cfg: ExperimentConfig) -> RunReport:
     """Augmentation comparison: train cycles 1-2 (augmented), validate on 3, test on 4.
 
-    Baseline examples are non-overlapping windows (stride 52); every other
-    technique doubles the training count per the multiplier contract.
+    Baseline examples are non-overlapping windows (stride WINDOW_LENGTH);
+    every other technique doubles the training count per the multiplier
+    contract.
     """
     kind, spec = parse_model(cfg.model)
     if kind != "net":
@@ -414,11 +425,11 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
         cyc = lambda c: [r for r in recs if r.cycle == c]
         if not (cyc(1) and cyc(2) and cyc(3) and cyc(4)):
             raise DataError(f"subject {subject}: ablation needs cycles 1-4 in round 1")
-        base_train = [w for c in (1, 2) for r in cyc(c) for w in slice_windows(r, 52)]
-        val_w = [w for r in cyc(3) for w in slice_windows(r, 52)]
-        test_w = [w for r in cyc(4) for w in slice_windows(r, 52)]
+        base_train = [w for c in (1, 2) for r in cyc(c) for w in slice_windows(r, WINDOW_LENGTH)]
+        val_w = [w for r in cyc(3) for w in slice_windows(r, WINDOW_LENGTH)]
+        test_w = [w for r in cyc(4) for w in slice_windows(r, WINDOW_LENGTH)]
         label_map = _label_mapping(base_train)
-        split = DatasetSplit(train=base_train, test=test_w, subjects=[subject], cycles_used=2)
+        split = DatasetSplit(train=base_train, test=test_w)
         X_val, y_val = _xy(val_w, spec, label_map)
         X_te, y_te = _xy(test_w, spec, label_map)
         for technique in TECHNIQUES:
@@ -493,8 +504,7 @@ def run_session_replay(session_file, checkpoint_path, skip_first_second=True, ou
     first ``SAMPLE_RATE`` samples; a hold too short for one window gets NaN
     accuracy.
     """
-    net = load_network(checkpoint_path)
-    arch = net.metadata["architecture"]
+    net, arch = load_model_checkpoint(checkpoint_path)
     subject = net.metadata.get("subject")
     shift = net.metadata.get("channel_shift", 0)
     timeline = []

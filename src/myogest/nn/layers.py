@@ -636,11 +636,8 @@ LAYER_REGISTRY = {
 }
 
 
-def layer_from_config(kind, config, frozen=False):
+def layer_from_config(kind, config):
     cls = LAYER_REGISTRY[kind]
     if kind in ("conv2d", "fully-connected"):
-        layer = cls(rng=np.random.default_rng(0), **config)
-    else:
-        layer = cls(**config)
-    layer.frozen = bool(frozen) or getattr(layer, "frozen", False)
-    return layer
+        return cls(rng=np.random.default_rng(0), **config)
+    return cls(**config)

@@ -132,25 +132,23 @@ class Network:
 
     # ---- execution -----------------------------------------------------
 
-    def forward(self, x, mode="eval", subject=None, rng=None, trace=False):
-        """Logits of ``x``; with ``trace`` also every node's output by name.
+    def forward(self, x, mode="eval", subject=None, rng=None):
+        """Logits of ``x``.
 
-        Eval without ``trace`` runs the plan of ``_plan_eval``: nodes that
-        cannot reach the logits are skipped, and a foldable BatchNorm is
-        folded into its producer's weights, recomputed from the current
-        parameters and the subject's bank on every call, whenever the
-        weights are no larger than the producer's output for this batch
-        (``_fold_pays``); otherwise the producer and the BatchNorm run as
-        they are.  With ``trace`` every node runs unfolded, so ``values``
-        holds each node's own output under its name.  Without ``trace`` each
-        output is dropped, in every mode, as soon as its last reader has run:
-        a layer may keep in its cache what ``backward`` needs, but the
-        network keeps no output alive past its last reader.
+        Eval runs the plan of ``_plan_eval``: nodes that cannot reach the
+        logits are skipped, and a foldable BatchNorm is folded into its
+        producer's weights, recomputed from the current parameters and the
+        subject's bank on every call, whenever the weights are no larger
+        than the producer's output for this batch (``_fold_pays``);
+        otherwise the producer and the BatchNorm run as they are.  Train
+        and finalize run every node through ``_forward_full``.  In every
+        mode each output is dropped as soon as its last reader has run: a
+        layer may keep in its cache what ``backward`` needs, but the network
+        keeps no output alive past its last reader.
         """
-        if mode == "eval" and not trace:
+        if mode == "eval":
             return self._forward_eval(np.asarray(x, dtype=np.float64), subject)
-        logits, values, _ = self._forward_full(x, mode, subject, rng, trace)
-        return (logits, values) if trace else logits
+        return self._forward_full(x, mode, subject, rng)[0]
 
     def _forward_eval(self, x, subject):
         ctx = Context(mode="eval", subject=subject)
@@ -172,14 +170,13 @@ class Network:
                 values[out_name] = bn.forward(ins, ctx)[0]
         return values[self.output_name]
 
-    def _forward_full(self, x, mode, subject, rng, trace=False):
-        """Run every node; returns ``(logits, values, caches)``.
+    def _forward_full(self, x, mode, subject, rng):
+        """Run every node in train or finalize mode; returns ``(logits, caches)``.
 
         Layer caches are kept in train mode only, the one mode
-        backpropagated.  Unless ``trace`` is set, each output leaves
-        ``values`` right after its last reader has run, so ``values`` ends
-        holding only the logits: a layer may keep in its cache what
-        ``backward`` needs, but ``values`` does not keep it alive.
+        backpropagated.  Each output leaves ``values`` right after its last
+        reader has run: a layer may keep in its cache what ``backward``
+        needs, but ``values`` does not keep it alive.
         """
         ctx = Context(mode=mode, subject=subject, rng=rng)
         values = {INPUT: np.asarray(x, dtype=np.float64)}
@@ -190,10 +187,9 @@ class Network:
                 values[node.name], caches[node.name] = node.layer.forward(ins, ctx)
             else:
                 values[node.name] = node.layer.forward(ins, ctx)[0]
-            if not trace:
-                for name in released:
-                    del values[name]
-        return values[self.output_name], values, caches
+            for name in released:
+                del values[name]
+        return values[self.output_name], caches
 
     def _reaches_trainable(self):
         """Names of the nodes whose output gradient reaches an unfrozen parameter."""
@@ -230,14 +226,10 @@ class Network:
 
     def train_batch(self, x, y, subject=None, rng=None):
         """Forward in train mode, softmax cross-entropy backward. Returns loss."""
-        logits, _, caches = self._forward_full(x, "train", subject, rng)
+        logits, caches = self._forward_full(x, "train", subject, rng)
         loss, dlogits = softmax_cross_entropy(logits, y)
         self.backward_from(dlogits, caches)
         return loss, logits
-
-    def predict_proba(self, x, subject=None):
-        """Class probabilities in deterministic eval mode."""
-        return softmax(self.forward(x, mode="eval", subject=subject))
 
     def predict(self, x, subject=None):
         """Argmax of the eval logits; softmax is monotone, so it is skipped."""
@@ -331,16 +323,14 @@ def _folded(params, scale, shift):
 
 
 def network_from_state(state) -> Network:
-    nodes = []
-    for entry in state["nodes"]:
-        layer = layer_from_config(entry["kind"], entry["config"], entry["frozen"])
-        node = Node(name=entry["name"], layer=layer, inputs=list(entry["inputs"]))
-        for k, payload in entry["params"].items():
-            layer.params[k] = _decode(payload)
-        layer.load_extra(entry.get("extra", {}))
-        layer.zero_grads()
-        nodes.append(node)
-    return Network(nodes=nodes, metadata=dict(state.get("metadata", {})))
+    """Build the layers from their configs, then load the state into them."""
+    nodes = [
+        Node(name=e["name"], layer=layer_from_config(e["kind"], e["config"]), inputs=list(e["inputs"]))
+        for e in state["nodes"]
+    ]
+    net = Network(nodes=nodes, metadata=dict(state.get("metadata", {})))
+    net.load_state_dict(state)
+    return net
 
 
 def load_network(path) -> Network:
@@ -351,6 +341,8 @@ def load_network(path) -> Network:
         return network_from_state(state)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise DataError(f"{path}: not a checkpoint ({type(exc).__name__}: {exc})") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None
 
 
 def _encode(arr: np.ndarray):
@@ -360,7 +352,7 @@ def _encode(arr: np.ndarray):
 
 def _decode(payload) -> np.ndarray:
     raw = base64.b64decode(payload["data"])
-    return np.frombuffer(raw, dtype="<f8").reshape(payload["shape"]).copy()
+    return np.frombuffer(raw, dtype="<f8").reshape(payload["shape"])
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

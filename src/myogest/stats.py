@@ -29,10 +29,8 @@ ALPHA = 0.05
 class LdaModel:
     classes: np.ndarray
     class_means: np.ndarray  # (C, D)
-    covariance: np.ndarray  # (D, D), pooled within-class, regularized if needed
     projection_basis: np.ndarray  # (D, C-1)
     priors: np.ndarray
-    regularized: bool = False
     _solve: np.ndarray = field(default=None, repr=False)  # covariance^-1 means^T
 
 
@@ -40,7 +38,7 @@ def lda_fit(features, labels) -> LdaModel:
     """Fit a shared-covariance discriminant with a Fisher projection basis.
 
     A singular pooled covariance gets ridge regularization with
-    lambda = 1e-6 trace / d (flagged on the model).
+    lambda = 1e-6 trace / d.
     """
     X = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels)
@@ -58,7 +56,6 @@ def lda_fit(features, labels) -> LdaModel:
     denom = max(1, n - len(classes))
     within /= denom
 
-    regularized = False
     ridge = 1e-6 * np.trace(within) / d if np.trace(within) > 0 else 1e-6
     for attempt in range(2):
         try:
@@ -66,7 +63,6 @@ def lda_fit(features, labels) -> LdaModel:
             break
         except np.linalg.LinAlgError:
             within = within + ridge * np.eye(d)
-            regularized = True
     else:
         raise NumericalError("covariance not positive definite after regularization")
 
@@ -83,14 +79,7 @@ def lda_fit(features, labels) -> LdaModel:
     order = np.argsort(vals)[::-1][: len(classes) - 1]
     basis = vecs[:, order]
 
-    model = LdaModel(
-        classes=classes,
-        class_means=means,
-        covariance=within,
-        projection_basis=basis,
-        priors=priors,
-        regularized=regularized,
-    )
+    model = LdaModel(classes=classes, class_means=means, projection_basis=basis, priors=priors)
     model._solve = np.linalg.solve(within, means.T)  # (D, C)
     return model
 
@@ -113,30 +102,42 @@ def lda_classify(model: LdaModel, features) -> np.ndarray:
 # K-nearest neighbors
 
 
+KNN_BLOCK = 64  # queries per distance block
+
+
 def knn_classify(train_features, train_labels, queries, k=5):
     """Majority vote among the k nearest; ties break by smaller mean distance,
-    then by smaller label."""
+    then by smaller label.
+
+    Distances are computed for ``KNN_BLOCK`` queries at a time, so memory
+    holds one (block x training x features) difference tensor, never the
+    whole query set's; each distance is the same per-row reduction either way.
+    """
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels)
     Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if k > len(X):
         raise ConfigError(f"k={k} exceeds training size {len(X)}")
-    dist = np.sqrt(((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
     out = np.empty(len(Q), dtype=y.dtype)
-    for i in range(len(Q)):
-        # stable sort keeps ties deterministic (lowest training index first)
-        nearest = np.argsort(dist[i], kind="stable")[:k]
-        labels = y[nearest]
-        candidates, votes = np.unique(labels, return_counts=True)
-        best_votes = votes.max()
-        tied = candidates[votes == best_votes]
-        if len(tied) == 1:
-            out[i] = tied[0]
-            continue
-        mean_dist = np.array([dist[i][nearest[labels == c]].mean() for c in tied])
-        best = tied[np.lexsort((tied, mean_dist))][0]
-        out[i] = best
+    for start in range(0, len(Q), KNN_BLOCK):
+        block = Q[start : start + KNN_BLOCK]
+        dist = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+        for i, row in enumerate(dist, start):
+            out[i] = _vote(row, y, k)
     return out
+
+
+def _vote(dist, y, k):
+    """Label of one query given its distance to every training example."""
+    # stable sort keeps ties deterministic (lowest training index first)
+    nearest = np.argsort(dist, kind="stable")[:k]
+    labels = y[nearest]
+    candidates, votes = np.unique(labels, return_counts=True)
+    tied = candidates[votes == votes.max()]
+    if len(tied) == 1:
+        return tied[0]
+    mean_dist = np.array([dist[nearest[labels == c]].mean() for c in tied])
+    return tied[np.lexsort((tied, mean_dist))][0]
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +149,8 @@ class StatResult:
     statistic: float
     p_value: float
     reject_h0: bool
-    ranks: np.ndarray = None
     n: int = 0
-    method: str = ""
-    degenerate: bool = False
+    method: str = ""  # "exact", "normal-approximation" or "degenerate"
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
@@ -187,7 +186,7 @@ def wilcoxon_one_tail(a, b, alpha: float = ALPHA) -> StatResult:
     d = d[d != 0.0]
     n = len(d)
     if n == 0:
-        return StatResult(0.0, 1.0, False, n=0, method="degenerate", degenerate=True)
+        return StatResult(0.0, 1.0, False, n=0, method="degenerate")
     if n < 5:
         raise DataError(f"need at least 5 non-zero differences, got {n}")
     ranks = _rank_with_ties(np.abs(d))
@@ -206,11 +205,11 @@ def wilcoxon_one_tail(a, b, alpha: float = ALPHA) -> StatResult:
         _, tie_counts = np.unique(ranks, return_counts=True)
         var -= np.sum(tie_counts**3 - tie_counts) / 48.0
         if var <= 0:
-            return StatResult(w_plus, 1.0, False, ranks=ranks, n=n, method="degenerate", degenerate=True)
+            return StatResult(w_plus, 1.0, False, n=n, method="degenerate")
         z = (w_plus - mu - 0.5) / math.sqrt(var)
         p = 1.0 - _phi(z)
         method = "normal-approximation"
-    return StatResult(w_plus, float(p), p < alpha, ranks=ranks, n=n, method=method)
+    return StatResult(w_plus, float(p), p < alpha, n=n, method=method)
 
 
 def wilcoxon_payload(res: StatResult) -> dict:
@@ -243,7 +242,6 @@ class FriedmanResult:
     p_value: float
     best_index: int
     comparisons: list  # (method_index, z, raw_p, adjusted_p, reject)
-    rank_table: np.ndarray
 
 
 def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool = True) -> FriedmanResult:
@@ -256,8 +254,7 @@ def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool =
         raise ConfigError("need at least 2 datasets x 2 methods")
     n, k = table.shape
     signed = -table if higher_is_better else table
-    rank_table = np.stack([_rank_with_ties(row) for row in signed])
-    mean_ranks = rank_table.mean(axis=0)
+    mean_ranks = np.stack([_rank_with_ties(row) for row in signed]).mean(axis=0)
 
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(mean_ranks**2) - k * (k + 1) ** 2 / 4.0)
     p_value = float(gammaincc((k - 1) / 2.0, max(chi2, 0.0) / 2.0))
@@ -280,7 +277,6 @@ def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool =
         p_value=p_value,
         best_index=best,
         comparisons=comparisons,
-        rank_table=rank_table,
     )
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import EmgRecording, save_recording, write_manifest
+from .dataset import SAMPLE_RATE, EmgRecording, save_recording, write_manifest
 
 GESTURE_FREQS = [12.0, 24.0, 36.0, 48.0, 60.0, 72.0, 84.0]
 
@@ -25,13 +25,12 @@ def synth_recording(
     rotation: int = 0,
     amplitude: float = 40.0,
     noise: float = 3.0,
-    sample_rate: int = 200,
     seed: int = 0,
 ) -> EmgRecording:
     rng = np.random.default_rng(
         np.random.SeedSequence([seed, subject_id, round_idx, cycle, gesture])
     )
-    t = np.arange(n_samples) / sample_rate
+    t = np.arange(n_samples) / SAMPLE_RATE
     freq = GESTURE_FREQS[gesture % len(GESTURE_FREQS)]
     data = rng.normal(0.0, noise, size=(8, n_samples))
     main = gesture % 8
@@ -43,14 +42,7 @@ def synth_recording(
         idx = (np.arange(8) + rotation) % 8
         data = data[idx]
     samples = np.clip(np.rint(data), -128, 127).astype(np.int64)
-    return EmgRecording(
-        subject_id=subject_id,
-        round=round_idx,
-        cycle=cycle,
-        gesture=gesture,
-        samples=samples,
-        sample_rate=sample_rate,
-    )
+    return EmgRecording(subject_id, round_idx, cycle, gesture, samples)
 
 
 def generate_synthetic_recordings(

@@ -44,14 +44,6 @@ class SourceNetwork:
 @dataclass
 class TargetNetwork:
     network: Network
-    scalar_groups: list  # one list of ScalarScale node names per connected stage
-    num_classes: int
-
-    def set_scalars(self, value: float):
-        for group in self.scalar_groups:
-            for name in group:
-                layer = self.network.node(name).layer
-                layer.params["coeff"][...] = value
 
 
 def _is_bn(node: Node) -> bool:
@@ -81,8 +73,26 @@ def pretrain(net: Network, X, y, subjects, cfg: TrainConfig) -> SourceNetwork:
     return SourceNetwork(network=net, pretrain_subjects=kept)
 
 
+def _feature_width(net: Network, name: str) -> int:
+    """Channels (or neurons) of node ``name``'s output.
+
+    Read from the ``num_features`` of the nearest layer feeding it (PReLU,
+    PELU or BatchNorm); pooling and dropout between keep the width.
+    """
+    node = net.node(name)
+    while not hasattr(node.layer, "num_features"):
+        node = net.node(node.inputs[0])
+    return node.layer.num_features
+
+
 def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) -> TargetNetwork:
-    """Wire a fresh PELU-only second network onto the frozen source."""
+    """Wire a fresh PELU-only second network onto the frozen source.
+
+    The second network's output at each stage is summed with the source's
+    output at that stage, scaled per channel (or neuron) by a ScalarScale
+    initialized at 1 whose width is the source stage's ``_feature_width``.
+    The caller's source network is cloned, never run or changed.
+    """
     src_net = source.network
     md = src_net.metadata
     num_classes = num_classes if num_classes is not None else md["num_classes"]
@@ -96,10 +106,6 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
         **extra,
     )
 
-    # one trace of the source fixes the feature width at every stage output
-    shape = [2] + list(md["input_shape"])
-    _, src_values = src_net.forward(np.zeros(shape), mode="eval", trace=True)
-
     # source layers are shared state; copy them so target training can't alias
     nodes = [
         Node(
@@ -112,7 +118,6 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
 
     # Second-network nodes, with stage outputs rerouted through sum ports
     merge_of = {}  # second stage-output name -> merge node name
-    scalar_groups = []
     src_stages = md["stage_outputs"]
     snd_stages = second.metadata["stage_outputs"]
     if [len(g) for g in src_stages] != [len(g) for g in snd_stages]:
@@ -130,7 +135,6 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
         for j, name in enumerate(group):
             stage_by_node[SECOND_PREFIX + name] = (k, j)
 
-    planned_groups = [[] for _ in src_stages]
     for node in snd_nodes:
         new_name = SECOND_PREFIX + node.name
         nodes.append(
@@ -139,13 +143,12 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
         if new_name in stage_by_node:
             k, j = stage_by_node[new_name]
             src_out = SOURCE_PREFIX + src_stages[k][j]
-            width = src_values[src_stages[k][j]].shape[1]
+            width = _feature_width(src_net, src_stages[k][j])
             scale_name = f"scale{k + 1}_{j}"
             merge_name = f"merge{k + 1}_{j}"
             nodes.append(Node(name=scale_name, layer=ScalarScale(width, init=1.0), inputs=[src_out]))
             nodes.append(Node(name=merge_name, layer=Sum(), inputs=[new_name, scale_name]))
             merge_of[new_name] = merge_name
-            planned_groups[k].append(scale_name)
 
     merged = Network(
         nodes=nodes,
@@ -157,7 +160,7 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
         },
     )
     merged.forward(np.zeros([2] + list(second.metadata["input_shape"])), mode="eval")
-    return TargetNetwork(network=merged, scalar_groups=planned_groups, num_classes=num_classes)
+    return TargetNetwork(network=merged)
 
 
 def _prefix_ref(ref, prefix):

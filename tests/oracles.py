@@ -265,6 +265,24 @@ def wilcoxon_exact_enum(diffs):
     return count / 2.0**n
 
 
+def knn_classify_direct(train_features, train_labels, queries, k=5):
+    """k-NN vote (majority, then smaller mean distance, then smaller label)
+    over the whole (queries x training x features) difference tensor at once."""
+    X = np.asarray(train_features, dtype=np.float64)
+    y = np.asarray(train_labels)
+    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    dist = np.sqrt(((Q[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
+    out = np.empty(len(Q), dtype=y.dtype)
+    for i, row in enumerate(dist):
+        nearest = np.argsort(row, kind="stable")[:k]
+        labels = y[nearest]
+        candidates, votes = np.unique(labels, return_counts=True)
+        tied = candidates[votes == votes.max()]
+        mean_dist = np.array([row[nearest[labels == c]].mean() for c in tied])
+        out[i] = tied[np.lexsort((tied, mean_dist))][0]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -439,7 +457,7 @@ def gradcheck(net, x, y, tol=1e-4):
     from myogest.nn.network import softmax_cross_entropy
 
     net.zero_grads()
-    logits, _, caches = net._forward_full(x, "train", None, None)
+    logits, caches = net._forward_full(x, "train", None, None)
     _, dlogits = softmax_cross_entropy(logits, y)
     net.backward_from(dlogits, caches)
     failures = [

@@ -119,7 +119,9 @@ def test_extract_writes_the_feature_matrix(data, tmp_path, capsys):
     assert header[:9] == keys + ["mav_ch0_0", "zc_ch0_0", "ssc_ch0_0", "wl_ch0_0"]
     assert header == keys + [f"{name}_ch{ch}_{i}" for name, ch, i in layout]
     table = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    assert table[:, :5].tolist() == [list(w.key()[:3]) + [w.label, w.offset] for w in windows]
+    assert table[:, :5].tolist() == [
+        [w.subject_id, w.round, w.cycle, w.label, w.offset] for w in windows
+    ]
     assert np.array_equal(table[:, 5:], matrix)
 
 
@@ -184,13 +186,20 @@ def test_exit_code_batch_size_one(data, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "payload,match",
-    [({"knn_kk": 3}, "knn_kk"), ({"knn_k": 3}, "knn_k"), ([{"seeds": [1]}], "JSON object")],
-    ids=["unknown-key", "removed-key", "top-level-list"],
+    "content,match",
+    [
+        (json.dumps({"knn_kk": 3}).encode(), "knn_kk"),
+        (json.dumps({"knn_k": 3}).encode(), "knn_k"),
+        (json.dumps([{"seeds": [1]}]).encode(), "JSON object"),
+        (None, "run.json"),
+        (b"\xff{}", "run.json"),
+    ],
+    ids=["unknown-key", "removed-key", "top-level-list", "missing-file", "not-utf8"],
 )
-def test_exit_code_bad_config_file(data, tmp_path, capsys, payload, match):
+def test_exit_code_bad_config_file(data, tmp_path, capsys, content, match):
     config = tmp_path / "run.json"
-    config.write_text(json.dumps(payload))
+    if content is not None:
+        config.write_bytes(content)
     code = cli.main(["--config", str(config), "train", "--dataset", str(data / "eval"),
                      "--model", "TD+lda"])
     assert code == cli.EXIT_CONFIG
@@ -432,8 +441,23 @@ def test_replay_bad_session_is_a_data_error(tmp_path, capsys, checkpoint, text):
     assert "session.csv" in capsys.readouterr().err
 
 
+def _checkpoint_text(version=None, drop_metadata=()):
+    state = build_architecture("raw-1d", num_classes=7, seed=5).state_dict()
+    state["metadata"] = {k: v for k, v in state["metadata"].items() if k not in drop_metadata}
+    return json.dumps({**state, "version": version or state["version"]})
+
+
 @pytest.mark.parametrize(
-    "content", [None, "not json", "{}", "[1, 2]"], ids=["missing", "not-json", "no-nodes", "list"]
+    "content",
+    [
+        None,
+        "not json",
+        "{}",
+        "[1, 2]",
+        _checkpoint_text(version=99),
+        _checkpoint_text(drop_metadata=("architecture",)),
+    ],
+    ids=["missing", "not-json", "no-nodes", "list", "version-99", "no-architecture"],
 )
 def test_bad_checkpoint_is_a_data_error(data, tmp_path, capsys, content):
     path = tmp_path / "model.json"

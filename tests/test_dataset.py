@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,9 @@ from myogest.dataset import (
     AlignmentShift,
     EmgRecording,
     Window,
+    activation_profile_from_windows,
     apply_shift,
     build_split,
-    compute_activation_profile,
     find_alignment,
     load_dataset,
     read_samples,
@@ -17,6 +19,15 @@ from myogest.dataset import (
     write_manifest,
 )
 from myogest.errors import ConfigError, DataError, DegenerateProfileError
+
+
+def profile_of(recordings):
+    """Activation profile of the recordings' default-stride windows."""
+    return activation_profile_from_windows([w for rec in recordings for w in slice_windows(rec)])
+
+
+def window_key(w):
+    return (w.subject_id, w.round, w.cycle, w.label, w.offset)
 
 
 def make_rec(gesture=0, T=120, value=1, subject=1, rnd=1, cycle=1):
@@ -39,6 +50,13 @@ class TestLoadDataset:
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(DataError, match="manifest"):
+            load_dataset(tmp_path)
+
+    def test_manifest_sample_rate_other_than_200_rejected(self, tmp_path):
+        write_manifest(tmp_path, ["a"])
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({**json.loads(path.read_text()), "sample_rate": 1000}))
+        with pytest.raises(DataError, match="manifest.json: sample_rate must be 200"):
             load_dataset(tmp_path)
 
     def test_out_of_range_sample_names_file(self, tmp_path):
@@ -145,7 +163,7 @@ class TestActivationProfile:
     def test_all_zero_is_degenerate(self):
         recs = [make_rec(gesture=g, value=0) for g in range(3)]
         with pytest.raises(DegenerateProfileError):
-            compute_activation_profile(recs)
+            profile_of(recs)
 
     def test_one_hot_channel(self):
         recs = []
@@ -153,7 +171,7 @@ class TestActivationProfile:
             samples = np.zeros((8, 120), dtype=np.int64)
             samples[2] = 5
             recs.append(EmgRecording(1, 1, 1, g, samples))
-        profile = compute_activation_profile(recs)
+        profile = profile_of(recs)
         expected = np.zeros(8)
         expected[2] = 1.0
         assert np.allclose(profile, np.stack([expected, expected]))
@@ -162,13 +180,13 @@ class TestActivationProfile:
         # channel c held at amplitude c+1 -> row (1..8)/36
         samples = np.tile(np.arange(1, 9, dtype=np.int64)[:, None], (1, 120))
         rec = EmgRecording(1, 1, 1, 0, samples)
-        profile = compute_activation_profile([rec])
+        profile = profile_of([rec])
         assert np.allclose(profile[0], np.arange(1, 9) / 36.0, atol=1e-12)
 
     def test_missing_gesture_reported(self):
         recs = [make_rec(gesture=0), make_rec(gesture=2)]
         with pytest.raises(DataError, match=r"\[1\]"):
-            compute_activation_profile(recs)
+            profile_of(recs)
 
 
 class TestAlignment:
@@ -221,13 +239,13 @@ class TestApplyShift:
         recs = [EmgRecording(1, 1, 1, g, samples * (g + 1) // 4) for g in range(3)]
         for g, rec in enumerate(recs):
             rec.samples[g] += 50  # distinct per-gesture activation
-        reference = compute_activation_profile(recs)
+        reference = profile_of(recs)
         for r in range(8):
             shifted = [apply_shift(rec, r) for rec in recs]
-            cand = compute_activation_profile(shifted)
+            cand = profile_of(shifted)
             s = find_alignment(reference, cand)
             aligned = [apply_shift(rec, s) for rec in shifted]
-            assert np.allclose(compute_activation_profile(aligned), reference, atol=1e-12)
+            assert np.allclose(profile_of(aligned), reference, atol=1e-12)
 
     def test_window_shift(self):
         w = Window(data=np.arange(8)[:, None] * np.ones((8, 52)), label=0, subject_id=1)
@@ -246,7 +264,6 @@ class TestBuildSplit:
         recs = [r for r in load_dataset(small_dataset) if r.subject_id == 1]
         split = build_split(recs, "myo-eval", cycles=2)
         assert {w.cycle for w in split.train} == {1, 2}
-        assert split.cycles_used == 2
 
     def test_ninapro_single_repetition(self, ninapro_dataset):
         recs = load_dataset(ninapro_dataset)
@@ -268,12 +285,12 @@ class TestBuildSplit:
             ("myo-eval", {"cycles": 1}),
         ]:
             split = build_split(recs, protocol, **kwargs)
-            train_keys = {w.key() for w in split.train}
-            test_keys = {w.key() for w in split.test}
+            train_keys = {window_key(w) for w in split.train}
+            test_keys = {window_key(w) for w in split.test}
             assert not train_keys & test_keys
         nina = load_dataset(ninapro_dataset)
         split = build_split(nina, "ninapro", repetitions=4)
-        assert not {w.key() for w in split.train} & {w.key() for w in split.test}
+        assert not {window_key(w) for w in split.train} & {window_key(w) for w in split.test}
 
     def test_too_many_cycles_errors(self, small_dataset):
         recs = [r for r in load_dataset(small_dataset) if r.subject_id == 1]

@@ -122,14 +122,9 @@ def test_backward_skips_what_no_parameter_reads():
 def test_caches_are_kept_in_train_mode_only():
     net = build_architecture("raw-1d", num_classes=3, widths=NARROW["raw-1d"], seed=1)
     x, _ = _batch("raw-1d")
-    for mode in ("eval", "finalize"):
-        assert net._forward_full(x, mode, None, None)[2] == {}
-    logits, values, caches = net._forward_full(x, "train", None, np.random.default_rng(0))
+    assert net._forward_full(x, "finalize", None, None)[1] == {}
+    _, caches = net._forward_full(x, "train", None, np.random.default_rng(0))
     assert set(caches) == {node.name for node in net.nodes}
-    # every other output left ``values`` after its last reader; only the logits remain
-    assert values.keys() == {net.output_name} and values[net.output_name] is logits
-    _, values, _ = net._forward_full(x, "train", None, np.random.default_rng(0), trace=True)
-    assert set(values) == {"input"} | set(caches)
 
 
 @pytest.mark.parametrize(
@@ -208,14 +203,13 @@ def test_folded_eval_matches_oracle_on_merged_target_per_subject_bank():
     assert not np.allclose(net.forward(x, subject=1), net.forward(x, subject=2))
 
 
-def test_trace_returns_every_node_unfolded():
+def test_narrow_and_merged_eval_logits_match_the_unfolded_oracle():
     rng = np.random.default_rng(13)
     nets = [build_architecture(a, num_classes=3, widths=NARROW[a], seed=1) for a in sorted(NARROW)]
     for net in nets + [_merged_cwt_target(rng)]:
         _randomize(net, rng, subjects=(1,))
         x = rng.standard_normal((4, *net.metadata["input_shape"]))
-        logits, values = net.forward(x, subject=1, trace=True)
-        assert set(values) == {"input"} | {node.name for node in net.nodes}
+        logits = net.forward(x, subject=1)
         np.testing.assert_allclose(logits, oracles.eval_forward_direct(net, x, 1), atol=1e-12)
 
 
@@ -271,9 +265,6 @@ def test_eval_skips_the_source_head_that_cannot_reach_the_logits():
     x = rng.standard_normal((4, *INPUT_SHAPES["cwt"]))
     net.predict(x, subject=3)
     assert "src/head" not in calls and "snd/head" in calls
-    calls.clear()
-    _, values = net.forward(x, subject=3, trace=True)
-    assert "src/head" in calls and "src/head" in values
 
 
 def test_fold_only_where_the_weights_are_no_larger_than_the_output():

@@ -1,9 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.stats import friedmanchisquare
 
 import oracles
-from myogest.stats import friedman_holm, holm_adjust, knn_classify, wilcoxon_one_tail
+from myogest.stats import KNN_BLOCK, friedman_holm, holm_adjust, knn_classify, wilcoxon_one_tail
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -63,3 +65,32 @@ def test_knn_tied_votes_and_mean_distance_go_to_the_smaller_label():
     # label 7 at distances 1 and 3, label 3 at 2 and 2: both means are 2
     train = [(1.0, 7), (3.0, 7), (-2.0, 3), (2.0, 3), (9.0, 0)]
     assert _knn_1d(train, 0.0, k=4) == 3
+
+
+@pytest.mark.parametrize("k", [1, 4, 5])
+def test_knn_in_query_blocks_equals_the_whole_tensor_form(k):
+    rng = np.random.default_rng(k)
+    # small integer coordinates give tied distances and tied votes
+    X = rng.integers(0, 4, (60, 3)).astype(float)
+    y = rng.integers(0, 4, 60)
+    Q = rng.integers(0, 4, (2 * KNN_BLOCK + 7, 3)).astype(float)
+    assert np.array_equal(knn_classify(X, y, Q, k=k), oracles.knn_classify_direct(X, y, Q, k=k))
+    X, Q = rng.standard_normal((200, 16)), rng.standard_normal((KNN_BLOCK + 1, 16))
+    y = rng.integers(0, 7, 200)
+    assert np.array_equal(knn_classify(X, y, Q, k=k), oracles.knn_classify_direct(X, y, Q, k=k))
+
+
+def test_knn_peak_memory_is_one_query_block():
+    # the whole-tensor form holds all 1000 x 300 x 16 differences at once
+    # (41 MB peak); one block of 64 queries peaks at 3 MB
+    rng = np.random.default_rng(6)
+    X, y = rng.standard_normal((300, 16)), rng.integers(0, 7, 300)
+    Q = rng.standard_normal((1000, 16))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        knn_classify(X, y, Q)
+        peak_mb = (tracemalloc.get_traced_memory()[1] - base) / 1e6
+    finally:
+        tracemalloc.stop()
+    assert peak_mb < 8

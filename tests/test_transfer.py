@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import oracles
-from myogest.architectures import INPUT_SHAPES, build_architecture
+from myogest.architectures import ARCHITECTURES, INPUT_SHAPES, build_architecture
 from myogest.nn import TrainConfig
 from myogest.transfer import (
     SOURCE_PREFIX,
@@ -74,7 +74,9 @@ def test_train_target_leaves_the_source_frozen(source):
 
 def test_zeroed_scalars_give_the_second_network_alone(source):
     target = build_target(source, seed=4)
-    target.set_scalars(0.0)
+    for node in target.network.nodes:
+        if node.layer.kind == "scalar-scale":
+            node.layer.params["coeff"][...] = 0.0
     second = build_architecture(
         "cwt", num_classes=CLASSES, widths=WIDTHS, activation="pelu", seed=4
     )
@@ -132,3 +134,32 @@ def test_gradcheck_merged_target():
     worst, failures = oracles.gradcheck(target.network, X, np.arange(6) % 3)
     assert failures == []
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_build_target_reads_stage_widths_without_running_the_source(arch):
+    # a narrow fully connected stage keeps the raw nets' two million weights out
+    widths = {"fc": 16} if arch in ("raw", "enhanced-raw", "raw-1d") else None
+    net = build_architecture(arch, num_classes=3, widths=widths, seed=1)
+    for node in net.nodes:
+        if node.layer.kind == "batch-norm":
+            node.layer.banks.clear()  # no bank an eval run could fall back on
+    before = net.to_json()
+    target = build_target(SourceNetwork(net, pretrain_subjects=[]), seed=2)
+    assert net.to_json() == before
+    widths = {}
+    for node in net.nodes:
+        def record(xs, ctx, _name=node.name, _inner=node.layer.forward):
+            out, cache = _inner(xs, ctx)
+            widths[_name] = out.shape[1]
+            return out, cache
+
+        node.layer.forward = record
+    net.forward(np.zeros((2, *INPUT_SHAPES[arch])), mode="finalize")
+    scales = {
+        node.inputs[0]: node.layer.num_features
+        for node in target.network.nodes
+        if node.layer.kind == "scalar-scale"
+    }
+    stages = [name for group in net.metadata["stage_outputs"] for name in group]
+    assert scales == {SOURCE_PREFIX + name: widths[name] for name in stages}
