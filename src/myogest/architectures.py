@@ -94,8 +94,8 @@ class _Builder:
         raise ConfigError(f"unknown activation '{kind}'")
 
 
-def _finish(builder, name, num_classes, widths, branch_count, input_shape=None, **extra_metadata):
-    input_shape = list(input_shape or INPUT_SHAPES[name])
+def _finish(builder, name, num_classes, widths, branch_count):
+    input_shape = list(INPUT_SHAPES[name])
     net = Network(
         nodes=builder.nodes,
         metadata={
@@ -106,7 +106,6 @@ def _finish(builder, name, num_classes, widths, branch_count, input_shape=None, 
             "learning_rate_default": LEARNING_RATES[name],
             "branch_count": branch_count,
             "widths": widths,
-            **extra_metadata,
         },
     )
     # dry run to catch any shape mismatch at construction time
@@ -196,24 +195,19 @@ def build_enhanced_raw_net(num_classes=7, widths=None, activation="mixed", seed=
     return _finish(b, "enhanced-raw", num_classes, w, 1)
 
 
-def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0, in_channels=8) -> Network:
-    """1-D variant treating EMG channels as image channels; FC width 256.
-
-    ``in_channels=4`` accepts the reduced-electrode configuration (channels
-    1, 3, 5 and 8 removed from the armband).
-    """
+def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Network:
+    """1-D variant treating the 8 EMG channels as image channels; FC width 256."""
     w = {"c1": 32, "c2": 32, "fc": 256}
     w.update(widths or {})
     act = "prelu" if activation == "mixed" else activation
     b = _Builder(seed)
-    c1 = b.conv_stage("c1", "input", in_channels, w["c1"], 1, 5, act, pool=(1, 3))
+    c1 = b.conv_stage("c1", "input", 8, w["c1"], 1, 5, act, pool=(1, 3))
     c2 = b.conv_stage("c2", c1, w["c1"], w["c2"], 1, 5, act, pool=(1, 3))
     flat = b.add("flatten", Flatten(), [c2])
     fc = b.fc_stage("fc4", flat, w["c2"] * 1 * 4, w["fc"], act)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [c2], [fc]]
-    input_shape = (in_channels, 1, WINDOW_LENGTH)
-    return _finish(b, "raw-1d", num_classes, w, 1, input_shape, in_channels=in_channels)
+    return _finish(b, "raw-1d", num_classes, w, 1)
 
 
 ARCHITECTURES = {
@@ -225,10 +219,10 @@ ARCHITECTURES = {
 }
 
 
-def build_architecture(name, num_classes=7, widths=None, activation=None, seed=0, **kwargs) -> Network:
+def build_architecture(name, num_classes=7, widths=None, activation=None, seed=0) -> Network:
     if name not in ARCHITECTURES:
         raise ConfigError(f"unknown architecture '{name}' (choose from {sorted(ARCHITECTURES)})")
     builder = ARCHITECTURES[name]
     if activation is None:
-        return builder(num_classes=num_classes, widths=widths, seed=seed, **kwargs)
-    return builder(num_classes=num_classes, widths=widths, activation=activation, seed=seed, **kwargs)
+        return builder(num_classes=num_classes, widths=widths, seed=seed)
+    return builder(num_classes=num_classes, widths=widths, activation=activation, seed=seed)

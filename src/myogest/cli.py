@@ -5,14 +5,18 @@ stats.  A JSON config file (--config) supplies ExperimentConfig fields;
 explicit flags override it.  ``train --save-models DIR`` saves, per subject,
 the model scored at the first seed (the merged transfer network under
 --transfer); its metadata records ``subject`` and ``channel_shift``, which
-evaluate and replay apply, and the ``stride`` and ``gesture_subset`` that
-evaluate rebuilds the test split with.  ``--train-overrides`` takes a JSON
-object of TrainConfig keys: learning_rate, batch_size, dropout_rate,
-patience_epochs, max_epochs and seed.  Exit codes: 0 success, 2
-configuration error, 3 data error, 4 numerical failure.  A --config file
-that is missing or unreadable, and an unknown key there or in
---train-overrides, exit 2; a checkpoint that cannot be read, has an
-unsupported version or has no ``architecture`` in its metadata exits 3.
+evaluate and replay apply, and the ``protocol``, ``cycles``,
+``repetitions``, ``gesture_subset`` and ``stride`` that evaluate rebuilds
+the test split with, so evaluate takes only --dataset and --checkpoint.
+A checkpoint without those split keys is scored on the defaults
+(myo-eval, 4 cycles, 4 repetitions, all gestures, stride 5).
+``--train-overrides`` takes a JSON object of TrainConfig keys:
+learning_rate, batch_size, dropout_rate, patience_epochs, max_epochs and
+seed.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
+numerical failure.  A --config file that is missing or unreadable, and an
+unknown key there or in --train-overrides, exit 2; a checkpoint that cannot
+be read, has an unsupported version or has no ``architecture`` in its
+metadata exits 3.
 """
 
 from __future__ import annotations
@@ -26,12 +30,8 @@ from pathlib import Path
 
 import numpy as np
 
-from . import harness
 from .dataset import (
-    DEFAULT_STRIDE,
     EmgRecording,
-    apply_shift,
-    build_split,
     load_dataset,
     read_rows,
     read_samples,
@@ -45,7 +45,7 @@ from .harness import (
     ExperimentConfig,
     check_keys,
     emit_report,
-    load_model_checkpoint,
+    evaluate_checkpoint,
     pretrain_source,
     run_experiment,
     run_report_from_json,
@@ -189,29 +189,7 @@ def cmd_train(args):
 
 
 def cmd_evaluate(args):
-    net, arch = load_model_checkpoint(args.checkpoint)
-    subject = net.metadata.get("subject")
-    recordings = load_dataset(args.dataset)
-    if subject is not None:
-        recordings = [r for r in recordings if r.subject_id == subject]
-    if not recordings:
-        raise DataError("no recordings for the checkpoint's subject")
-    # checkpoints saved before the split settings were recorded used the defaults
-    split = build_split(
-        recordings,
-        args.protocol,
-        cycles=args.cycles,
-        repetitions=args.repetitions,
-        gesture_subset=net.metadata.get("gesture_subset"),
-        stride=net.metadata.get("stride", DEFAULT_STRIDE),
-    )
-    label_map = harness._label_mapping(split.train)
-    shift = net.metadata.get("channel_shift", 0)
-    test_w = [apply_shift(w, shift) for w in split.test]
-    X_te, y_te = harness._xy(test_w, arch, label_map)
-    pred = net.predict(X_te, subject=subject)
-    acc = float((pred == y_te).mean())
-    print(json.dumps({"subject": subject, "test_accuracy": acc, "n_windows": len(y_te)}))
+    print(json.dumps(evaluate_checkpoint(args.dataset, args.checkpoint)))
     return EXIT_OK
 
 
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="emit a feature matrix CSV")
     p.add_argument("--dataset", required=True)
     p.add_argument("--feature-set", default="TD")
-    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
+    p.add_argument("--stride", type=int, default=ExperimentConfig.stride)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("pretrain", help="pre-train a shared source network")
@@ -328,17 +306,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
     p.add_argument(
         "--save-models",
-        help="directory for the model scored at the first seed, one per subject, "
-        "with subject and channel_shift metadata",
+        help="directory for the model scored at the first seed, one per subject; its "
+        "metadata records subject, channel_shift, protocol, cycles, repetitions, "
+        "gesture_subset and stride",
     )
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="evaluate a saved model checkpoint")
+    p = sub.add_parser(
+        "evaluate",
+        help="score a saved model on the test split its metadata records (subject, "
+        "channel_shift, protocol, cycles, repetitions, gesture_subset, stride)",
+    )
     p.add_argument("--dataset", required=True)
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--protocol", default="myo-eval")
-    p.add_argument("--cycles", type=int, default=4)
-    p.add_argument("--repetitions", type=int, default=4)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("replay", help="replay a recorded session against a model")

@@ -103,8 +103,12 @@ def read_manifest(root) -> dict:
     path = Path(root) / "manifest.json"
     if not path.is_file():
         raise DataError(f"missing manifest: {path}")
-    with open(path) as fh:
-        manifest = json.load(fh)
+    try:
+        manifest = json.loads(path.read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: manifest is not valid JSON ({exc})") from None
+    if not isinstance(manifest, dict):
+        raise DataError(f"{path}: manifest must be a JSON object")
     for key in ("sample_rate", "num_channels", "gesture_names", "schema"):
         if key not in manifest:
             raise DataError(f"{path}: manifest missing field '{key}'")

@@ -62,6 +62,8 @@ from .transfer import (
 SPLIT_PROTOCOLS = ("myo-eval", "ninapro", "out-of-sample")  # one train/test split per subject
 PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction", "session-replay")
 CLASSIFIERS = ("lda", "knn")
+# the ExperimentConfig fields build_split takes; a saved model records them
+SPLIT_KEYS = ("protocol", "cycles", "repetitions", "gesture_subset", "stride")
 
 
 @dataclass
@@ -267,6 +269,24 @@ def _xy(windows, architecture, label_map):
     return X, y
 
 
+def _subject_split(recordings, subject, settings: dict):
+    """``subject``'s split (every recording's when None) under the SPLIT_KEYS ``settings``."""
+    if subject is not None:
+        recordings = [r for r in recordings if r.subject_id == subject]
+    if not recordings:
+        raise DataError(f"dataset has no recordings of subject {subject}")
+    return build_split(recordings, **settings)
+
+
+def _predict(net, X, subject):
+    """Predictions of ``net``; only a transfer model keeps per-subject batch-norm banks."""
+    return net.predict(X, subject=subject if net.metadata.get("transfer") else None)
+
+
+def _accuracy(net, X, y, subject) -> float:
+    return float((_predict(net, X, subject) == y).mean())
+
+
 def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     """Run the configured protocol and return (and optionally save) its report.
 
@@ -274,8 +294,9 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     subject as ``model_s<subject>_seed<seed>.json``: the merged target
     network under transfer, the plain network otherwise.  Its metadata
     records ``subject``, ``channel_shift`` (the alignment shift applied to
-    that subject's windows, 0 when none was), and the ``stride`` and
-    ``gesture_subset`` the split was built with.
+    that subject's windows, 0 when none was), and the split it was scored
+    on: ``protocol``, ``cycles``, ``repetitions``, ``gesture_subset`` and
+    ``stride``.  ``evaluate_checkpoint`` rebuilds that split from them.
     """
     started = time.time()
     if models_dir is not None:
@@ -329,18 +350,11 @@ def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
     kind, spec = parse_model(cfg.model)
     source = load_source_checkpoint(cfg.source_checkpoint) if cfg.transfer else None
     recordings, subjects = _grouped_recordings(cfg)
+    settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
     flags = []
     accuracies = {}
     for subject in subjects:
-        recs = [r for r in recordings if r.subject_id == subject]
-        split = build_split(
-            recs,
-            cfg.protocol,
-            cycles=cfg.cycles,
-            repetitions=cfg.repetitions,
-            gesture_subset=cfg.gesture_subset,
-            stride=cfg.stride,
-        )
+        split = _subject_split(recordings, subject, settings)
         train_w, test_w = split.train, split.test
         shift = 0
         if cfg.transfer and source is not None and source.reference_profile is not None:
@@ -374,15 +388,9 @@ def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
                 net = build_architecture(spec, num_classes=num_classes, seed=seed)
                 tc = make_train_config(net.metadata, cfg.train, seed)
                 train(net, X_tr, y_tr, tc)
-            pred = net.predict(X_te, subject=subject if cfg.transfer else None)
-            per_seed.append(float((pred == y_te).mean()))
+            per_seed.append(_accuracy(net, X_te, y_te, subject))
             if models_dir is not None and seed == cfg.seeds[0]:
-                net.metadata.update(
-                    subject=int(subject),
-                    channel_shift=int(shift),
-                    stride=int(cfg.stride),
-                    gesture_subset=cfg.gesture_subset,
-                )
+                net.metadata.update(settings, subject=int(subject), channel_shift=int(shift))
                 net.save(models_dir / f"model_s{subject}_seed{seed}.json")
         accuracies[subject] = per_seed
     method = cfg.model + ("+TL" if cfg.transfer else "")
@@ -467,6 +475,25 @@ def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
     )
 
 
+def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
+    """Score a model saved by ``run_experiment`` on the split it was scored on.
+
+    The split, subject and channel shift come from the checkpoint's metadata.
+    A checkpoint saved before a key was recorded gets ExperimentConfig's
+    default for it (``myo-eval``, 4 cycles, 4 repetitions, all gestures,
+    ``DEFAULT_STRIDE``) and shift 0.
+    """
+    net, arch = load_model_checkpoint(checkpoint_path)
+    md = net.metadata
+    subject = md.get("subject")
+    settings = {k: md.get(k, getattr(ExperimentConfig, k)) for k in SPLIT_KEYS}
+    split = _subject_split(load_dataset(dataset), subject, settings)
+    test_w = [apply_shift(w, md.get("channel_shift", 0)) for w in split.test]
+    X_te, y_te = _xy(test_w, arch, _label_mapping(split.train))
+    acc = _accuracy(net, X_te, y_te, subject)
+    return {"subject": subject, "test_accuracy": acc, "n_windows": len(y_te)}
+
+
 # ---------------------------------------------------------------------------
 # Session replay
 
@@ -502,7 +529,7 @@ def run_session_replay(session_file, checkpoint_path, skip_first_second=True, ou
     The checkpoint's ``channel_shift`` is applied to every hold before it is
     windowed at ``DEFAULT_STRIDE``; ``skip_first_second`` drops each hold's
     first ``SAMPLE_RATE`` samples; a hold too short for one window gets NaN
-    accuracy.
+    accuracy.  Only a transfer model is run with the checkpoint's ``subject``.
     """
     net, arch = load_model_checkpoint(checkpoint_path)
     subject = net.metadata.get("subject")
@@ -524,7 +551,7 @@ def run_session_replay(session_file, checkpoint_path, skip_first_second=True, ou
                 subject_id=-1, round=0, cycle=0, gesture=hold["label"], samples=samples
             )
             windows = slice_windows(apply_shift(rec, shift))
-            pred = net.predict(transform_windows(windows, arch), subject=subject)
+            pred = _predict(net, transform_windows(windows, arch), subject)
             entry["accuracy"] = int((pred == hold["label"]).sum()) / len(windows)
         timeline.append(entry)
     if out_path:

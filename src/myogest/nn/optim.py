@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import numpy as np
 
+# the defaults of Kingma & Ba 2015, "Adam: A Method for Stochastic Optimization"
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 class Adam:
-    def __init__(self, net, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, net, lr):
         self.net = net
         self.lr = float(lr)
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.t = 0
         self.m = {}
         self.v = {}
@@ -20,21 +24,21 @@ class Adam:
 
     def step(self):
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for (node_name, pname), m in self.m.items():
             layer = self.net.node(node_name).layer
             if layer.frozen:
                 continue
             g = layer.grads[pname]
             v = self.v[(node_name, pname)]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            layer.params[pname] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            layer.params[pname] -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
         for node in self.net.nodes:
             if not node.layer.frozen:
                 node.layer.project()

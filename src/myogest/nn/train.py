@@ -59,14 +59,20 @@ class TrainHistory:
 
 
 def _subject_batches(indices, subjects, batch_size, rng):
-    """Subject-homogeneous batches interleaved round-robin across subjects."""
-    owners = np.asarray(subjects)[indices]
+    """Subject-homogeneous batches interleaved round-robin across subjects.
+
+    Without ``subjects`` every window is in one group, tagged None.
+    """
+    if subjects is None:
+        groups = [(None, np.array(indices))]
+    else:
+        owners = np.asarray(subjects)[indices]
+        groups = [(int(subj), indices[owners == subj]) for subj in np.unique(owners)]
     queues = []
-    for subj in np.unique(owners):
-        idx = indices[owners == subj]
+    for subj, idx in groups:
         rng.shuffle(idx)
         batches = [
-            (int(subj), idx[p : p + batch_size])
+            (subj, idx[p : p + batch_size])
             for p in range(0, len(idx), batch_size)
             if len(idx[p : p + batch_size]) >= 2
         ]
@@ -81,16 +87,6 @@ def _subject_batches(indices, subjects, batch_size, rng):
                 remaining.append(q)
         queues = remaining
     return out
-
-
-def _plain_batches(indices, batch_size, rng):
-    idx = np.array(indices)
-    rng.shuffle(idx)
-    return [
-        (None, idx[p : p + batch_size])
-        for p in range(0, len(idx), batch_size)
-        if len(idx[p : p + batch_size]) >= 2
-    ]
 
 
 def evaluate_loss(net, X, y, subjects=None):
@@ -159,12 +155,8 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
     consecutive_decays = 0
 
     for epoch in range(cfg.max_epochs):
-        if subjects is not None:
-            batches = _subject_batches(train_idx, subjects, cfg.batch_size, rng)
-        else:
-            batches = _plain_batches(train_idx, cfg.batch_size, rng)
         epoch_loss, seen = 0.0, 0
-        for subj, sel in batches:
+        for subj, sel in _subject_batches(train_idx, subjects, cfg.batch_size, rng):
             net.zero_grads()
             loss, _ = net.train_batch(X[sel], y[sel], subject=subj, rng=dropout_rng)
             opt.step()

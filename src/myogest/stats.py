@@ -171,8 +171,8 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def wilcoxon_one_tail(a, b, alpha: float = ALPHA) -> StatResult:
-    """One-tail Wilcoxon signed-rank test of the alternative ``a > b``.
+def wilcoxon_one_tail(a, b) -> StatResult:
+    """One-tail Wilcoxon signed-rank test of the alternative ``a > b`` at ``ALPHA``.
 
     Zero differences are dropped.  Exact enumeration of the 2^n sign
     assignments for n <= 12; otherwise normal approximation with tie
@@ -209,7 +209,7 @@ def wilcoxon_one_tail(a, b, alpha: float = ALPHA) -> StatResult:
         z = (w_plus - mu - 0.5) / math.sqrt(var)
         p = 1.0 - _phi(z)
         method = "normal-approximation"
-    return StatResult(w_plus, float(p), p < alpha, n=n, method=method)
+    return StatResult(w_plus, float(p), p < ALPHA, n=n, method=method)
 
 
 def wilcoxon_payload(res: StatResult) -> dict:
@@ -244,17 +244,17 @@ class FriedmanResult:
     comparisons: list  # (method_index, z, raw_p, adjusted_p, reject)
 
 
-def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool = True) -> FriedmanResult:
+def friedman_holm(accuracy_table) -> FriedmanResult:
     """Friedman mean ranks plus Holm post-hoc comparisons against the best.
 
-    Rows are datasets (e.g. subjects), columns are methods.  Rank 1 is best.
+    Rows are datasets (e.g. subjects), columns are methods.  Rank 1 is the
+    highest accuracy; adjusted p-values below ``ALPHA`` reject.
     """
     table = np.asarray(accuracy_table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ConfigError("need at least 2 datasets x 2 methods")
     n, k = table.shape
-    signed = -table if higher_is_better else table
-    mean_ranks = np.stack([_rank_with_ties(row) for row in signed]).mean(axis=0)
+    mean_ranks = np.stack([_rank_with_ties(-row) for row in table]).mean(axis=0)
 
     chi2 = 12.0 * n / (k * (k + 1)) * (np.sum(mean_ranks**2) - k * (k + 1) ** 2 / 4.0)
     p_value = float(gammaincc((k - 1) / 2.0, max(chi2, 0.0) / 2.0))
@@ -268,7 +268,7 @@ def friedman_holm(accuracy_table, alpha: float = ALPHA, higher_is_better: bool =
         raw.append(2.0 * (1.0 - _phi(abs(z))))
     adjusted = holm_adjust(raw) if raw else np.array([])
     comparisons = [
-        (j, (mean_ranks[j] - mean_ranks[best]) / se, raw[i], float(adjusted[i]), adjusted[i] < alpha)
+        (j, (mean_ranks[j] - mean_ranks[best]) / se, raw[i], float(adjusted[i]), adjusted[i] < ALPHA)
         for i, j in enumerate(others)
     ]
     return FriedmanResult(

@@ -96,14 +96,12 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
     src_net = source.network
     md = src_net.metadata
     num_classes = num_classes if num_classes is not None else md["num_classes"]
-    extra = {"in_channels": md["in_channels"]} if "in_channels" in md else {}
     second = build_architecture(
         md["architecture"],
         num_classes=num_classes,
         widths=md["widths"],
         activation="pelu",
         seed=seed,
-        **extra,
     )
 
     # source layers are shared state; copy them so target training can't alias

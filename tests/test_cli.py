@@ -8,9 +8,10 @@ from myogest import cli
 from myogest.architectures import build_architecture
 from myogest.augment import TECHNIQUES
 from myogest.dataset import build_split, load_dataset, slice_windows
-from myogest.errors import NumericalError
+from myogest.errors import ConfigError, NumericalError
 from myogest.features import feature_matrix
-from myogest.nn import TrainConfig, load_network
+from myogest.harness import SPLIT_KEYS, run_experiment
+from myogest.nn import BatchNorm, TrainConfig, load_network
 from myogest.synthetic import generate_synthetic_dataset
 
 TRAIN = json.dumps({"max_epochs": 1, "patience_epochs": 2, "batch_size": 16})
@@ -38,8 +39,20 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def _strict_bank_lookup(monkeypatch):
+    """Make a missing batch-norm bank raise instead of falling back to ``__default__``."""
+    lookup = BatchNorm.eval_affine
+
+    def strict(self, key):
+        if key not in self.banks:
+            raise ConfigError(f"no batch-norm bank for {key!r}")
+        return lookup(self, key)
+
+    monkeypatch.setattr(BatchNorm, "eval_affine", strict)
+
+
 @pytest.mark.parametrize("transfer", [True, False])
-def test_saved_models_score_the_report(data, tmp_path, capsys, transfer):
+def test_saved_models_score_the_report(data, tmp_path, capsys, monkeypatch, transfer):
     extra = []
     if transfer:
         source = tmp_path / "source.json"
@@ -54,6 +67,8 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, transfer):
     assert code == 0
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["seeds"] == SEEDS
+    recordings = load_dataset(data / "eval")
+    _strict_bank_lookup(monkeypatch)  # a plain model is scored on its trained default bank
     for subject in (1, 2):
         path = models / f"model_s{subject}_seed{SEEDS[0]}.json"
         meta = load_network(path).metadata
@@ -62,10 +77,24 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, transfer):
         assert isinstance(meta["channel_shift"], int)
         if not transfer:
             assert meta["channel_shift"] == 0
-        code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint", path,
-                        "--cycles", 2)
+        assert {k: meta[k] for k in SPLIT_KEYS} == {
+            "protocol": "myo-eval", "cycles": 2, "repetitions": 4, "gesture_subset": None,
+            "stride": 5,
+        }
+        code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint", path)
         assert code == 0
-        assert json.loads(out)["test_accuracy"] == report["accuracies"][str(subject)][0]
+        result = json.loads(out)
+        assert result["test_accuracy"] == report["accuracies"][str(subject)][0]
+        recs = [r for r in recordings if r.subject_id == subject]
+        assert result["n_windows"] == len(build_split(recs, "myo-eval", cycles=2).test)
+        rec = next(r for r in recs if r.round == 2)
+        session = tmp_path / f"session{subject}.csv"
+        rows = [[t / 200.0, rec.gesture, *column] for t, column in enumerate(rec.samples.T)]
+        np.savetxt(session, np.array(rows), delimiter=",")
+        code, out = run(capsys, "replay", "--session", session, "--checkpoint", path,
+                        "--include-first-second")
+        assert code == 0
+        assert json.loads(out)["holds"] == 1
     assert sorted(p.name for p in models.iterdir()) == [
         f"model_s{s}_seed{SEEDS[0]}.json" for s in (1, 2)
     ]
@@ -85,7 +114,7 @@ def test_evaluate_rebuilds_the_split_of_the_run(data, tmp_path, capsys):
         recs = [r for r in recordings if r.subject_id == subject]
         scored = build_split(recs, "myo-eval", cycles=2, stride=10).test
         code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint",
-                        models / f"model_s{subject}_seed{SEEDS[0]}.json", "--cycles", 2)
+                        models / f"model_s{subject}_seed{SEEDS[0]}.json")
         assert code == 0
         result = json.loads(out)
         assert result["n_windows"] == len(scored)
@@ -98,13 +127,64 @@ def test_evaluate_out_of_sample_checkpoint(ninapro_dataset, tmp_path, capsys):
     models = tmp_path / "models"
     code, _ = run(capsys, "--config", config, "--out", tmp_path / "run", "train",
                   "--dataset", ninapro_dataset, "--protocol", "out-of-sample", "--model", "raw-1d",
-                  "--train-overrides", TRAIN, "--save-models", models)
+                  "--repetitions", 2, "--train-overrides", TRAIN, "--save-models", models)
     assert code == 0
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     code, out = run(capsys, "evaluate", "--dataset", ninapro_dataset, "--checkpoint",
-                    models / f"model_s1_seed{SEEDS[0]}.json", "--protocol", "out-of-sample")
+                    models / f"model_s1_seed{SEEDS[0]}.json")
     assert code == 0
-    assert json.loads(out)["test_accuracy"] == report["accuracies"]["1"][0]
+    result = json.loads(out)
+    assert result["test_accuracy"] == report["accuracies"]["1"][0]
+    scored = build_split(load_dataset(ninapro_dataset), "out-of-sample", repetitions=2,
+                         gesture_subset=[0, 2, 4]).test
+    assert result["n_windows"] == len(scored)
+
+
+def _with_metadata(src, dst, **changes):
+    """Copy checkpoint ``src`` to ``dst`` with metadata keys set (None deletes one)."""
+    state = json.loads(src.read_text())
+    for key, value in changes.items():
+        state["metadata"].pop(key, None)
+        if value is not None:
+            state["metadata"][key] = value
+    dst.write_text(json.dumps(state))
+    return dst
+
+
+def test_checkpoint_without_split_keys_evaluates_on_the_default_split(data, tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"seeds": [SEEDS[0]], "subjects": [1]}))
+    models = tmp_path / "models"
+    code, _ = run(capsys, "--config", config, "--out", tmp_path / "run", "train",
+                  "--dataset", data / "eval", "--protocol", "ninapro", "--repetitions", 2,
+                  "--model", "raw-1d", "--train-overrides", TRAIN, "--save-models", models)
+    assert code == 0
+    report = json.loads((tmp_path / "run" / "report.json").read_text())
+    saved = models / f"model_s1_seed{SEEDS[0]}.json"
+    recs = [r for r in load_dataset(data / "eval") if r.subject_id == 1]
+    results = {}
+    for name, changes in [
+        ("recorded", {}),
+        ("stripped", {"protocol": None, "cycles": None, "repetitions": None}),
+        ("defaults", {"protocol": "myo-eval", "cycles": 4, "repetitions": 4}),
+    ]:
+        path = _with_metadata(saved, tmp_path / f"{name}.json", **changes)
+        code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint", path)
+        assert code == 0
+        results[name] = json.loads(out)
+    assert results["recorded"]["test_accuracy"] == report["accuracies"]["1"][0]
+    assert results["recorded"]["n_windows"] == len(build_split(recs, "ninapro", repetitions=2).test)
+    assert results["stripped"] == results["defaults"]
+    assert results["stripped"]["n_windows"] == len(build_split(recs, "myo-eval").test)
+    assert results["stripped"]["n_windows"] != results["recorded"]["n_windows"]
+
+
+def test_evaluate_takes_no_split_flags(data, tmp_path, capsys, checkpoint):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["evaluate", "--dataset", str(data / "eval"), "--checkpoint", str(checkpoint),
+                  "--cycles", "2"])
+    assert exc.value.code == cli.EXIT_CONFIG
+    assert "--cycles" in capsys.readouterr().err
 
 
 def test_extract_writes_the_feature_matrix(data, tmp_path, capsys):
@@ -229,9 +309,28 @@ def test_docstring_lists_every_train_override():
     assert all(name in cli.__doc__ and name in cli.TRAIN_OVERRIDES_HELP for name in names)
 
 
+def test_docs_name_every_saved_metadata_key(capsys):
+    helps = []  # the subcommand list (evaluate's help, not the module docstring), train's options
+    for argv in (["--help"], ["train", "--help"]):
+        with pytest.raises(SystemExit):
+            cli.main(argv)
+        helps.append(" ".join(capsys.readouterr().out.split("positional arguments:")[-1].split()))
+    for key in ("subject", "channel_shift", *SPLIT_KEYS):
+        for text in (cli.__doc__, run_experiment.__doc__, *helps):
+            assert key in text, (key, text[:60])
+
+
 def test_exit_code_missing_manifest(tmp_path, capsys):
     code, _ = run(capsys, "train", "--dataset", tmp_path, "--model", "TD+lda")
     assert code == cli.EXIT_DATA == 3
+
+
+@pytest.mark.parametrize("text", ["{not json", "7"], ids=["not-json", "not-an-object"])
+def test_exit_code_malformed_manifest(tmp_path, capsys, text):
+    (tmp_path / "manifest.json").write_text(text)
+    code = cli.main(["train", "--dataset", str(tmp_path), "--model", "TD+lda"])
+    assert code == cli.EXIT_DATA
+    assert "manifest.json" in capsys.readouterr().err
 
 
 def test_exit_code_numerical_failure(data, capsys, monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 import oracles
 from myogest.architectures import ARCHITECTURES, INPUT_SHAPES, build_architecture
+from myogest.harness import load_source_checkpoint, save_source_checkpoint
 from myogest.nn import TrainConfig
 from myogest.transfer import (
     SOURCE_PREFIX,
@@ -163,3 +164,13 @@ def test_build_target_reads_stage_widths_without_running_the_source(arch):
     }
     stages = [name for group in net.metadata["stage_outputs"] for name in group]
     assert scales == {SOURCE_PREFIX + name: widths[name] for name in stages}
+
+
+def test_raw_1d_source_saved_with_in_channels_still_transfers(tmp_path):
+    # raw-1d checkpoints once recorded the fixed 8 input channels as metadata
+    net = build_architecture("raw-1d", num_classes=3, widths={"fc": 16}, seed=1)
+    net.metadata["in_channels"] = 8
+    save_source_checkpoint(SourceNetwork(net, pretrain_subjects=[1]), tmp_path / "source.json")
+    target = build_target(load_source_checkpoint(tmp_path / "source.json"), seed=2)
+    X = np.zeros((2, *INPUT_SHAPES["raw-1d"]))
+    assert target.network.predict(X).shape == (2,)
