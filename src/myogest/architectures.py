@@ -94,23 +94,17 @@ class _Builder:
         raise ConfigError(f"unknown activation '{kind}'")
 
 
-def _finish(builder, name, num_classes, widths, branch_count):
-    input_shape = list(INPUT_SHAPES[name])
-    net = Network(
+def _finish(builder, name, num_classes, widths):
+    """The built network; it is not run, so its BatchNorms hold no statistics yet."""
+    return Network(
         nodes=builder.nodes,
         metadata={
             "architecture": name,
-            "input_shape": input_shape,
             "num_classes": num_classes,
             "stage_outputs": builder.stage_outputs,
-            "learning_rate_default": LEARNING_RATES[name],
-            "branch_count": branch_count,
             "widths": widths,
         },
     )
-    # dry run to catch any shape mismatch at construction time
-    net.forward(np.zeros((2, *input_shape)), mode="eval")
-    return net
 
 
 def build_spectrogram_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Network:
@@ -136,7 +130,7 @@ def build_spectrogram_net(num_classes=7, widths=None, activation="mixed", seed=0
     fc5 = b.fc_stage("fc5", fc4, w["fc4"], w["fc5"], fc_act)
     b.add("head", Dense(w["fc5"], num_classes, rng=b.rng), [fc5])
     b.stage_outputs = [c1_outs, c2_outs, [c3], [fc4], [fc5]]
-    return _finish(b, "spectrogram", num_classes, w, 2)
+    return _finish(b, "spectrogram", num_classes, w)
 
 
 def build_cwt_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Network:
@@ -164,7 +158,7 @@ def build_cwt_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Net
     fc5 = b.fc_stage("fc5", fc4, w["fc4"], w["fc5"], fc_act)
     b.add("head", Dense(w["fc5"], num_classes, rng=b.rng), [fc5])
     b.stage_outputs = [c1_outs, c2_outs, [c3], [fc4], [fc5]]
-    return _finish(b, "cwt", num_classes, w, 4)
+    return _finish(b, "cwt", num_classes, w)
 
 
 def build_raw_net(num_classes=7, widths=None, activation=None, seed=0) -> Network:
@@ -177,7 +171,7 @@ def build_raw_net(num_classes=7, widths=None, activation=None, seed=0) -> Networ
     fc = b.fc_stage("fc4", flat, w["c1"] * 8 * 16, w["fc"], "relu", bn=False, dropout=False)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [fc]]
-    return _finish(b, "raw", num_classes, w, 1)
+    return _finish(b, "raw", num_classes, w)
 
 
 def build_enhanced_raw_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Network:
@@ -192,7 +186,7 @@ def build_enhanced_raw_net(num_classes=7, widths=None, activation="mixed", seed=
     fc = b.fc_stage("fc4", flat, w["c2"] * 8 * 4, w["fc"], act)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [c2], [fc]]
-    return _finish(b, "enhanced-raw", num_classes, w, 1)
+    return _finish(b, "enhanced-raw", num_classes, w)
 
 
 def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0) -> Network:
@@ -207,7 +201,7 @@ def build_raw_1d_net(num_classes=7, widths=None, activation="mixed", seed=0) -> 
     fc = b.fc_stage("fc4", flat, w["c2"] * 1 * 4, w["fc"], act)
     b.add("head", Dense(w["fc"], num_classes, rng=b.rng), [fc])
     b.stage_outputs = [[c1], [c2], [fc]]
-    return _finish(b, "raw-1d", num_classes, w, 1)
+    return _finish(b, "raw-1d", num_classes, w)
 
 
 ARCHITECTURES = {

@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: convert, extract, pretrain, train, evaluate, replay, report,
-stats.  A JSON config file (--config) supplies ExperimentConfig fields;
-explicit flags override it.  ``train --save-models DIR`` saves, per subject,
-the model scored at the first seed (the merged transfer network under
---transfer); its metadata records ``subject`` and ``channel_shift``, which
-evaluate and replay apply, and the ``protocol``, ``cycles``,
+stats.  A JSON config file (--config) supplies ExperimentConfig fields; a
+flag that is given overrides the file, and a field that neither sets keeps
+ExperimentConfig's default.  ``train --save-models DIR`` saves, per
+subject, the model scored at the first seed (the merged transfer network
+under --transfer); its metadata records ``subject`` and ``channel_shift``,
+which evaluate and replay apply, and the ``protocol``, ``cycles``,
 ``repetitions``, ``gesture_subset`` and ``stride`` that evaluate rebuilds
 the test split with, so evaluate takes only --dataset and --checkpoint.
 A checkpoint without those split keys is scored on the defaults
@@ -291,18 +292,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pretrain", help="pre-train a shared source network")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--model", default="cwt")
+    p.add_argument("--model")
     p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run a training protocol end to end")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--protocol", default="myo-eval")
-    p.add_argument("--model", default="cwt")
+    p.add_argument("--protocol")
+    p.add_argument("--model")
     p.add_argument("--transfer", action="store_true")
     p.add_argument("--source", help="source checkpoint for --transfer")
-    p.add_argument("--cycles", type=int, default=4)
-    p.add_argument("--repetitions", type=int, default=4)
+    p.add_argument("--cycles", type=int)
+    p.add_argument("--repetitions", type=int)
     p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
     p.add_argument(
         "--save-models",

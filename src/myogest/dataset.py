@@ -16,6 +16,7 @@ when sliced into windows.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from dataclasses import dataclass, replace
@@ -167,6 +168,21 @@ def read_samples(path) -> np.ndarray:
 _PATH_RE = re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.csv$")
 
 
+def _gesture_files(root) -> list:
+    """Every gesture file of the canonical tree under ``root``, in sorted path order."""
+    return sorted(Path(root).glob("subject_*/round_*/cycle_*/gesture_*.csv"))
+
+
+def dataset_content_hash(root) -> str:
+    """SHA-256 over the relative path and bytes of each file ``load_dataset`` reads."""
+    root = Path(root)
+    h = hashlib.sha256()
+    for path in sorted([root / "manifest.json", *_gesture_files(root)]):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def load_dataset(root_path) -> list:
     """Load every recording under the canonical directory tree.
 
@@ -175,7 +191,7 @@ def load_dataset(root_path) -> list:
     root = Path(root_path)
     read_manifest(root)
     recordings = []
-    for path in sorted(root.glob("subject_*/round_*/cycle_*/gesture_*.csv")):
+    for path in _gesture_files(root):
         m = _PATH_RE.search(path.as_posix())
         if m is None:
             raise DataError(f"{path}: unrecognized file placement")

@@ -10,7 +10,6 @@ seed repeats the same value.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .augment import TECHNIQUES, augment_dataset
-from .architectures import ARCHITECTURES, build_architecture
+from .architectures import ARCHITECTURES, LEARNING_RATES, build_architecture
 from .dataset import (
     DEFAULT_STRIDE,
     SAMPLE_RATE,
@@ -29,6 +28,7 @@ from .dataset import (
     activation_profile_from_windows,
     apply_shift,
     build_split,
+    dataset_content_hash,
     find_alignment,
     load_dataset,
     read_rows,
@@ -39,6 +39,7 @@ from .dataset import (
 from .errors import ConfigError, DataError
 from .features import FEATURE_SETS, feature_matrix
 from .nn import TrainConfig, load_network, train
+from .nn.layers import DEFAULT_SUBJECT
 from .stats import (
     friedman_holm,
     friedman_payload,
@@ -60,7 +61,7 @@ from .transfer import (
 )
 
 SPLIT_PROTOCOLS = ("myo-eval", "ninapro", "out-of-sample")  # one train/test split per subject
-PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction", "session-replay")
+PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction")
 CLASSIFIERS = ("lda", "knn")
 # the ExperimentConfig fields build_split takes; a saved model records them
 SPLIT_KEYS = ("protocol", "cycles", "repetitions", "gesture_subset", "stride")
@@ -133,17 +134,6 @@ def run_report_from_json(payload) -> RunReport:
     return RunReport(**payload)
 
 
-def dataset_content_hash(root) -> str:
-    """SHA-256 over the manifest and every gesture file (sorted paths)."""
-    root = Path(root)
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*")):
-        if path.is_file():
-            h.update(path.relative_to(root).as_posix().encode())
-            h.update(path.read_bytes())
-    return h.hexdigest()
-
-
 INPUT_SCALE = 1.0 / 128.0  # armband samples are integers in [-128, 127]
 
 
@@ -193,12 +183,9 @@ def check_keys(cls, payload, what: str) -> dict:
 
 
 def make_train_config(net_metadata: dict, overrides: dict, seed: int) -> TrainConfig:
-    kwargs = {
-        "learning_rate": net_metadata.get("learning_rate_default", 0.002),
-        "seed": seed,
-    }
-    kwargs.update(check_keys(TrainConfig, overrides or {}, "TrainConfig"))
-    return TrainConfig(**kwargs)
+    learning_rate = LEARNING_RATES[net_metadata["architecture"]]
+    overrides = check_keys(TrainConfig, overrides or {}, "TrainConfig")
+    return TrainConfig(**{"learning_rate": learning_rate, "seed": seed, **overrides})
 
 
 def save_source_checkpoint(source: SourceNetwork, path):
@@ -221,6 +208,10 @@ def load_model_checkpoint(path):
 
 def load_source_checkpoint(path) -> SourceNetwork:
     net = load_network(path)
+    for node in net.nodes:
+        # sources saved when building ran the network carry an unused unit bank
+        if node.layer.kind == "batch-norm":
+            node.layer.banks.pop(DEFAULT_SUBJECT, None)
     profile = net.metadata.get("reference_profile")
     return SourceNetwork(
         network=net,
@@ -308,10 +299,8 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
         report = _run_protocol(cfg, models_dir)
     elif cfg.protocol == "augmentation-ablation":
         report = _run_ablation(cfg)
-    elif cfg.protocol == "dim-reduction":
-        report = _run_dim_reduction(cfg)
     else:
-        raise ConfigError("session replay runs through run_session_replay / the replay command")
+        report = _run_dim_reduction(cfg)
     report.wall_clock_s = time.time() - started
     if cfg.out_dir:
         report.save(cfg.out_dir)

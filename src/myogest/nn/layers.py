@@ -32,6 +32,10 @@ Forward context carries the execution mode:
                 passes dropout through without calling it
 - ``finalize``  full-batch statistics written into the subject's bank
 
+BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
+only train and finalize create; eval reads it only through
+``BatchNorm.eval_affine``, which raises ConfigError for a subject without one.
+
 Only ``train`` mode is ever backpropagated.  Conv2d and Dense take an
 optional ``params`` dict that replaces their own for one call; the eval
 fold passes its folded weights and bias that way.  A frozen Conv2d keeps
@@ -252,7 +256,7 @@ class BatchNorm(Layer):
 
     gamma/beta are shared learned parameters; (mean, var) statistics live in
     a dict keyed by subject so distinct subjects never mix.  ``finalize``
-    mode overwrites the current subject's entry with exact full-batch
+    mode writes the current subject's entry with exact full-batch
     moments, which is how final inference statistics are produced.
     """
 
@@ -265,14 +269,6 @@ class BatchNorm(Layer):
         self.params["beta"] = np.zeros(num_features)
         self.banks = {}
         self.zero_grads()
-
-    def _bank(self, key):
-        if key not in self.banks:
-            self.banks[key] = {
-                "mean": np.zeros(self.num_features),
-                "var": np.ones(self.num_features),
-            }
-        return self.banks[key]
 
     @staticmethod
     def _axes(x):
@@ -288,9 +284,11 @@ class BatchNorm(Layer):
     def eval_affine(self, key):
         """Eval statistics as ``(scale, shift)``: ``out = x * scale + shift``.
 
-        Reads the bank of ``key``, else the ``__default__`` bank.
+        A ``key`` with no bank, never trained or finalized, raises ConfigError.
         """
-        bank = self.banks.get(key) or self._bank(DEFAULT_SUBJECT)
+        if key not in self.banks:
+            raise ConfigError(f"batch-norm has no statistics for subject {key}: {list(self.banks)}")
+        bank = self.banks[key]
         scale = self.params["gamma"] / np.sqrt(bank["var"] + BN_EPS)
         return scale, self.params["beta"] - bank["mean"] * scale
 
@@ -307,11 +305,11 @@ class BatchNorm(Layer):
         centered = x - self._reshape(mean, x.ndim)
         out = centered * centered  # the squares, later overwritten by the output
         var = out.mean(axis=axes)
-        bank = self._bank(key)
         if ctx.mode == "finalize":
-            bank["mean"] = mean.copy()
-            bank["var"] = var.copy()
+            self.banks[key] = {"mean": mean, "var": var}
         else:
+            start = {"mean": np.zeros(self.num_features), "var": np.ones(self.num_features)}
+            bank = self.banks.setdefault(key, start)
             bank["mean"] = (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean
             bank["var"] = (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var
         inv_std = 1.0 / np.sqrt(var + BN_EPS)

@@ -140,8 +140,10 @@ class Network:
         producer's weights, recomputed from the current parameters and the
         subject's bank on every call, whenever the weights are no larger
         than the producer's output for this batch (``_fold_pays``);
-        otherwise the producer and the BatchNorm run as they are.  Train
-        and finalize run every node through ``_forward_full``.  In every
+        otherwise the producer and the BatchNorm run as they are.  Each
+        BatchNorm reads ``subject``'s bank through ``BatchNorm.eval_affine``,
+        so eval raises ConfigError on a network never trained or finalized.
+        Train and finalize run every node through ``_forward_full``.  In every
         mode each output is dropped as soon as its last reader has run: a
         layer may keep in its cache what ``backward`` needs, but the network
         keeps no output alive past its last reader.

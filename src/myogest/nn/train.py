@@ -10,7 +10,8 @@ stops after two consecutive decays with no improvement between them.  An
 epoch counts as an improvement when its validation loss beats the best by
 more than ``MIN_IMPROVEMENT`` (1e-5), this implementation's tolerance.  The
 best-validation weights are returned, and per-subject batch-norm statistics
-are finalized with one full pass over the training data.
+are finalized with one full pass over the training data.  ``max_epochs`` 0
+runs no epoch and only finalizes the statistics a network predicts with.
 """
 
 from __future__ import annotations
@@ -125,8 +126,6 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
     n = len(y)
-    if cfg.max_epochs == 0:
-        return TrainHistory()
     rng = np.random.default_rng(cfg.seed)
     dropout_rng = np.random.default_rng(rng.integers(2**63))
 

@@ -12,6 +12,10 @@ element-wise summation at each stage output; the source contribution into
 every sum passes through a learned per-channel (or per-neuron) scaling
 layer initialized at 1.  Setting all scaling coefficients to zero makes the
 combined network behave exactly like the second network alone.
+
+Nothing here runs a network it builds: the source's batch-norm banks are its
+pre-training subjects', ``train_target`` adds the new user's, and no
+``__default__`` bank exists, so the merged network predicts only per subject.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 from .architectures import build_architecture
 from .errors import ConfigError
 from .nn import Network, Node, ScalarScale, Sum, TrainConfig, train
-from .nn.layers import DEFAULT_SUBJECT
 
 log = logging.getLogger(__name__)
 
@@ -91,7 +94,9 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
     The second network's output at each stage is summed with the source's
     output at that stage, scaled per channel (or neuron) by a ScalarScale
     initialized at 1 whose width is the source stage's ``_feature_width``.
-    The caller's source network is cloned, never run or changed.
+    Neither the caller's source network (it is cloned) nor the merged one
+    is run: a source whose ``widths`` disagree with its layers fails the
+    first forward pass, at a sum port's shape check (ConfigError).
     """
     src_net = source.network
     md = src_net.metadata
@@ -151,13 +156,12 @@ def build_target(source: SourceNetwork, num_classes: int = None, seed: int = 1) 
     merged = Network(
         nodes=nodes,
         metadata={
-            **{k: v for k, v in second.metadata.items()},
+            **second.metadata,
             "architecture": md["architecture"],
             "transfer": True,
             "source_num_classes": md["num_classes"],
         },
     )
-    merged.forward(np.zeros([2] + list(second.metadata["input_shape"])), mode="eval")
     return TargetNetwork(network=merged)
 
 
@@ -166,14 +170,11 @@ def _prefix_ref(ref, prefix):
 
 
 def prepare_target_subject(target: TargetNetwork, subject: int):
-    """Seed the new subject's BN banks from the mean of pre-training banks."""
+    """Seed the new subject's source BN banks from the mean of the pre-training banks."""
     for node in target.network.nodes:
-        if not _is_bn(node) or not node.name.startswith(SOURCE_PREFIX):
-            continue
-        banks = node.layer.banks
-        pools = [v for k, v in banks.items() if k != DEFAULT_SUBJECT]
-        if pools:
-            banks[int(subject)] = {
+        if _is_bn(node) and node.name.startswith(SOURCE_PREFIX) and node.layer.banks:
+            pools = node.layer.banks.values()
+            node.layer.banks[int(subject)] = {
                 "mean": np.mean([p["mean"] for p in pools], axis=0),
                 "var": np.mean([p["var"] for p in pools], axis=0),
             }
@@ -183,10 +184,9 @@ def train_target(target: TargetNetwork, X, y, subject: int, cfg: TrainConfig) ->
     """Train the second network, scalar layers and BN parameters on a new user.
 
     Source non-BN parameters stay frozen; the new subject gets its own BN
-    statistics so pre-training subjects' banks are never overwritten.
+    statistics so pre-training subjects' banks are never overwritten.  With
+    ``max_epochs`` 0 they are only seeded and then finalized on ``X``.
     """
-    if cfg.max_epochs == 0:
-        return target
     prepare_target_subject(target, subject)
     subjects = np.full(len(y), int(subject), dtype=np.int64)
     train(target.network, X, y, cfg, subjects=subjects)

@@ -396,8 +396,9 @@ def eval_forward_direct(net, x, subject=None):
     """Eval-mode logits with every node run on its own, nothing folded.
 
     BatchNorm nodes apply the textbook (x - mean) / sqrt(var + eps) * gamma
-    + beta with the subject's bank (else the ``__default__`` bank), dropout
-    nodes are the identity, and every other node runs its own layer.
+    + beta with the subject's bank (``__default__`` when ``subject`` is
+    None), dropout nodes are the identity, and every other node runs its
+    own layer.
     """
     from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT, Context
 
@@ -408,7 +409,7 @@ def eval_forward_direct(net, x, subject=None):
         ins = [values[ref] for ref in node.inputs]
         layer = node.layer
         if layer.kind == "batch-norm":
-            bank = layer.banks.get(key) or layer.banks[DEFAULT_SUBJECT]
+            bank = layer.banks[key]
             shape = (1, -1, 1, 1) if ins[0].ndim == 4 else (1, -1)
             mean, var = bank["mean"].reshape(shape), bank["var"].reshape(shape)
             gamma = layer.params["gamma"].reshape(shape)

@@ -8,10 +8,11 @@ from myogest import cli
 from myogest.architectures import build_architecture
 from myogest.augment import TECHNIQUES
 from myogest.dataset import build_split, load_dataset, slice_windows
-from myogest.errors import ConfigError, NumericalError
+from myogest.errors import NumericalError
 from myogest.features import feature_matrix
 from myogest.harness import SPLIT_KEYS, run_experiment
-from myogest.nn import BatchNorm, TrainConfig, load_network
+from myogest.nn import TrainConfig, load_network
+from myogest.nn.layers import DEFAULT_SUBJECT
 from myogest.synthetic import generate_synthetic_dataset
 
 TRAIN = json.dumps({"max_epochs": 1, "patience_epochs": 2, "batch_size": 16})
@@ -39,27 +40,36 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
-def _strict_bank_lookup(monkeypatch):
-    """Make a missing batch-norm bank raise instead of falling back to ``__default__``."""
-    lookup = BatchNorm.eval_affine
+@pytest.fixture(scope="module")
+def source(data):
+    """A cwt source pre-trained on subjects 3-4."""
+    path = data / "source.json"
+    assert cli.main(["--out", str(path), "pretrain", "--dataset", str(data / "pre"),
+                     "--model", "cwt", "--train-overrides", TRAIN]) == 0
+    return path
 
-    def strict(self, key):
-        if key not in self.banks:
-            raise ConfigError(f"no batch-norm bank for {key!r}")
-        return lookup(self, key)
 
-    monkeypatch.setattr(BatchNorm, "eval_affine", strict)
+def _in_older_form(src, dst):
+    """Copy checkpoint ``src`` to ``dst`` in the form older checkpoints were saved in.
+
+    Those also held three metadata keys, and a unit ``__default__`` bank in
+    every BatchNorm that training gave none.
+    """
+    state = json.loads(src.read_text())
+    state["metadata"].update(input_shape=[12, 8, 7], branch_count=4, learning_rate_default=0.1)
+    for node in state["nodes"]:
+        if node["kind"] == "batch-norm":
+            width = node["config"]["num_features"]
+            node["extra"]["banks"].setdefault(
+                DEFAULT_SUBJECT, {"mean": [0.0] * width, "var": [1.0] * width}
+            )
+    dst.write_text(json.dumps(state))
+    return dst
 
 
 @pytest.mark.parametrize("transfer", [True, False])
-def test_saved_models_score_the_report(data, tmp_path, capsys, monkeypatch, transfer):
-    extra = []
-    if transfer:
-        source = tmp_path / "source.json"
-        code, _ = run(capsys, "--out", source, "pretrain", "--dataset", data / "pre",
-                      "--model", "cwt", "--train-overrides", TRAIN)
-        assert code == 0
-        extra = ["--transfer", "--source", source]
+def test_saved_models_score_the_report(data, tmp_path, capsys, request, transfer):
+    extra = ["--transfer", "--source", request.getfixturevalue("source")] if transfer else []
     models = tmp_path / "models"
     code, _ = run(capsys, "--config", data / "seeds.json", "--out", tmp_path / "run", "train",
                   "--dataset", data / "eval", "--model", "cwt", "--cycles", 2,
@@ -68,7 +78,6 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, monkeypatch, tran
     report = json.loads((tmp_path / "run" / "report.json").read_text())
     assert report["seeds"] == SEEDS
     recordings = load_dataset(data / "eval")
-    _strict_bank_lookup(monkeypatch)  # a plain model is scored on its trained default bank
     for subject in (1, 2):
         path = models / f"model_s{subject}_seed{SEEDS[0]}.json"
         meta = load_network(path).metadata
@@ -85,6 +94,9 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, monkeypatch, tran
         assert code == 0
         result = json.loads(out)
         assert result["test_accuracy"] == report["accuracies"][str(subject)][0]
+        older = _in_older_form(path, tmp_path / f"older{subject}.json")
+        code, out = run(capsys, "evaluate", "--dataset", data / "eval", "--checkpoint", older)
+        assert code == 0 and json.loads(out) == result
         recs = [r for r in recordings if r.subject_id == subject]
         assert result["n_windows"] == len(build_split(recs, "myo-eval", cycles=2).test)
         rec = next(r for r in recs if r.round == 2)
@@ -95,6 +107,9 @@ def test_saved_models_score_the_report(data, tmp_path, capsys, monkeypatch, tran
                         "--include-first-second")
         assert code == 0
         assert json.loads(out)["holds"] == 1
+        code, older_out = run(capsys, "replay", "--session", session, "--checkpoint", older,
+                              "--include-first-second")
+        assert code == 0 and older_out == out
     assert sorted(p.name for p in models.iterdir()) == [
         f"model_s{s}_seed{SEEDS[0]}.json" for s in (1, 2)
     ]
@@ -251,9 +266,56 @@ def test_dim_reduction_reports_both_columns(one_subject, tmp_path, capsys):
     assert report["accuracies"] == report["columns"]["with-reduction"]
 
 
-def test_exit_code_bad_protocol(data, capsys):
-    code, _ = run(capsys, "train", "--dataset", data / "eval", "--protocol", "nope")
+@pytest.mark.parametrize("protocol", ["nope", "session-replay"])
+def test_exit_code_bad_protocol(data, capsys, protocol):
+    code = cli.main(["train", "--dataset", str(data / "eval"), "--protocol", protocol])
     assert code == cli.EXIT_CONFIG == 2
+    assert f"unknown protocol '{protocol}'" in capsys.readouterr().err
+
+
+def test_transfer_from_a_source_whose_widths_disagree_with_its_layers(data, source, tmp_path,
+                                                                     capsys):
+    state = json.loads(source.read_text())
+    state["metadata"]["widths"]["c3"] = 16  # the source's c3 stage has 32 channels
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(state))
+    code = cli.main(["--seed", "3", "train", "--dataset", str(data / "eval"), "--model", "cwt",
+                     "--cycles", "2", "--train-overrides", TRAIN, "--transfer", "--source",
+                     str(bad)])
+    assert code == cli.EXIT_CONFIG
+    assert "sum port shape mismatch" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv,expected",
+    [
+        (["train"], {"model": "TD+lda", "protocol": "ninapro", "cycles": 2, "repetitions": 3}),
+        (["train", "--model", "raw-1d", "--protocol", "myo-eval", "--cycles", "3",
+          "--repetitions", "4"],
+         {"model": "raw-1d", "protocol": "myo-eval", "cycles": 3, "repetitions": 4}),
+        (["pretrain"], {"model": "TD+lda"}),
+        (["pretrain", "--model", "raw-1d"], {"model": "raw-1d"}),
+    ],
+    ids=["train-file", "train-flags", "pretrain-file", "pretrain-flag"],
+)
+def test_config_file_values_apply_and_flags_override_them(data, tmp_path, monkeypatch, capsys,
+                                                         argv, expected):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(
+        {"model": "TD+lda", "protocol": "ninapro", "cycles": 2, "repetitions": 3}
+    ))
+    seen = []
+
+    def capture(cfg, *args, **kwargs):
+        seen.append(cfg)
+        raise NumericalError("stop after the config")
+
+    monkeypatch.setattr(cli, "run_experiment", capture)
+    monkeypatch.setattr(cli, "pretrain_source", capture)
+    code = cli.main(["--config", str(config), *argv, "--dataset", str(data / "eval")])
+    assert code == cli.EXIT_NUMERICAL
+    (cfg,) = seen
+    assert {k: getattr(cfg, k) for k in expected} == expected
 
 
 def test_exit_code_batch_size_one(data, tmp_path, capsys):

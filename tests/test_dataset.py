@@ -1,4 +1,6 @@
+import hashlib
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from myogest.dataset import (
     activation_profile_from_windows,
     apply_shift,
     build_split,
+    dataset_content_hash,
     find_alignment,
     load_dataset,
     read_samples,
@@ -33,6 +36,35 @@ def window_key(w):
 def make_rec(gesture=0, T=120, value=1, subject=1, rnd=1, cycle=1):
     samples = np.full((8, T), value, dtype=np.int64)
     return EmgRecording(subject_id=subject, round=rnd, cycle=cycle, gesture=gesture, samples=samples)
+
+
+def every_file_hash(root):
+    """SHA-256 over every file under ``root``: relative path then bytes, in sorted path order."""
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*")):
+        if path.is_file():
+            h.update(path.relative_to(root).as_posix().encode())
+            h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+class TestContentHash:
+    def test_canonical_tree_hashes_every_file(self, small_dataset):
+        assert dataset_content_hash(small_dataset) == every_file_hash(small_dataset)
+
+    def test_only_the_files_the_loader_reads_count(self, small_dataset, tmp_path):
+        root = tmp_path / "data"
+        shutil.copytree(small_dataset, root)
+        before = dataset_content_hash(root)
+        cycle = root / "subject_1" / "round_1" / "cycle_1"
+        (root / "notes.txt").write_text("not data\n")
+        (cycle / "gesture_0.csv.bak").write_text("1,2,3,4,5,6,7,8\n")
+        (root / "subject_1" / "gesture_0.csv").write_text("1,2,3,4,5,6,7,8\n")
+        assert dataset_content_hash(root) == before
+        gesture = cycle / "gesture_0.csv"
+        text = gesture.read_bytes()
+        gesture.write_bytes(text.replace(b"1", b"2", 1))
+        assert dataset_content_hash(root) != before
 
 
 class TestLoadDataset:

@@ -4,22 +4,28 @@ import numpy as np
 
 from myogest.architectures import build_architecture
 from myogest.harness import run_session_replay
+from myogest.nn import finalize_bn
+
+
+def raw_1d_input(samples, shift):
+    """Rotate channels, cut 52-sample windows at stride 5, scale by 1/128."""
+    rotated = samples[(np.arange(8) + shift) % 8]
+    X = np.stack([rotated[:, o : o + 52] for o in range(0, rotated.shape[1] - 51, 5)]) / 128.0
+    return X[:, :, None, :]
 
 
 def predictions(net, samples, shift):
-    """Rotate channels, cut 52-sample windows at stride 5, scale by 1/128, predict."""
-    rotated = samples[(np.arange(8) + shift) % 8]
-    X = np.stack([rotated[:, o : o + 52] for o in range(0, rotated.shape[1] - 51, 5)]) / 128.0
-    return net.predict(X[:, :, None, :])
+    return net.predict(raw_1d_input(samples, shift))
 
 
 def test_session_replay_applies_channel_shift_and_skips_short_holds(tmp_path):
-    net = build_architecture("raw-1d", num_classes=7, seed=5)
-    net.metadata["channel_shift"] = 3
-    net.save(tmp_path / "model.json")
     rng = np.random.default_rng(0)
     scale = np.arange(8)[:, None] * 12.0 + 2.0  # channels differ, so a rotation shows
     holds = [np.rint(rng.normal(0.0, 1.0, (8, n)) * scale).clip(-128, 127) for n in (300, 251, 252)]
+    net = build_architecture("raw-1d", num_classes=7, seed=5)
+    finalize_bn(net, raw_1d_input(holds[0], 0))  # the statistics an untrained model predicts with
+    net.metadata["channel_shift"] = 3
+    net.save(tmp_path / "model.json")
     shifted = predictions(net, holds[0][:, 200:], 3)
     label = int(np.bincount(shifted).argmax())
     labels = [label, (label + 1) % 7, label]

@@ -21,6 +21,8 @@ from myogest.nn import (
     ScalarScale,
     Sum,
     TrainConfig,
+    finalize_bn,
+    train,
 )
 from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT
 from myogest.transfer import SourceNetwork, build_target, prepare_target_subject
@@ -140,6 +142,29 @@ def test_train_config_accepts_the_edges():
     TrainConfig(dropout_rate=0.99)
 
 
+@pytest.mark.parametrize("arch", [a for a in sorted(NARROW) if a != "raw"])  # raw has no BatchNorm
+def test_a_network_never_run_has_no_statistics_to_evaluate_with(arch):
+    net = build_architecture(arch, num_classes=3, widths=NARROW[arch], seed=1)
+    banks = [node.layer.banks for node in net.nodes if node.layer.kind == "batch-norm"]
+    assert banks and all(b == {} for b in banks)
+    x, _ = _batch(arch)
+    with pytest.raises(ConfigError, match="subject __default__"):
+        net.predict(x)
+    with pytest.raises(ConfigError, match="subject 1"):
+        net.forward(x[:1], subject=1)
+
+
+def test_zero_epochs_finalize_the_statistics_and_take_no_step():
+    net = build_architecture("cwt", num_classes=3, widths=NARROW["cwt"], seed=1)
+    x, y = _batch("cwt", n=40)
+    expected = net.clone()
+    history = train(net, x, y, TrainConfig(batch_size=16, max_epochs=0))
+    finalize_bn(expected, x)
+    assert history.train_loss == [] and history.stopped_epoch == 0
+    assert net.to_json() == expected.to_json()
+    assert np.array_equal(net.predict(x), expected.predict(x))
+
+
 # ---- eval: batch-norm folded into its producer ----------------------------
 
 
@@ -180,8 +205,9 @@ def _merged_cwt_target(rng, widths=NARROW["cwt"]):
     target = build_target(SourceNetwork(network=source, pretrain_subjects=[1, 2]), seed=2)
     prepare_target_subject(target, 3)
     for node in target.network.nodes:
-        if node.layer.kind == "batch-norm" and 3 not in node.layer.banks:
-            _random_banks(node.layer, rng, subjects=(3,))
+        if node.layer.kind == "batch-norm":  # the second network's have no bank yet
+            missing = [s for s in (1, 2, 3) if s not in node.layer.banks]
+            _random_banks(node.layer, rng, subjects=missing)
     return target.network
 
 
@@ -189,7 +215,7 @@ def _merged_cwt_target(rng, widths=NARROW["cwt"]):
 def test_folded_eval_matches_unfolded_oracle(arch):
     rng = np.random.default_rng(11)
     net = build_architecture(arch, num_classes=5, seed=3)
-    _randomize(net, rng, subjects=(1, 2))
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT, 1, 2))
     x = rng.standard_normal((9, *INPUT_SHAPES[arch]))
     _assert_matches_oracle(net, x, (None, 1, 2))
 
@@ -208,7 +234,7 @@ def test_narrow_and_merged_eval_logits_match_the_unfolded_oracle():
     nets = [build_architecture(a, num_classes=3, widths=NARROW[a], seed=1) for a in sorted(NARROW)]
     for net in nets + [_merged_cwt_target(rng)]:
         _randomize(net, rng, subjects=(1,))
-        x = rng.standard_normal((4, *net.metadata["input_shape"]))
+        x = rng.standard_normal((4, *INPUT_SHAPES[net.metadata["architecture"]]))
         logits = net.forward(x, subject=1)
         np.testing.assert_allclose(logits, oracles.eval_forward_direct(net, x, 1), atol=1e-12)
 
@@ -379,7 +405,7 @@ def test_no_output_outlives_its_last_reader(arch, run):
     else:
         net = build_architecture(arch, num_classes=3, widths=NARROW[arch], seed=1)
         _randomize(net, rng, subjects=(3,))
-    x = rng.standard_normal((64, *net.metadata["input_shape"]))
+    x = rng.standard_normal((64, *INPUT_SHAPES[net.metadata["architecture"]]))
     spy = _LifetimeSpy(net)
     if run.startswith("predict"):
         net.predict(x[: int(run.split("-")[1])], subject=3)

@@ -1,11 +1,16 @@
+import json
+
 import numpy as np
 import pytest
 
 import oracles
 from myogest.architectures import ARCHITECTURES, INPUT_SHAPES, build_architecture
+from myogest.errors import ConfigError
 from myogest.harness import load_source_checkpoint, save_source_checkpoint
-from myogest.nn import TrainConfig
+from myogest.nn import TrainConfig, finalize_bn
+from myogest.nn.layers import DEFAULT_SUBJECT
 from myogest.transfer import (
+    SECOND_PREFIX,
     SOURCE_PREFIX,
     SourceNetwork,
     build_target,
@@ -24,9 +29,9 @@ def _data(n, seed):
     return rng.standard_normal((n, *INPUT_SHAPES["cwt"])), np.arange(n) % CLASSES
 
 
-def _cfg(seed=0):
+def _cfg(seed=0, max_epochs=2):
     return TrainConfig(
-        learning_rate=0.01, batch_size=16, max_epochs=2, patience_epochs=3, seed=seed
+        learning_rate=0.01, batch_size=16, max_epochs=max_epochs, patience_epochs=3, seed=seed
     )
 
 
@@ -82,6 +87,9 @@ def test_zeroed_scalars_give_the_second_network_alone(source):
         "cwt", num_classes=CLASSES, widths=WIDTHS, activation="pelu", seed=4
     )
     X, _ = _data(10, seed=3)
+    # statistics of X; the second network's BatchNorms see the same inputs in both
+    finalize_bn(target.network, X)
+    finalize_bn(second, X)
     np.testing.assert_array_equal(target.network.forward(X), second.forward(X))
 
 
@@ -173,4 +181,66 @@ def test_raw_1d_source_saved_with_in_channels_still_transfers(tmp_path):
     save_source_checkpoint(SourceNetwork(net, pretrain_subjects=[1]), tmp_path / "source.json")
     target = build_target(load_source_checkpoint(tmp_path / "source.json"), seed=2)
     X = np.zeros((2, *INPUT_SHAPES["raw-1d"]))
+    finalize_bn(target.network, X)
     assert target.network.predict(X).shape == (2,)
+
+
+def _bank_keys(net, prefix=""):
+    return {
+        node.name: set(node.layer.banks)
+        for node in net.nodes
+        if node.layer.kind == "batch-norm" and node.name.startswith(prefix)
+    }
+
+
+def test_a_pretrained_source_keeps_banks_for_its_pretraining_subjects_only(source):
+    keys = _bank_keys(source.network)
+    assert keys and all(k == {1, 2} for k in keys.values())
+
+
+def test_building_a_target_creates_no_bank(source):
+    target = build_target(source, seed=4)
+    source_keys = _bank_keys(target.network, SOURCE_PREFIX)
+    second_keys = _bank_keys(target.network, SECOND_PREFIX)
+    assert source_keys and all(k == {1, 2} for k in source_keys.values())
+    assert second_keys and all(k == set() for k in second_keys.values())
+
+
+def test_a_target_predicts_only_for_a_subject_it_has_statistics_of(source):
+    target = build_target(source, seed=4)
+    X, y = _data(64, seed=2)
+    train_target(target, X, y, subject=NEW_SUBJECT, cfg=_cfg(1))
+    assert target.network.predict(X, subject=NEW_SUBJECT).shape == (64,)
+    assert all(DEFAULT_SUBJECT not in k for k in _bank_keys(target.network).values())
+    with pytest.raises(ConfigError, match="subject __default__"):
+        target.network.predict(X)
+    with pytest.raises(ConfigError, match="subject 9"):
+        target.network.predict(X, subject=9)
+
+
+def test_zero_epochs_seed_and_finalize_the_new_subject_and_take_no_step(source):
+    X, y = _data(64, seed=2)
+    target = build_target(source, seed=4)
+    train_target(target, X, y, subject=NEW_SUBJECT, cfg=_cfg(1, max_epochs=0))
+    expected = build_target(source, seed=4)
+    prepare_target_subject(expected, NEW_SUBJECT)
+    finalize_bn(expected.network, X, np.full(len(y), NEW_SUBJECT))
+    assert target.network.to_json() == expected.network.to_json()
+    assert target.network.predict(X, subject=NEW_SUBJECT).shape == (64,)
+
+
+def test_a_source_saved_with_a_default_bank_transfers_as_one_without(source, tmp_path):
+    path = save_source_checkpoint(
+        SourceNetwork(source.network.clone(), source.pretrain_subjects), tmp_path / "source.json"
+    )
+    state = json.loads(path.read_text())
+    for node in state["nodes"]:
+        if node["kind"] == "batch-norm":  # the unit bank a construction run once left
+            width = node["config"]["num_features"]
+            node["extra"]["banks"][DEFAULT_SUBJECT] = {"mean": [0.0] * width, "var": [1.0] * width}
+    older = tmp_path / "older.json"
+    older.write_text(json.dumps(state))
+    targets = [build_target(load_source_checkpoint(p), seed=4) for p in (path, older)]
+    for target in targets:
+        prepare_target_subject(target, NEW_SUBJECT)
+    assert targets[0].network.to_json() == targets[1].network.to_json()
