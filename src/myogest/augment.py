@@ -132,14 +132,10 @@ def _densified_windows(recordings, base_windows):
     per_rec_target = -(-target // len(recs))  # ceil
     out = []
     for rec in recs:
-        T = rec.num_samples
-        span = T - WINDOW_LENGTH
-        stride = max(1, span // max(1, per_rec_target - 1)) if span > 0 else 1
-        dense = slice_windows(rec, stride)
-        while len(dense) < per_rec_target and stride > 1:
-            stride -= 1
-            dense = slice_windows(rec, stride)
-        out.extend(dense[:per_rec_target])
+        # for n >= 2, window_count(T, s) >= n exactly when s <= (T - 52) // (n - 1):
+        # the widest stride that gives n windows, or 1 when none does
+        stride = max(1, (rec.num_samples - WINDOW_LENGTH) // max(1, per_rec_target - 1))
+        out.extend(slice_windows(rec, stride)[:per_rec_target])
     if len(out) < target:
         raise ConfigError(
             f"recordings too short to densify to {MULTIPLIER}x "

@@ -251,9 +251,8 @@ def cmd_stats(args):
 
 
 def _load_table(path):
-    data = read_rows(path, "accuracy table", skip=1)
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
+    (first,), data = read_rows(path, "accuracy table", skip=1)
+    header = first.strip().split(",")
     if len(header) != data.shape[1]:
         raise DataError(f"{path}: {len(header)} header names for {data.shape[1]} columns")
     if header[0].lower() in ("subject", "dataset", "id"):

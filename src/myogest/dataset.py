@@ -122,22 +122,26 @@ def read_manifest(root) -> dict:
     return manifest
 
 
-def read_rows(path, what: str, delimiter=",", skip: int = 0) -> np.ndarray:
-    """Numeric rows of a text file, after ``skip`` header lines, as a 2-D array.
+def read_rows(path, what: str, delimiter=",", skip: int = 0):
+    """The first ``skip`` lines of a text file and its numeric rows after them.
 
-    A missing, empty or non-numeric file raises DataError naming ``path`` and
-    ``what`` it was read as.
+    Returns ``(header lines, rows)`` with the rows as a 2-D array.  A
+    missing, non-UTF-8, empty or non-numeric file raises DataError naming
+    ``path`` and ``what`` it was read as.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()[skip:]
+        lines = path.read_text().splitlines()
     except OSError as exc:
         raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: {what} is not UTF-8 text (byte {exc.start})") from None
+    head, lines = lines[:skip], lines[skip:]
     # numpy warns before returning no rows, so an empty file stops here
     if not any(line.strip() for line in lines):
         raise DataError(f"{path}: empty {what}")
     try:
-        return np.loadtxt(lines, delimiter=delimiter, ndmin=2)
+        return head, np.loadtxt(lines, delimiter=delimiter, ndmin=2)
     except ValueError as exc:
         raise DataError(f"{path}: could not parse {what} ({exc})") from None
 
@@ -150,7 +154,7 @@ def read_samples(path) -> np.ndarray:
     comma-separated; any other suffix is whitespace-separated.
     """
     path = Path(path)
-    raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None)
+    _, raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None)
     if raw.size == 0:
         raise DataError(f"{path}: empty gesture file")
     if raw.shape[1] != NUM_CHANNELS:

@@ -493,7 +493,7 @@ def read_session_file(path):
     A hold is a maximal run of consecutive rows with the same gesture.
     Returns (timestamps, labels, samples) per hold.
     """
-    rows = read_rows(path, "session file")
+    _, rows = read_rows(path, "session file")
     if rows.shape[1] != 10:
         raise DataError(f"{path}: expected 10 columns (t, label, 8 samples)")
     holds = []

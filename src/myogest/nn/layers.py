@@ -26,20 +26,16 @@ Forward context carries the execution mode:
 
 - ``train``     batch statistics, active dropout
 - ``eval``      stored statistics, dropout as identity (inverted scaling);
-                ``Network`` folds each BatchNorm whose producer is a
-                Conv2d/Dense read by nothing else into that producer's
-                weights (when they are no larger than its output) and
-                passes dropout through without calling it
+                ``Network`` runs each layer's own forward and passes
+                dropout through without calling it
 - ``finalize``  full-batch statistics written into the subject's bank
 
 BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
 only train and finalize create; eval reads it only through
 ``BatchNorm.eval_affine``, which raises ConfigError for a subject without one.
 
-Only ``train`` mode is ever backpropagated.  Conv2d and Dense take an
-optional ``params`` dict that replaces their own for one call; the eval
-fold passes its folded weights and bias that way.  A frozen Conv2d keeps
-no patch matrix in its train cache, since its backward reads only the
+Only ``train`` mode is ever backpropagated.  A frozen Conv2d keeps no
+patch matrix in its train cache, since its backward reads only the
 weights.
 
 PReLU, PELU, BatchNorm and Dropout avoid ``np.where`` on data-dependent
@@ -167,8 +163,7 @@ class Conv2d(Layer):
         self.params["bias"] = np.zeros(out_channels)
         self.zero_grads()
 
-    def forward(self, xs, ctx, params=None):
-        p = self.params if params is None else params
+    def forward(self, xs, ctx):
         x = _single(xs)
         n, c, h, w = x.shape
         if c != self.in_channels:
@@ -177,9 +172,9 @@ class Conv2d(Layer):
         if oh < 1 or ow < 1:
             raise ConfigError(f"conv kernel {self.kh}x{self.kw} larger than map {h}x{w}")
         cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
-        w_mat = p["weight"].reshape(self.out_channels, -1)
+        w_mat = self.params["weight"].reshape(self.out_channels, -1)
         out = cols @ w_mat.T
-        out += p["bias"]
+        out += self.params["bias"]
         out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         # a frozen conv's backward reads only the weights
         return out, (x.shape, None if self.frozen else cols, (oh, ow))
@@ -234,11 +229,10 @@ class Dense(Layer):
         self.params["bias"] = np.zeros(out_features)
         self.zero_grads()
 
-    def forward(self, xs, ctx, params=None):
-        p = self.params if params is None else params
+    def forward(self, xs, ctx):
         x = _single(xs)
-        out = x @ p["weight"].T
-        out += p["bias"]
+        out = x @ self.params["weight"].T
+        out += self.params["bias"]
         return out, x
 
     def backward(self, dout, cache, need_dx):

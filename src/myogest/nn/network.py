@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import base64
 import json
-import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,7 +19,6 @@ from .layers import Context, layer_from_config
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
-FOLDABLE = ("conv2d", "fully-connected")  # layer kinds a following BatchNorm folds into
 
 
 @dataclass
@@ -52,44 +49,21 @@ class Network:
         self._eval_plan = self._plan_eval()
 
     def _plan_eval(self):
-        """Eval steps ``(node, output name, folded BatchNorm or None, passes through, released)``.
+        """Eval steps ``(node, passes through, released)``.
 
-        Only nodes whose output reaches the logits get a step.  A BatchNorm
-        can fold into its input when that input is a Conv2d/Dense node read
-        by nothing else: the producer's step then writes the normalized
-        output under the BatchNorm's name, and the BatchNorm has no step of
-        its own.  Dropout is the identity at eval and passes its input
-        through.  ``released`` names the step's inputs that no later step reads.
+        Only nodes whose output reaches the logits get a step.  Dropout is
+        the identity at eval and passes its input through; every other step
+        runs its own layer.  ``released`` names the step's inputs that no
+        later step reads.
         """
         needed = {self.output_name}
         for node in reversed(self.nodes):
             if node.name in needed:
                 needed.update(node.inputs)
-        readers = Counter(ref for node in self.nodes for ref in node.inputs)
-        folds = {}  # producer name -> the BatchNorm node that reads it
-        for node in self.nodes:
-            src = self._index.get(node.inputs[0]) if node.inputs else None
-            if (
-                node.layer.kind == "batch-norm"
-                and src is not None
-                and src.layer.kind in FOLDABLE
-                and readers[src.name] == 1
-            ):
-                folds[src.name] = node
-        folded = {bn.name for bn in folds.values()}
-        steps = []
-        for node in self.nodes:
-            if node.name not in needed:
-                continue
-            bn = folds.get(node.name)
-            if bn is not None:
-                steps.append((node, bn.name, bn.layer, False))
-            elif node.name not in folded:
-                steps.append((node, node.name, None, node.layer.kind == "dropout"))
-        released = _released(
-            [node.inputs for node, *_ in steps], [out for _, out, *_ in steps], self.output_name
-        )
-        return [(*step, names) for step, names in zip(steps, released)]
+        steps = [node for node in self.nodes if node.name in needed]
+        reads, writes = [node.inputs for node in steps], [node.name for node in steps]
+        released = _released(reads, writes, self.output_name)
+        return [(node, node.layer.kind == "dropout", names) for node, names in zip(steps, released)]
 
     # ---- structure ----------------------------------------------------
 
@@ -136,13 +110,10 @@ class Network:
         """Logits of ``x``.
 
         Eval runs the plan of ``_plan_eval``: nodes that cannot reach the
-        logits are skipped, and a foldable BatchNorm is folded into its
-        producer's weights, recomputed from the current parameters and the
-        subject's bank on every call, whenever the weights are no larger
-        than the producer's output for this batch (``_fold_pays``);
-        otherwise the producer and the BatchNorm run as they are.  Each
-        BatchNorm reads ``subject``'s bank through ``BatchNorm.eval_affine``,
-        so eval raises ConfigError on a network never trained or finalized.
+        logits are skipped, dropout passes its input through, and every
+        other node runs its own layer.  Each BatchNorm reads ``subject``'s
+        bank through ``BatchNorm.eval_affine``, so eval raises ConfigError
+        on a network never trained or finalized.
         Train and finalize run every node through ``_forward_full``.  In every
         mode each output is dropped as soon as its last reader has run: a
         layer may keep in its cache what ``backward`` needs, but the network
@@ -154,22 +125,12 @@ class Network:
 
     def _forward_eval(self, x, subject):
         ctx = Context(mode="eval", subject=subject)
-        key = ctx.subject_key()
         values = {INPUT: x}
-        for node, out_name, bn, passes, released in self._eval_plan:
+        for node, passes, released in self._eval_plan:
             ins = [values[ref] for ref in node.inputs]
             for name in released:  # inputs no later step reads; ``ins`` holds them for now
                 del values[name]
-            if passes:
-                values[out_name] = ins[0]
-            elif bn is None:
-                values[out_name] = node.layer.forward(ins, ctx)[0]
-            elif _fold_pays(node.layer.params["weight"], ins[0]):
-                folded = _folded(node.layer.params, *bn.eval_affine(key))
-                values[out_name] = node.layer.forward(ins, ctx, folded)[0]
-            else:
-                ins = [node.layer.forward(ins, ctx)[0]]  # frees the producer's inputs
-                values[out_name] = bn.forward(ins, ctx)[0]
+            values[node.name] = ins[0] if passes else node.layer.forward(ins, ctx)[0]
         return values[self.output_name]
 
     def _forward_full(self, x, mode, subject, rng):
@@ -302,26 +263,6 @@ def _released(reads, writes, keep):
         if name != keep:
             released[i].append(name)
     return [tuple(names) for names in released]
-
-
-def _fold_pays(weight, x):
-    """Whether a Conv2d/Dense ``weight`` is no larger than its output on ``x``.
-
-    Folding scales every weight while normalizing the output touches every
-    output element, so eval folds only when the weights are no larger: a
-    wide Dense layer at batch 1 normalizes its few outputs instead.
-    """
-    spatial = math.prod(h - k + 1 for h, k in zip(x.shape[2:], weight.shape[2:]))
-    return weight.size <= len(x) * weight.shape[0] * spatial
-
-
-def _folded(params, scale, shift):
-    """Conv2d/Dense parameters with a BatchNorm's eval ``(scale, shift)`` folded in."""
-    weight = params["weight"]
-    return {
-        "weight": weight * scale.reshape((-1,) + (1,) * (weight.ndim - 1)),
-        "bias": params["bias"] * scale + shift,
-    }
 
 
 def network_from_state(state) -> Network:

@@ -17,6 +17,7 @@ runs no epoch and only finalizes the statistics a network predicts with.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -117,11 +118,26 @@ def finalize_bn(net, X, subjects=None):
     return net
 
 
+def _check_validation_subjects_train(val_subjects, train_subjects):
+    """Raise ConfigError unless each validation subject has a training batch.
+
+    A batch needs 2 windows, and the validation loss of a subject reads the
+    batch-norm bank its training batches create.
+    """
+    trained = Counter(train_subjects.tolist())
+    stranded = [s for s in sorted(set(val_subjects.tolist())) if trained[s] < 2]
+    if stranded:
+        counts = ", ".join(f"subject {s} with {trained[s]}" for s in stranded)
+        raise ConfigError(f"validation holdout leaves {counts} training window(s); a batch needs 2")
+
+
 def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
     """Train in place; restores the best-validation weights before returning.
 
     ``val`` may supply an explicit (X_val, y_val) pair; otherwise a random
-    ``VALIDATION_FRACTION`` of the data is held out.
+    ``VALIDATION_FRACTION`` of the data is held out, and with ``subjects``
+    a subject left with validation windows but no training batch raises
+    ConfigError before the first epoch.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.int64)
@@ -140,6 +156,8 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
         val_idx, train_idx = order[:n_val], order[n_val:]
         X_val, y_val = X[val_idx], y[val_idx]
         val_subjects = subjects[val_idx] if subjects is not None else None
+        if val_subjects is not None and cfg.max_epochs > 0:
+            _check_validation_subjects_train(val_subjects, subjects[train_idx])
     if len(train_idx) < cfg.batch_size:
         raise ConfigError(
             f"training set ({len(train_idx)} after validation holdout) is smaller "

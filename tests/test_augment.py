@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from myogest.augment import MULTIPLIER, TECHNIQUES, augment_dataset, augment_fatigue
-from myogest.dataset import build_split, load_dataset
+from myogest.dataset import DatasetSplit, EmgRecording, build_split, load_dataset, slice_windows
 from myogest.errors import ConfigError
 
 GROWING = [t for t in TECHNIQUES if t != "baseline"]
@@ -59,6 +59,18 @@ def test_sliding_windows_come_from_the_training_recordings_in_proportion(subject
     assert {(w.subject_id, w.round, w.cycle, w.label) for w in train} == base_keys
     base_labels = Counter(w.label for w in split.train)
     assert Counter(w.label for w in train) == {k: 2 * v for k, v in base_labels.items()}
+
+
+def test_sliding_windows_take_the_widest_stride_that_fills_each_hold():
+    # cycle c holds gesture c; the cycle-5 hold is not in the training set
+    lengths = {1: 64, 2: 70, 3: 90, 4: 157, 5: 300}
+    recs = [EmgRecording(1, 1, c, c, np.zeros((8, t), dtype=np.int64)) for c, t in lengths.items()]
+    base = [w for rec in recs[:4] for w in slice_windows(rec, 10)]  # 2 + 2 + 4 + 11 windows
+    train = augment_dataset(DatasetSplit(train=base, test=[]), "sliding-window", recs).train
+    # 38 windows, 10 per hold: strides 1, 2, 4 and 11, the last hold cut to 8
+    offsets = {1: range(0, 10), 2: range(0, 20, 2), 3: range(0, 40, 4), 4: range(0, 88, 11)}
+    expected = [(1, c, c, o) for c, cycle_offsets in offsets.items() for o in cycle_offsets]
+    assert [(w.subject_id, w.cycle, w.label, w.offset) for w in train] == expected
 
 
 @pytest.mark.parametrize("technique", TECHNIQUES)

@@ -602,6 +602,31 @@ def test_replay_bad_session_is_a_data_error(tmp_path, capsys, checkpoint, text):
     assert "session.csv" in capsys.readouterr().err
 
 
+def _spoil(path):
+    """Overwrite the first byte of ``path`` with 0xff, which no UTF-8 text holds."""
+    path.write_bytes(b"\xff" + path.read_bytes()[1:])
+    return path
+
+
+@pytest.mark.parametrize("command", ["extract", "stats", "replay"])
+def test_non_utf8_input_is_a_data_error(tmp_path, capsys, pinned_table, checkpoint, command):
+    if command == "extract":
+        root = tmp_path / "data"
+        generate_synthetic_dataset(root, subjects=(1,), rounds=1, cycles=1, n_samples=60, seed=3)
+        bad = _spoil(root / "subject_1" / "round_1" / "cycle_1" / "gesture_2.csv")
+        argv = ["--out", tmp_path / "features.csv", "extract", "--dataset", root]
+    elif command == "stats":
+        bad = _spoil(pinned_table)
+        argv = ["stats", "--table", bad]
+    else:
+        bad = tmp_path / "session.csv"
+        bad.write_bytes(b"\xff.0,1" + b",0" * 8 + b"\n")
+        argv = ["replay", "--session", bad, "--checkpoint", checkpoint]
+    code = cli.main([str(a) for a in argv])
+    assert code == cli.EXIT_DATA
+    assert str(bad) in capsys.readouterr().err
+
+
 def _checkpoint_text(version=None, drop_metadata=()):
     state = build_architecture("raw-1d", num_classes=7, seed=5).state_dict()
     state["metadata"] = {k: v for k, v in state["metadata"].items() if k not in drop_metadata}

@@ -165,7 +165,7 @@ def test_zero_epochs_finalize_the_statistics_and_take_no_step():
     assert np.array_equal(net.predict(x), expected.predict(x))
 
 
-# ---- eval: batch-norm folded into its producer ----------------------------
+# ---- eval: every needed layer runs its own forward ------------------------
 
 
 def _randomize(net, rng, subjects):
@@ -190,7 +190,7 @@ def _random_banks(bn, rng, subjects):
 
 
 def _assert_matches_oracle(net, x, subjects):
-    # batch 1 and the whole batch: a wide layer folds at one size and not the other
+    # batch 1, as streaming runs it, and the whole batch
     for s in subjects:
         for xb in (x[:1], x):
             ref = oracles.eval_forward_direct(net, xb, s)
@@ -271,14 +271,22 @@ def _kind_names(net, kind):
     return [node.name for node in net.nodes if node.layer.kind == kind]
 
 
-def test_eval_runs_no_batch_norm_or_dropout_layer_when_every_bn_folds():
+def test_eval_runs_each_needed_batch_norm_once_and_no_dropout_layer():
     rng = np.random.default_rng(15)
     net = _merged_cwt_target(rng)
     calls = _record_forward_calls(net)
+    needed = {net.output_name}
+    for node in reversed(net.nodes):
+        if node.name in needed:
+            needed.update(node.inputs)
+    batch_norms = sorted(name for name in _kind_names(net, "batch-norm") if name in needed)
+    assert batch_norms
     x = rng.standard_normal((64, *INPUT_SHAPES["cwt"]))
-    net.predict(x, subject=3)
-    skipped = set(_kind_names(net, "batch-norm")) | set(_kind_names(net, "dropout"))
-    assert calls and not skipped & set(calls)
+    for xb in (x[:1], x):
+        calls.clear()
+        net.predict(xb, subject=3)
+        assert sorted(c for c in calls if c in batch_norms) == batch_norms, len(xb)
+        assert calls and not set(_kind_names(net, "dropout")) & set(calls), len(xb)
     calls.clear()
     net.forward(x, mode="train", subject=3, rng=np.random.default_rng(0))
     assert set(calls) == {node.name for node in net.nodes}
@@ -291,19 +299,6 @@ def test_eval_skips_the_source_head_that_cannot_reach_the_logits():
     x = rng.standard_normal((4, *INPUT_SHAPES["cwt"]))
     net.predict(x, subject=3)
     assert "src/head" not in calls and "snd/head" in calls
-
-
-def test_fold_only_where_the_weights_are_no_larger_than_the_output():
-    # raw-1d: c2 has 5120 weights and 384 outputs per window, fc4 32768 and 256
-    rng = np.random.default_rng(17)
-    net = build_architecture("raw-1d", seed=1)
-    _randomize(net, rng, subjects=(1,))
-    calls = _record_forward_calls(net)
-    cases = [(1, ["c2_bn", "fc4_bn"]), (13, ["c2_bn", "fc4_bn"]), (14, ["fc4_bn"]), (128, [])]
-    for n, unfolded in cases:
-        calls.clear()
-        net.predict(rng.standard_normal((n, *INPUT_SHAPES["raw-1d"])), subject=1)
-        assert [c for c in calls if c in _kind_names(net, "batch-norm")] == unfolded, n
 
 
 def test_batch_norm_that_cannot_fold_runs_its_own_eval_forward():

@@ -244,3 +244,17 @@ def test_a_source_saved_with_a_default_bank_transfers_as_one_without(source, tmp
     for target in targets:
         prepare_target_subject(target, NEW_SUBJECT)
     assert targets[0].network.to_json() == targets[1].network.to_json()
+
+
+def test_a_subject_the_validation_holdout_strands_is_named_before_training():
+    # the holdout takes one of subject 3's two windows, leaving it no batch of 2
+    rng = np.random.default_rng(1)
+    X = rng.standard_normal((62, *INPUT_SHAPES["raw-1d"]))
+    y = rng.integers(0, 3, 62)
+    subjects = np.repeat([1, 2, 3], [30, 30, 2])
+    net = build_architecture("raw-1d", num_classes=3, seed=1)
+    before = net.to_json()
+    cfg = TrainConfig(batch_size=2, max_epochs=1, seed=1)
+    with pytest.raises(ConfigError, match=r"leaves subject 3 with 1 training window"):
+        pretrain(net, X, y, subjects, cfg)
+    assert net.to_json() == before
