@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataset import WINDOW_LENGTH, DatasetSplit, Window, slice_windows
+from .dataset import WINDOW_LENGTH, DatasetSplit, Window, slice_windows, window_count
 from .errors import ConfigError
 
 TECHNIQUES = (
@@ -123,24 +123,37 @@ def _synthesize(w: Window, technique: str, seed: int) -> Window:
 
 
 def _densified_windows(recordings, base_windows):
-    """Re-slice the same recordings densely enough to reach MULTIPLIER x count."""
+    """Re-slice the same recordings densely enough to reach MULTIPLIER x count.
+
+    A hold too short for its share gives every stride-1 window it has and
+    the longer holds make up the rest.
+    """
     target = MULTIPLIER * len(base_windows)
     keys = {(w.subject_id, w.round, w.cycle, w.label) for w in base_windows}
     recs = [
         r for r in recordings if (r.subject_id, r.round, r.cycle, r.gesture) in keys
     ]
-    per_rec_target = -(-target // len(recs))  # ceil
-    out = []
-    for rec in recs:
-        # for n >= 2, window_count(T, s) >= n exactly when s <= (T - 52) // (n - 1):
-        # the widest stride that gives n windows, or 1 when none does
-        stride = max(1, (rec.num_samples - WINDOW_LENGTH) // max(1, per_rec_target - 1))
-        out.extend(slice_windows(rec, stride)[:per_rec_target])
-    if len(out) < target:
+    capacity = [window_count(r.num_samples, 1) for r in recs]
+    if sum(capacity) < target:
         raise ConfigError(
             f"recordings too short to densify to {MULTIPLIER}x "
-            f"({len(out)} of {target} windows available)"
+            f"({sum(capacity)} of {target} windows available)"
         )
+    # water-filling: the lowest per-hold quota that reaches the target;
+    # ceil(target / holds) when every hold has that many
+    remaining, quota = target, 0
+    for k, cap in enumerate(sorted(capacity)):
+        quota = -(-remaining // (len(recs) - k))  # ceil
+        if cap >= quota:
+            break
+        remaining -= cap
+    out = []
+    for rec, cap in zip(recs, capacity):
+        n = min(cap, quota)
+        # for n >= 2, window_count(T, s) >= n exactly when s <= (T - 52) // (n - 1):
+        # the widest stride that gives n windows
+        stride = max(1, (rec.num_samples - WINDOW_LENGTH) // max(1, n - 1))
+        out.extend(slice_windows(rec, stride)[:n])
     return out[:target]
 
 

@@ -12,6 +12,13 @@ rejected, not windowed as if it were 200 Hz.  Gesture CSV files contain one
 time sample per line as 8 comma-separated integers in [-128, 127], the raw
 output range of the armband.  Samples stay integer on disk and become floats
 when sliced into windows.
+
+``load_dataset`` reads each file's bytes once and hashes them as it reads
+(``dataset_content_hash``).  Parses are memoized on that SHA-256, never on
+paths or modification times, so any changed byte parses the tree again; the
+memo keeps the last ``_MEMO_SIZE`` (2) trees, an evaluation and a
+pre-training set, as one read-only int64 array per recording.  Loaded
+``samples`` are therefore read-only; copy them to write.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections import OrderedDict
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -100,12 +108,16 @@ def write_manifest(root, gesture_names, schema="myo"):
     return manifest
 
 
-def read_manifest(root) -> dict:
+def read_manifest(root, data: bytes = None) -> dict:
+    """Validate ``root``'s manifest, from ``data`` when its bytes were read already."""
     path = Path(root) / "manifest.json"
-    if not path.is_file():
-        raise DataError(f"missing manifest: {path}")
+    if data is None:
+        if not path.is_file():
+            raise DataError(f"missing manifest: {path}")
+        data = path.read_bytes()
     try:
-        manifest = json.loads(path.read_text())
+        # universal newlines, as a text read gives them, keep JSON error offsets
+        manifest = json.loads(data.decode().replace("\r\n", "\n").replace("\r", "\n"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DataError(f"{path}: manifest is not valid JSON ({exc})") from None
     if not isinstance(manifest, dict):
@@ -122,16 +134,17 @@ def read_manifest(root) -> dict:
     return manifest
 
 
-def read_rows(path, what: str, delimiter=",", skip: int = 0):
+def read_rows(path, what: str, delimiter=",", skip: int = 0, data: bytes = None):
     """The first ``skip`` lines of a text file and its numeric rows after them.
 
-    Returns ``(header lines, rows)`` with the rows as a 2-D array.  A
-    missing, non-UTF-8, empty or non-numeric file raises DataError naming
-    ``path`` and ``what`` it was read as.
+    Returns ``(header lines, rows)`` with the rows as a 2-D array.  ``data``
+    is the file's bytes when the caller has read them; otherwise ``path`` is
+    read.  A missing, non-UTF-8, empty or non-numeric file raises DataError
+    naming ``path`` and ``what`` it was read as.
     """
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        lines = (path.read_bytes() if data is None else data).decode().splitlines()
     except OSError as exc:
         raise DataError(f"{path}: cannot read {what} ({exc.strerror})") from None
     except UnicodeDecodeError as exc:
@@ -146,15 +159,15 @@ def read_rows(path, what: str, delimiter=",", skip: int = 0):
         raise DataError(f"{path}: could not parse {what} ({exc})") from None
 
 
-def read_samples(path) -> np.ndarray:
-    """Read one gesture file into an (8, T) int64 array.
+def read_samples(path, data: bytes = None) -> np.ndarray:
+    """Read one gesture file (or its bytes ``data``) into an (8, T) int64 array.
 
     Each row is one time sample of 8 integer-valued numbers in [-128, 127]
     (``3.0`` is accepted, ``3.5`` is not).  ``.csv`` files are
     comma-separated; any other suffix is whitespace-separated.
     """
     path = Path(path)
-    _, raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None)
+    _, raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None, data=data)
     if raw.size == 0:
         raise DataError(f"{path}: empty gesture file")
     if raw.shape[1] != NUM_CHANNELS:
@@ -177,32 +190,83 @@ def _gesture_files(root) -> list:
     return sorted(Path(root).glob("subject_*/round_*/cycle_*/gesture_*.csv"))
 
 
+def _tree_files(root) -> list:
+    """The files ``load_dataset`` reads, in sorted path order (``manifest.json`` sorts first)."""
+    return [root / "manifest.json", *_gesture_files(root)]
+
+
+def _sha256(root, paths, blobs) -> str:
+    h = hashlib.sha256()
+    for path, data in zip(paths, blobs):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def dataset_content_hash(root) -> str:
     """SHA-256 over the relative path and bytes of each file ``load_dataset`` reads."""
     root = Path(root)
-    h = hashlib.sha256()
-    for path in sorted([root / "manifest.json", *_gesture_files(root)]):
-        h.update(path.relative_to(root).as_posix().encode())
-        h.update(path.read_bytes())
-    return h.hexdigest()
+    paths = _tree_files(root)
+    return _sha256(root, paths, [path.read_bytes() for path in paths])
+
+
+class Recordings(list):
+    """``load_dataset``'s recordings and ``sha256``, the content hash of the bytes parsed."""
+
+    def __init__(self, recordings, sha256: str):
+        super().__init__(recordings)
+        self.sha256 = sha256
+
+
+_MEMO_SIZE = 2  # an evaluation tree and a pre-training tree
+# content hash -> ((subject, round, cycle, gesture, read-only samples), ...), oldest first
+_parsed = OrderedDict()
+
+
+def _parse_tree(root, paths, blobs) -> tuple:
+    """Validate and parse a tree's files; a blob of None is read from its path."""
+    read_manifest(root, blobs[0])
+    parsed = []
+    for path, data in zip(paths[1:], blobs[1:]):
+        m = _PATH_RE.search(path.as_posix())
+        if m is None:
+            raise DataError(f"{path}: unrecognized file placement")
+        samples = read_samples(path, data)
+        samples.flags.writeable = False
+        parsed.append((*(int(g) for g in m.groups()), samples))
+    parsed.sort(key=lambda fields: fields[:4])  # subject, round, cycle, gesture
+    return tuple(parsed)
 
 
 def load_dataset(root_path) -> list:
     """Load every recording under the canonical directory tree.
 
-    Files are discovered in sorted path order so results are deterministic.
+    Each file is read once, in sorted path order, and hashed as
+    ``dataset_content_hash`` does; the result is a ``Recordings`` list
+    carrying that hash.  A tree whose content was parsed by one of the last
+    ``_MEMO_SIZE`` successful loads is not parsed again.  Every call returns
+    new ``EmgRecording``s whose ``samples`` are read-only.
     """
     root = Path(root_path)
-    read_manifest(root)
-    recordings = []
-    for path in _gesture_files(root):
-        m = _PATH_RE.search(path.as_posix())
-        if m is None:
-            raise DataError(f"{path}: unrecognized file placement")
-        subject, rnd, cycle, gesture = (int(g) for g in m.groups())
-        recordings.append(EmgRecording(subject, rnd, cycle, gesture, read_samples(path)))
-    recordings.sort(key=lambda r: (r.subject_id, r.round, r.cycle, r.gesture))
-    return recordings
+    paths = _tree_files(root)
+    blobs = []
+    for path in paths:
+        try:
+            blobs.append(path.read_bytes())
+        except OSError:
+            break  # the parse reads the file again and reports it in its turn
+    sha256 = _sha256(root, paths, blobs) if len(blobs) == len(paths) else None
+    parsed = _parsed.get(sha256)
+    if parsed is None:
+        blobs += [None] * (len(paths) - len(blobs))
+        parsed = _parse_tree(root, paths, blobs)
+        if sha256 is not None:
+            _parsed[sha256] = parsed
+            while len(_parsed) > _MEMO_SIZE:
+                _parsed.popitem(last=False)
+    else:
+        _parsed.move_to_end(sha256)
+    return Recordings([EmgRecording(*fields) for fields in parsed], sha256)
 
 
 def save_recording(root, rec: EmgRecording):

@@ -28,7 +28,7 @@ from .dataset import (
     activation_profile_from_windows,
     apply_shift,
     build_split,
-    dataset_content_hash,
+    dataset_content_hash,  # re-exported: hashes a tree without loading it
     find_alignment,
     load_dataset,
     read_rows,
@@ -225,7 +225,7 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
     kind, spec = parse_model(cfg.model)
     if kind != "net":
         raise ConfigError("pre-training requires a network model, not a baseline")
-    recordings, subjects = _grouped_recordings(cfg)
+    recordings, subjects, _ = _grouped_recordings(cfg)
     windows = []
     for rec in recordings:
         windows.extend(slice_windows(rec, cfg.stride))
@@ -308,16 +308,18 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
 
 
 def _grouped_recordings(cfg: ExperimentConfig):
+    """The run's recordings, their sorted subjects and the content hash of the tree read."""
     recordings = load_dataset(cfg.dataset)
+    dataset_hash = recordings.sha256
     if cfg.subjects:
         recordings = [r for r in recordings if r.subject_id in set(cfg.subjects)]
     subjects = sorted({r.subject_id for r in recordings})
     if not subjects:
         raise DataError("dataset has no subjects after filtering")
-    return recordings, subjects
+    return recordings, subjects, dataset_hash
 
 
-def _report(cfg, method, subjects, accuracies, flags=(), columns=None) -> RunReport:
+def _report(cfg, method, subjects, accuracies, dataset_hash, flags=(), columns=None) -> RunReport:
     """Build the run's report; mean and pooled std run over every subject x seed cell."""
     cells = np.array([accuracies[s] for s in subjects], dtype=float).ravel()
     return RunReport(
@@ -329,7 +331,7 @@ def _report(cfg, method, subjects, accuracies, flags=(), columns=None) -> RunRep
         mean=float(cells.mean()),
         pooled_std=float(cells.std(ddof=1)) if cells.size > 1 else 0.0,
         wall_clock_s=0.0,
-        dataset_hash=dataset_content_hash(cfg.dataset),
+        dataset_hash=dataset_hash,
         flags=list(flags),
         columns=columns or {},
     )
@@ -338,7 +340,7 @@ def _report(cfg, method, subjects, accuracies, flags=(), columns=None) -> RunRep
 def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
     kind, spec = parse_model(cfg.model)
     source = load_source_checkpoint(cfg.source_checkpoint) if cfg.transfer else None
-    recordings, subjects = _grouped_recordings(cfg)
+    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
     settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
     flags = []
     accuracies = {}
@@ -383,7 +385,7 @@ def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
                 net.save(models_dir / f"model_s{subject}_seed{seed}.json")
         accuracies[subject] = per_seed
     method = cfg.model + ("+TL" if cfg.transfer else "")
-    return _report(cfg, method, subjects, accuracies, flags=flags)
+    return _report(cfg, method, subjects, accuracies, dataset_hash, flags=flags)
 
 
 def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None):
@@ -415,7 +417,7 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
     kind, spec = parse_model(cfg.model)
     if kind != "net":
         raise ConfigError("the ablation protocol trains a network model")
-    recordings, subjects = _grouped_recordings(cfg)
+    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
     columns = {t: {} for t in TECHNIQUES}
     for subject in subjects:
         recs = [r for r in recordings if r.subject_id == subject and r.round == 1]
@@ -442,7 +444,9 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
             columns[technique][subject] = per_seed
     # the headline accuracies use the production default (sliding-window)
     headline = columns["sliding-window"]
-    return _report(cfg, f"{cfg.model}@sliding-window", subjects, headline, columns=columns)
+    return _report(
+        cfg, f"{cfg.model}@sliding-window", subjects, headline, dataset_hash, columns=columns
+    )
 
 
 def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
@@ -450,7 +454,7 @@ def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
     kind, spec = parse_model(cfg.model)
     if kind != "baseline":
         raise ConfigError("dim-reduction protocol expects a '<feature-set>+<classifier>' model")
-    recordings, subjects = _grouped_recordings(cfg)
+    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
     columns = {"with-reduction": {}, "without-reduction": {}}
     for subject in subjects:
         recs = [r for r in recordings if r.subject_id == subject]
@@ -460,7 +464,12 @@ def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
             acc = _baseline_accuracy(cfg, spec, split.train, split.test, label_map, reduce)
             columns[name][subject] = [acc for _ in cfg.seeds]
     return _report(
-        cfg, f"{cfg.model}@with-reduction", subjects, columns["with-reduction"], columns=columns
+        cfg,
+        f"{cfg.model}@with-reduction",
+        subjects,
+        columns["with-reduction"],
+        dataset_hash,
+        columns=columns,
     )
 
 

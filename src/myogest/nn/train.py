@@ -10,7 +10,8 @@ stops after two consecutive decays with no improvement between them.  An
 epoch counts as an improvement when its validation loss beats the best by
 more than ``MIN_IMPROVEMENT`` (1e-5), this implementation's tolerance.  The
 best-validation weights are returned, and per-subject batch-norm statistics
-are finalized with one full pass over the training data.  ``max_epochs`` 0
+are finalized with one full pass over the training data.  A non-finite train
+or validation loss in any epoch raises NumericalError.  ``max_epochs`` 0
 runs no epoch and only finalizes the statistics a network predicts with.
 """
 
@@ -22,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import ConfigError, NumericalError
 from .network import softmax_cross_entropy
 from .optim import Adam
 
@@ -180,6 +181,11 @@ def train(net, X, y, cfg: TrainConfig, subjects=None, val=None) -> TrainHistory:
             epoch_loss += loss * len(sel)
             seen += len(sel)
         val_loss = evaluate_loss(net, X_val, y_val, val_subjects)
+        if not (np.isfinite(epoch_loss) and np.isfinite(val_loss)):
+            raise NumericalError(
+                f"epoch {epoch + 1}: train loss {epoch_loss / max(1, seen)}, "
+                f"validation loss {val_loss}; training diverged or the input is not finite"
+            )
         history.train_loss.append(epoch_loss / max(1, seen))
         history.val_loss.append(val_loss)
         history.lr.append(opt.lr)

@@ -73,6 +73,27 @@ def test_sliding_windows_take_the_widest_stride_that_fills_each_hold():
     assert [(w.subject_id, w.cycle, w.label, w.offset) for w in train] == expected
 
 
+def test_longer_holds_make_up_a_short_holds_shortfall():
+    recs = [
+        EmgRecording(1, 1, c, c, np.zeros((8, t), dtype=np.int64)) for c, t in ((1, 60), (2, 400))
+    ]
+    base = [w for rec in recs for w in slice_windows(rec, 5)]  # 2 + 70 windows
+    train = augment_dataset(DatasetSplit(train=base, test=[]), "sliding-window", recs).train
+    # the 60-sample hold gives all 9 of its stride-1 windows, the other 135 at stride 2
+    assert len(train) == 144
+    assert [w.offset for w in train if w.cycle == 1] == list(range(9))
+    assert [w.offset for w in train if w.cycle == 2] == list(range(0, 270, 2))
+
+
+def test_densifying_past_every_stride_1_window_names_the_true_count():
+    lengths = ((1, 60), (2, 60), (3, 151))
+    recs = [EmgRecording(1, 1, c, c, np.zeros((8, t), dtype=np.int64)) for c, t in lengths]
+    # 9 + 9 + 50 windows, so 136 are asked for; stride 1 gives 9 + 9 + 100
+    base = [w for rec, s in zip(recs, (1, 1, 2)) for w in slice_windows(rec, s)]
+    with pytest.raises(ConfigError, match=r"\(118 of 136 windows available\)"):
+        augment_dataset(DatasetSplit(train=base, test=[]), "sliding-window", recs)
+
+
 @pytest.mark.parametrize("technique", TECHNIQUES)
 def test_test_split_is_untouched(subject_data, technique):
     split = subject_data[1]

@@ -4,13 +4,13 @@ import json
 import numpy as np
 import pytest
 
-from myogest import cli
+from myogest import cli, harness
 from myogest.architectures import build_architecture
 from myogest.augment import TECHNIQUES
 from myogest.dataset import build_split, load_dataset, slice_windows
 from myogest.errors import NumericalError
 from myogest.features import feature_matrix
-from myogest.harness import SPLIT_KEYS, run_experiment
+from myogest.harness import SPLIT_KEYS, run_experiment, transform_windows
 from myogest.nn import TrainConfig, load_network
 from myogest.nn.layers import DEFAULT_SUBJECT
 from myogest.synthetic import generate_synthetic_dataset
@@ -402,6 +402,19 @@ def test_exit_code_numerical_failure(data, capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_experiment", fail)
     code, _ = run(capsys, "train", "--dataset", data / "eval")
     assert code == cli.EXIT_NUMERICAL == 4
+
+
+def test_train_on_a_nan_input_window_exits_numerical(data, capsys, monkeypatch):
+    def with_nan(windows, architecture):
+        X = transform_windows(windows, architecture)
+        X[0] = np.nan
+        return X
+
+    monkeypatch.setattr(harness, "transform_windows", with_nan)
+    code = cli.main(["train", "--dataset", str(data / "eval"), "--model", "raw-1d",
+                     "--train-overrides", TRAIN])
+    assert code == cli.EXIT_NUMERICAL == 4
+    assert "numerical failure: epoch 1: train loss nan" in capsys.readouterr().err
 
 
 LAYOUT_FILES = {"flat": "s2_r1_c3_g4.txt", "csv-tree": "subject_2/round_1/cycle_3/gesture_4.txt"}

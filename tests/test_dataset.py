@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from myogest import dataset
 from myogest.dataset import (
     AlignmentShift,
     EmgRecording,
@@ -109,6 +110,78 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="8 columns"):
             load_dataset(tmp_path)
 
+
+class TestReadOnce:
+    def copy_of(self, small_dataset, tmp_path, name="data"):
+        root = tmp_path / name
+        shutil.copytree(small_dataset, root)
+        return root
+
+    def count_parses(self, monkeypatch):
+        calls = []
+        parse = dataset.read_samples
+
+        def counted(path, data=None):
+            calls.append(path)
+            return parse(path, data)
+
+        monkeypatch.setattr(dataset, "read_samples", counted)
+        return calls
+
+    def test_an_unchanged_tree_is_parsed_once(self, small_dataset, tmp_path, monkeypatch):
+        root = self.copy_of(small_dataset, tmp_path)
+        first = load_dataset(root)
+        calls = self.count_parses(monkeypatch)
+        again = load_dataset(root)
+        assert calls == []
+        assert again == first and again is not first
+        assert all(a is not b for a, b in zip(again, first))
+        assert again.sha256 == first.sha256 == dataset_content_hash(root)
+
+    def test_a_rewritten_file_is_parsed_again(self, small_dataset, tmp_path, monkeypatch):
+        root = self.copy_of(small_dataset, tmp_path)
+        before = load_dataset(root)
+        path = root / "subject_2" / "round_3" / "cycle_4" / "gesture_6.csv"
+        rows = ["1,2,3,4,5,6,7,8"] * 60
+        path.write_text("\n".join(rows) + "\n")
+        calls = self.count_parses(monkeypatch)
+        after = load_dataset(root)
+        assert len(calls) == len(after) == len(before)
+        assert after.sha256 == dataset_content_hash(root) != before.sha256
+        (rec,) = [r for r in after if (r.subject_id, r.round, r.cycle, r.gesture) == (2, 3, 4, 6)]
+        assert rec.samples.tolist() == [[k] * 60 for k in range(1, 9)]
+
+    def test_the_memo_keeps_the_last_two_trees(self, small_dataset, tmp_path, monkeypatch):
+        roots = [self.copy_of(small_dataset, tmp_path, name) for name in "abc"]
+        for k, root in enumerate(roots[1:], 1):
+            path = root / "subject_1" / "round_1" / "cycle_1" / "gesture_0.csv"
+            path.write_text(path.read_text() + f"{k},0,0,0,0,0,0,0\n")
+        for root in roots:
+            load_dataset(root)
+        calls = self.count_parses(monkeypatch)
+        load_dataset(roots[2])
+        load_dataset(roots[1])
+        assert calls == []
+        load_dataset(roots[0])
+        assert len(calls) == len(load_dataset(roots[0]))
+
+    def test_loaded_samples_are_read_only(self, small_dataset, tmp_path):
+        root = self.copy_of(small_dataset, tmp_path)
+        for _ in range(2):
+            rec = load_dataset(root)[0]
+            with pytest.raises(ValueError, match="read-only"):
+                rec.samples[0, 0] = 1
+            assert apply_shift(rec, 3).samples.flags.writeable
+
+    def test_a_bad_tree_fails_alike_on_every_load(self, small_dataset, tmp_path):
+        root = self.copy_of(small_dataset, tmp_path)
+        (root / "subject_1" / "round_2" / "cycle_3" / "gesture_4.csv").write_text("1,2,3\n")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DataError, match="gesture_4.csv: expected 8 columns") as err:
+                load_dataset(root)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
 
 class TestReadSamples:
     def write_gesture(self, root, text):

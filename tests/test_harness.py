@@ -3,7 +3,12 @@ import math
 import numpy as np
 
 from myogest.architectures import build_architecture
-from myogest.harness import run_session_replay
+from myogest.harness import (
+    ExperimentConfig,
+    dataset_content_hash,
+    run_experiment,
+    run_session_replay,
+)
 from myogest.nn import finalize_bn
 
 
@@ -47,3 +52,8 @@ def test_session_replay_applies_channel_shift_and_skips_short_holds(tmp_path):
     assert math.isnan(timeline[1]["accuracy"])
     last = predictions(net, holds[2][:, 200:], 3)
     assert timeline[2]["accuracy"] == float(last[0] == label)
+
+
+def test_the_report_hash_is_the_content_hash_of_the_tree_scored(small_dataset):
+    cfg = ExperimentConfig(model="TD+lda", dataset=str(small_dataset), seeds=[0], subjects=[1])
+    assert run_experiment(cfg).dataset_hash == dataset_content_hash(cfg.dataset)

@@ -6,7 +6,7 @@ import pytest
 
 import oracles
 from myogest.architectures import INPUT_SHAPES, build_architecture
-from myogest.errors import ConfigError
+from myogest.errors import ConfigError, NumericalError
 from myogest.nn import (
     PELU,
     BatchNorm,
@@ -163,6 +163,16 @@ def test_zero_epochs_finalize_the_statistics_and_take_no_step():
     assert history.train_loss == [] and history.stopped_epoch == 0
     assert net.to_json() == expected.to_json()
     assert np.array_equal(net.predict(x), expected.predict(x))
+
+
+@pytest.mark.parametrize("where", ["train", "validation"])
+def test_a_nan_input_window_is_a_numerical_error(where):
+    net = build_architecture("raw-1d", num_classes=3, widths=NARROW["raw-1d"], seed=1)
+    x, y = _batch("raw-1d", n=40)
+    x_val, y_val = x[:8].copy(), y[:8]
+    (x if where == "train" else x_val)[5] = np.nan
+    with pytest.raises(NumericalError, match=f"epoch 1: .*{where} loss nan"):
+        train(net, x, y, TrainConfig(batch_size=16, max_epochs=3), val=(x_val, y_val))
 
 
 # ---- eval: every needed layer runs its own forward ------------------------
