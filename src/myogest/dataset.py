@@ -112,8 +112,6 @@ def read_manifest(root, data: bytes = None) -> dict:
     """Validate ``root``'s manifest, from ``data`` when its bytes were read already."""
     path = Path(root) / "manifest.json"
     if data is None:
-        if not path.is_file():
-            raise DataError(f"missing manifest: {path}")
         data = path.read_bytes()
     try:
         # universal newlines, as a text read gives them, keep JSON error offsets
@@ -192,7 +190,10 @@ def _gesture_files(root) -> list:
 
 def _tree_files(root) -> list:
     """The files ``load_dataset`` reads, in sorted path order (``manifest.json`` sorts first)."""
-    return [root / "manifest.json", *_gesture_files(root)]
+    manifest = root / "manifest.json"
+    if not manifest.is_file():
+        raise DataError(f"missing manifest: {manifest}")
+    return [manifest, *_gesture_files(root)]
 
 
 def _sha256(root, paths, blobs) -> str:

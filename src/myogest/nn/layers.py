@@ -25,9 +25,11 @@ the input map.
 Forward context carries the execution mode:
 
 - ``train``     batch statistics, active dropout
-- ``eval``      stored statistics, dropout as identity (inverted scaling);
-                ``Network`` runs each layer's own forward and passes
-                dropout through without calling it
+- ``eval``      stored statistics, dropout as identity (inverted scaling),
+                max pooling without the argmax index that only backward
+                reads; ``Network`` runs each layer's own forward, in
+                blocks of ``EVAL_BLOCK`` windows, and passes dropout
+                through without calling it
 - ``finalize``  full-batch statistics written into the subject's bank
 
 BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
@@ -506,6 +508,8 @@ class MaxPool(Layer):
             n, c, oh, self.kh, ow, self.kw
         )
         flat = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, self.kh * self.kw)
+        if ctx.mode == "eval":  # equal to the first max but for the sign of an exact zero
+            return flat.max(axis=-1), None
         arg = flat.argmax(axis=-1)
         out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
         return out, (x.shape, arg)

@@ -19,6 +19,7 @@ from .layers import Context, layer_from_config
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
+EVAL_BLOCK = 256  # windows per eval pass; bounds eval memory whatever the set size
 
 
 @dataclass
@@ -113,14 +114,23 @@ class Network:
         logits are skipped, dropout passes its input through, and every
         other node runs its own layer.  Each BatchNorm reads ``subject``'s
         bank through ``BatchNorm.eval_affine``, so eval raises ConfigError
-        on a network never trained or finalized.
+        on a network never trained or finalized.  An input of more than
+        ``EVAL_BLOCK`` windows runs the plan on consecutive blocks of that
+        many and concatenates their logits, so no activation or patch
+        matrix ever holds more than one block.  Eval mixes nothing across
+        windows, so blocking changes a window's logits by rounding at most:
+        BLAS may take another kernel for a matrix of another size.
         Train and finalize run every node through ``_forward_full``.  In every
         mode each output is dropped as soon as its last reader has run: a
         layer may keep in its cache what ``backward`` needs, but the network
         keeps no output alive past its last reader.
         """
         if mode == "eval":
-            return self._forward_eval(np.asarray(x, dtype=np.float64), subject)
+            x = np.asarray(x, dtype=np.float64)
+            if len(x) <= EVAL_BLOCK:
+                return self._forward_eval(x, subject)
+            blocks = range(0, len(x), EVAL_BLOCK)
+            return np.concatenate([self._forward_eval(x[i : i + EVAL_BLOCK], subject) for i in blocks])
         return self._forward_full(x, mode, subject, rng)[0]
 
     def _forward_eval(self, x, subject):

@@ -330,6 +330,30 @@ def im2col_direct(x, kh, kw):
     return view.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, -1)
 
 
+def maxpool_direct(x, kh, kw, dout):
+    """Non-overlapping max pooling ``(out, dx)`` by plain loops.
+
+    Each (kh, kw) window is scanned row by row and its first maximum wins a
+    tie; it alone receives the window's output gradient.  Trailing rows and
+    columns that fill no window are cropped and get a zero gradient.
+    """
+    n, c, h, w = x.shape
+    out = np.zeros((n, c, h // kh, w // kw))
+    dx = np.zeros_like(x)
+    for b in range(n):
+        for ch in range(c):
+            for i in range(h // kh):
+                for j in range(w // kw):
+                    best = None
+                    for r in range(i * kh, (i + 1) * kh):
+                        for col in range(j * kw, (j + 1) * kw):
+                            if best is None or x[b, ch, r, col] > x[b, ch, best[0], best[1]]:
+                                best = (r, col)
+                    out[b, ch, i, j] = x[b, ch, best[0], best[1]]
+                    dx[b, ch, best[0], best[1]] = dout[b, ch, i, j]
+    return out, dx
+
+
 # ---------------------------------------------------------------------------
 # activation, batch-norm and dropout layers in their textbook select forms
 

@@ -85,6 +85,14 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="manifest"):
             load_dataset(tmp_path)
 
+    def test_missing_manifest_fails_the_hash_as_it_fails_the_load(self, tmp_path):
+        messages = []
+        for read in (load_dataset, dataset_content_hash):
+            with pytest.raises(DataError, match="missing manifest: ") as err:
+                read(tmp_path)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] == f"missing manifest: {tmp_path / 'manifest.json'}"
+
     def test_manifest_sample_rate_other_than_200_rejected(self, tmp_path):
         write_manifest(tmp_path, ["a"])
         path = tmp_path / "manifest.json"

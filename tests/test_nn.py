@@ -15,6 +15,7 @@ from myogest.nn import (
     Dense,
     Dropout,
     Flatten,
+    MaxPool,
     Network,
     Node,
     PReLU,
@@ -25,6 +26,7 @@ from myogest.nn import (
     train,
 )
 from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT
+from myogest.nn.network import EVAL_BLOCK
 from myogest.transfer import SourceNetwork, build_target, prepare_target_subject
 
 # narrow widths keep every architecture at a few hundred parameters
@@ -263,6 +265,56 @@ def test_fold_follows_every_parameter_and_bank_change():
     _assert_matches_oracle(net, x, (1,))
     net.forward(x, mode="finalize", subject=1)  # rewrites subject 1's banks
     _assert_matches_oracle(net, x, (1,))
+
+
+# ---- eval runs a long input in blocks of EVAL_BLOCK windows ----------------
+
+
+def _assert_blocked_eval_matches_oracle(net, x, subject):
+    blocks = []
+    run_block = net._forward_eval
+
+    def recorded(xb, s):
+        blocks.append(len(xb))
+        return run_block(xb, s)
+
+    net._forward_eval = recorded
+    logits = net.forward(x, subject=subject)
+    pred = net.predict(x, subject=subject)
+    del net._forward_eval
+    assert blocks == [EVAL_BLOCK, EVAL_BLOCK, 3] * 2
+    ref = oracles.eval_forward_direct(net, x, subject)
+    np.testing.assert_allclose(logits, ref, rtol=0, atol=1e-12)
+    assert np.array_equal(pred, ref.argmax(axis=1))
+
+
+@pytest.mark.parametrize("arch", sorted(NARROW))
+def test_blocked_eval_matches_the_whole_set_oracle(arch):
+    rng = np.random.default_rng(30)
+    net = build_architecture(arch, num_classes=5, seed=3)
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT,))
+    x = rng.standard_normal((2 * EVAL_BLOCK + 3, *INPUT_SHAPES[arch]))
+    _assert_blocked_eval_matches_oracle(net, x, None)
+
+
+def test_blocked_eval_matches_the_whole_set_oracle_on_the_merged_target():
+    rng = np.random.default_rng(31)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((2 * EVAL_BLOCK + 3, *INPUT_SHAPES["cwt"]))
+    for subject in (1, 3):
+        _assert_blocked_eval_matches_oracle(net, x, subject)
+
+
+def test_eval_memory_stays_at_one_block_whatever_the_set_size():
+    # a whole-set pass over 4 blocks peaked at about 4x one block's
+    rng = np.random.default_rng(32)
+    net = build_architecture("spectrogram", seed=1)
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT,))
+    x = rng.standard_normal((4 * EVAL_BLOCK, *INPUT_SHAPES["spectrogram"]))
+    net.forward(x[:EVAL_BLOCK])  # fills the cached im2col indices first
+    one = _peak_mb(lambda: net.forward(x[:EVAL_BLOCK]))
+    four = _peak_mb(lambda: net.forward(x))
+    assert four < 1.5 * one
 
 
 def _record_forward_calls(net):
@@ -580,6 +632,29 @@ def test_dropout_mask_equals_the_select_form_from_the_same_stream(layout):
     _assert_bits(mask, ref_mask)
     _assert_bits(out, x * ref_mask)
     assert ctx.rng.random() == ref_rng.random()
+
+
+# ---- max pooling: the first max wins, and eval computes no index ------------
+
+
+@pytest.mark.parametrize("layout", ["c", "conv"])
+@pytest.mark.parametrize("kh,kw,h,w", [(1, 3, 2, 17), (2, 2, 5, 7)])
+def test_maxpool_equals_the_loop_form_with_ties_and_cropped_remainders(kh, kw, h, w, layout):
+    rng = np.random.default_rng(27)
+    n, c = 4, 3
+    # five levels and zeros of both signs, so most windows hold a tie
+    x = rng.integers(-2, 3, (n, h, w, c)) * rng.choice([1.0, -1.0], (n, h, w, c))
+    x = x.transpose(0, 3, 1, 2) if layout == "conv" else np.ascontiguousarray(x.transpose(0, 3, 1, 2))
+    dout = rng.standard_normal((n, c, h // kh, w // kw))
+    ref_out, ref_dx = oracles.maxpool_direct(x, kh, kw, dout)
+    layer = MaxPool(kh, kw)
+    out, cache = layer.forward([x], Context(mode="train"))
+    assert out.tobytes() == ref_out.tobytes()
+    (dx,) = layer.backward(dout, cache, True)
+    assert dx.tobytes() == ref_dx.tobytes()
+    eval_out, eval_cache = layer.forward([x], Context(mode="eval"))
+    assert eval_cache is None
+    assert eval_out.shape == ref_out.shape and np.array_equal(eval_out, ref_out)
 
 
 def test_frozen_conv_keeps_no_patch_matrix_and_refuses_a_late_unfreeze():
