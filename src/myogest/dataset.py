@@ -13,12 +13,13 @@ time sample per line as 8 comma-separated integers in [-128, 127], the raw
 output range of the armband.  Samples stay integer on disk and become floats
 when sliced into windows.
 
-``load_dataset`` reads each file's bytes once and hashes them as it reads
-(``dataset_content_hash``).  Parses are memoized on that SHA-256, never on
-paths or modification times, so any changed byte parses the tree again; the
-memo keeps the last ``_MEMO_SIZE`` (2) trees, an evaluation and a
-pre-training set, as one read-only int64 array per recording.  Loaded
-``samples`` are therefore read-only; copy them to write.
+``load_dataset`` hashes the tree as ``dataset_content_hash`` does, one
+file's bytes at a time.  Parses are memoized on that SHA-256, never on paths
+or modification times, so any changed byte parses the tree again; the memo
+keeps the last ``_MEMO_SIZE`` (2) trees, an evaluation and a pre-training
+set, as one read-only int64 array per recording.  A load the memo misses
+reads the tree a second time to parse it.  Loaded ``samples`` are therefore
+read-only; copy them to write.
 """
 
 from __future__ import annotations
@@ -197,6 +198,7 @@ def _tree_files(root) -> list:
 
 
 def _sha256(root, paths, blobs) -> str:
+    """The content hash of ``paths`` and their bytes, which ``blobs`` yields one at a time."""
     h = hashlib.sha256()
     for path, data in zip(paths, blobs):
         h.update(path.relative_to(root).as_posix().encode())
@@ -208,7 +210,7 @@ def dataset_content_hash(root) -> str:
     """SHA-256 over the relative path and bytes of each file ``load_dataset`` reads."""
     root = Path(root)
     paths = _tree_files(root)
-    return _sha256(root, paths, [path.read_bytes() for path in paths])
+    return _sha256(root, paths, (path.read_bytes() for path in paths))
 
 
 class Recordings(list):
@@ -224,47 +226,59 @@ _MEMO_SIZE = 2  # an evaluation tree and a pre-training tree
 _parsed = OrderedDict()
 
 
-def _parse_tree(root, paths, blobs) -> tuple:
-    """Validate and parse a tree's files; a blob of None is read from its path."""
-    read_manifest(root, blobs[0])
+def _parse_tree(root, paths) -> tuple:
+    """Read, validate and parse a tree's files: ``(content hash, parsed recordings)``.
+
+    The hash is that of the bytes parsed.
+    """
     parsed = []
-    for path, data in zip(paths[1:], blobs[1:]):
-        m = _PATH_RE.search(path.as_posix())
-        if m is None:
-            raise DataError(f"{path}: unrecognized file placement")
-        samples = read_samples(path, data)
-        samples.flags.writeable = False
-        parsed.append((*(int(g) for g in m.groups()), samples))
+
+    def parsed_blobs():
+        """Each file's bytes, parsed before the hash takes them."""
+        for path in paths:
+            try:
+                data = path.read_bytes()
+            except OSError:
+                data = None  # its reader reads it again and reports the error
+            if path == paths[0]:
+                read_manifest(root, data)
+                yield data
+                continue
+            m = _PATH_RE.search(path.as_posix())
+            if m is None:
+                raise DataError(f"{path}: unrecognized file placement")
+            samples = read_samples(path, data)
+            samples.flags.writeable = False
+            parsed.append((*(int(g) for g in m.groups()), samples))
+            yield data
+
+    sha256 = _sha256(root, paths, parsed_blobs())
     parsed.sort(key=lambda fields: fields[:4])  # subject, round, cycle, gesture
-    return tuple(parsed)
+    return sha256, tuple(parsed)
 
 
 def load_dataset(root_path) -> list:
     """Load every recording under the canonical directory tree.
 
-    Each file is read once, in sorted path order, and hashed as
-    ``dataset_content_hash`` does; the result is a ``Recordings`` list
-    carrying that hash.  A tree whose content was parsed by one of the last
-    ``_MEMO_SIZE`` successful loads is not parsed again.  Every call returns
-    new ``EmgRecording``s whose ``samples`` are read-only.
+    The tree is hashed as ``dataset_content_hash`` does, in sorted path
+    order and holding one file's bytes at a time; the result is a
+    ``Recordings`` list carrying that hash.  A tree whose content was parsed
+    by one of the last ``_MEMO_SIZE`` successful loads is not parsed again;
+    any other is read again and parsed.  Every call returns new
+    ``EmgRecording``s whose ``samples`` are read-only.
     """
     root = Path(root_path)
     paths = _tree_files(root)
-    blobs = []
-    for path in paths:
-        try:
-            blobs.append(path.read_bytes())
-        except OSError:
-            break  # the parse reads the file again and reports it in its turn
-    sha256 = _sha256(root, paths, blobs) if len(blobs) == len(paths) else None
+    try:
+        sha256 = _sha256(root, paths, (path.read_bytes() for path in paths))
+    except OSError:
+        sha256 = None  # the parse reads the file again and reports it in its turn
     parsed = _parsed.get(sha256)
     if parsed is None:
-        blobs += [None] * (len(paths) - len(blobs))
-        parsed = _parse_tree(root, paths, blobs)
-        if sha256 is not None:
-            _parsed[sha256] = parsed
-            while len(_parsed) > _MEMO_SIZE:
-                _parsed.popitem(last=False)
+        sha256, parsed = _parse_tree(root, paths)
+        _parsed[sha256] = parsed
+        while len(_parsed) > _MEMO_SIZE:
+            _parsed.popitem(last=False)
     else:
         _parsed.move_to_end(sha256)
     return Recordings([EmgRecording(*fields) for fields in parsed], sha256)

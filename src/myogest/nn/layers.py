@@ -22,19 +22,33 @@ gradient by the same patch matrix, and the input gradient multiplies the
 output gradient by the weights and scatter-adds each (kh, kw) tap back onto
 the input map.
 
-Forward context carries the execution mode:
+Forward context carries the execution mode of ``forward``:
 
 - ``train``     batch statistics, active dropout
-- ``eval``      stored statistics, dropout as identity (inverted scaling),
-                max pooling without the argmax index that only backward
-                reads; ``Network`` runs each layer's own forward, in
-                blocks of ``EVAL_BLOCK`` windows, and passes dropout
-                through without calling it
-- ``finalize``  full-batch statistics written into the subject's bank
+- ``finalize``  full-batch statistics written into the subject's bank,
+                dropout as identity, max pooling without the argmax index
+                that only backward reads
+
+Eval does not call ``forward``.  ``Network`` runs an eval program per
+subject: each layer supplies ``eval_step(key)``, a function of its input
+with its constants bound for batch-norm bank ``key``, and
+``eval_sources(key)``, the arrays those were derived from, which the
+program checks by identity on every call.  Dropout, Flatten and
+SliceChannels take no step (``eval_views``): dropout is the identity at
+eval, and the others hand their input on as a view that the reading step
+takes.  A ScalarScale read only by a two-input Sum runs with it in one
+``eval_scale_add`` step.
 
 BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
 only train and finalize create; eval reads it only through
 ``BatchNorm.eval_affine``, which raises ConfigError for a subject without one.
+
+Parameter and bank arrays are read-only.  Every writer (the optimizer,
+constraint projection, checkpoint loading, the train and finalize bank
+updates, a new transfer subject's banks) stores fresh arrays through
+``Layer.set_param`` or ``BatchNorm.set_bank``, so an eval program sees a
+changed constant as a new object and rebuilds, and a stray in-place write
+raises ValueError rather than leave a program serving stale constants.
 
 Only ``train`` mode is ever backpropagated.  A frozen Conv2d keeps no
 patch matrix in its train cache, since its backward reads only the
@@ -69,14 +83,23 @@ BN_MOMENTUM = 0.1
 DEFAULT_SUBJECT = "__default__"
 
 
+def subject_key(subject):
+    """The batch-norm bank key of ``subject``: ``__default__`` for None."""
+    return DEFAULT_SUBJECT if subject is None else int(subject)
+
+
 @dataclass
 class Context:
     mode: str = "eval"
     subject: object = None
     rng: np.random.Generator = None
 
-    def subject_key(self):
-        return DEFAULT_SUBJECT if self.subject is None else int(self.subject)
+
+def _read_only(value):
+    """A fresh read-only float64 copy of ``value``."""
+    arr = np.array(value, dtype=np.float64)
+    arr.flags.writeable = False
+    return arr
 
 
 class Layer:
@@ -97,6 +120,28 @@ class Layer:
         for k in self.params:
             self.grads[k] = np.zeros_like(self.params[k])
 
+    def set_param(self, name, value):
+        """Store ``value``, broadcast to the parameter's shape, as a fresh read-only array.
+
+        The only way a parameter changes: the arrays are read-only, so an
+        eval program that bound the old one sees it replaced.
+        """
+        self.params[name] = _read_only(np.broadcast_to(value, self.params[name].shape))
+
+    def eval_step(self, key):
+        """The eval output as a function of the input (a tuple of several),
+        with the constants for batch-norm bank ``key`` bound."""
+        raise NotImplementedError
+
+    def eval_sources(self, key):
+        """``(mapping, name)`` of every array ``eval_step(key)`` bound or derived from."""
+        return [(self.params, name) for name in self.params]
+
+    def eval_views(self):
+        """None for a layer that takes an eval step; for an alias of its input,
+        the views (functions of one array) through which its readers see it."""
+        return None
+
     def project(self):
         """Constraint projection applied after each optimizer update."""
 
@@ -114,6 +159,11 @@ class Layer:
 def _channel_shape(ndim):
     """Broadcast shape of a per-channel vector against an (N, C) or (N, C, H, W) map."""
     return (1, -1, 1, 1) if ndim == 4 else (1, -1)
+
+
+def _per_channel(v):
+    """``v`` shaped against an (N, C) and an (N, C, H, W) map, keyed by ``ndim``."""
+    return {2: v.reshape(_channel_shape(2)), 4: v.reshape(_channel_shape(4))}
 
 
 def _like_product(x, dout):
@@ -161,12 +211,23 @@ class Conv2d(Layer):
         rng = rng or np.random.default_rng(0)
         fan_in = in_channels * kh * kw
         scale = np.sqrt(2.0 / fan_in)
-        self.params["weight"] = rng.standard_normal((out_channels, in_channels, kh, kw)) * scale
-        self.params["bias"] = np.zeros(out_channels)
+        self.params["weight"] = _read_only(rng.standard_normal((out_channels, in_channels, kh, kw)) * scale)
+        self.params["bias"] = _read_only(np.zeros(out_channels))
         self.zero_grads()
 
     def forward(self, xs, ctx):
         x = _single(xs)
+        w_t = self.params["weight"].reshape(self.out_channels, -1).T
+        out, cols, out_hw = self._conv(x, w_t, self.params["bias"])
+        # a frozen conv's backward reads only the weights
+        return out, (x.shape, None if self.frozen else cols, out_hw)
+
+    def eval_step(self, key):
+        w_t, bias = self.params["weight"].reshape(self.out_channels, -1).T, self.params["bias"]
+        return lambda x: self._conv(x, w_t, bias)[0]
+
+    def _conv(self, x, w_t, bias):
+        """``(output, patch matrix, (oh, ow))`` of ``x`` under the weight matrix ``w_t``."""
         n, c, h, w = x.shape
         if c != self.in_channels:
             raise ConfigError(f"conv2d expects {self.in_channels} channels, got {c}")
@@ -174,12 +235,9 @@ class Conv2d(Layer):
         if oh < 1 or ow < 1:
             raise ConfigError(f"conv kernel {self.kh}x{self.kw} larger than map {h}x{w}")
         cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
-        w_mat = self.params["weight"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T
-        out += self.params["bias"]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        # a frozen conv's backward reads only the weights
-        return out, (x.shape, None if self.frozen else cols, (oh, ow))
+        out = cols @ w_t
+        out += bias
+        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2), cols, (oh, ow)
 
     def _im2col(self, x, oh, ow):
         n, c, h, w = x.shape
@@ -227,15 +285,23 @@ class Dense(Layer):
         self.in_features, self.out_features = in_features, out_features
         rng = rng or np.random.default_rng(0)
         scale = np.sqrt(2.0 / in_features)
-        self.params["weight"] = rng.standard_normal((out_features, in_features)) * scale
-        self.params["bias"] = np.zeros(out_features)
+        self.params["weight"] = _read_only(rng.standard_normal((out_features, in_features)) * scale)
+        self.params["bias"] = _read_only(np.zeros(out_features))
         self.zero_grads()
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        out = x @ self.params["weight"].T
-        out += self.params["bias"]
-        return out, x
+        return self._affine(x, self.params["weight"].T, self.params["bias"]), x
+
+    def eval_step(self, key):
+        w_t, bias = self.params["weight"].T, self.params["bias"]
+        return lambda x: self._affine(x, w_t, bias)
+
+    @staticmethod
+    def _affine(x, w_t, bias):
+        out = x @ w_t
+        out += bias
+        return out
 
     def backward(self, dout, cache, need_dx):
         if not self.frozen:
@@ -261,9 +327,9 @@ class BatchNorm(Layer):
     def __init__(self, num_features):
         super().__init__()
         self.num_features = num_features
-        self.params["gamma"] = np.ones(num_features)
-        self.params["beta"] = np.zeros(num_features)
-        self.banks = {}
+        self.params["gamma"] = _read_only(np.ones(num_features))
+        self.params["beta"] = _read_only(np.zeros(num_features))
+        self.banks = {}  # never replaced, so an eval program's identity checks read this dict
         self.zero_grads()
 
     @staticmethod
@@ -288,26 +354,43 @@ class BatchNorm(Layer):
         scale = self.params["gamma"] / np.sqrt(bank["var"] + BN_EPS)
         return scale, self.params["beta"] - bank["mean"] * scale
 
+    def set_bank(self, key, mean, var):
+        """Store fresh read-only copies of ``mean`` and ``var`` as bank ``key``."""
+        self.banks[key] = {"mean": _read_only(mean), "var": _read_only(var)}
+
+    def eval_step(self, key):
+        scale, shift = map(_per_channel, self.eval_affine(key))
+
+        def step(x):
+            out = x * scale[x.ndim]
+            out += shift[x.ndim]
+            return out
+
+        return step
+
+    def eval_sources(self, key):
+        bank = self.banks[key]
+        return [(self.banks, key), (bank, "mean"), (bank, "var"), *super().eval_sources(key)]
+
     def forward(self, xs, ctx):
         x = _single(xs)
         axes = self._axes(x)
-        key = ctx.subject_key()
+        key = subject_key(ctx.subject)
         if ctx.mode not in ("train", "finalize"):
-            scale, shift = self.eval_affine(key)
-            out = x * self._reshape(scale, x.ndim)
-            out += self._reshape(shift, x.ndim)
-            return out, None
+            raise ConfigError(f"batch-norm forward runs in train or finalize mode, not '{ctx.mode}'")
         mean = x.mean(axis=axes)
         centered = x - self._reshape(mean, x.ndim)
         out = centered * centered  # the squares, later overwritten by the output
         var = out.mean(axis=axes)
         if ctx.mode == "finalize":
-            self.banks[key] = {"mean": mean, "var": var}
+            self.set_bank(key, mean, var)
         else:
-            start = {"mean": np.zeros(self.num_features), "var": np.ones(self.num_features)}
-            bank = self.banks.setdefault(key, start)
-            bank["mean"] = (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean
-            bank["var"] = (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var
+            bank = self.banks.get(key, {"mean": np.zeros(self.num_features), "var": np.ones(self.num_features)})
+            self.set_bank(
+                key,
+                (1 - BN_MOMENTUM) * bank["mean"] + BN_MOMENTUM * mean,
+                (1 - BN_MOMENTUM) * bank["var"] + BN_MOMENTUM * var,
+            )
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat = centered
         x_hat *= self._reshape(inv_std, x.ndim)
@@ -348,13 +431,9 @@ class BatchNorm(Layer):
         }
 
     def load_extra(self, extra):
-        self.banks = {}
+        self.banks.clear()
         for k, v in extra.get("banks", {}).items():
-            key = k if k == DEFAULT_SUBJECT else int(k)
-            self.banks[key] = {
-                "mean": np.asarray(v["mean"], dtype=np.float64),
-                "var": np.asarray(v["var"], dtype=np.float64),
-            }
+            self.set_bank(k if k == DEFAULT_SUBJECT else int(k), v["mean"], v["var"])
 
 
 class Dropout(Layer):
@@ -368,7 +447,7 @@ class Dropout(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        if self.rate <= 0.0 or ctx.mode in ("eval", "finalize"):
+        if self.rate <= 0.0 or ctx.mode == "finalize":
             return x, None
         if ctx.mode != "train":
             raise ConfigError(f"unknown mode '{ctx.mode}'")
@@ -385,6 +464,9 @@ class Dropout(Layer):
             return [dout]
         return [dout * cache]
 
+    def eval_views(self):
+        return ()
+
     def get_config(self):
         return {"rate": self.rate}
 
@@ -396,19 +478,26 @@ class PReLU(Layer):
         super().__init__()
         self.num_features = num_features
         self.alpha_init = float(alpha_init)
-        self.params["alpha"] = np.full(num_features, float(alpha_init))
+        self.params["alpha"] = _read_only(np.full(num_features, float(alpha_init)))
         self.frozen = frozen
         self.zero_grads()
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        alpha = self.params["alpha"].reshape(_channel_shape(x.ndim))
+        return self._prelu(x, self.params["alpha"].reshape(_channel_shape(x.ndim))), x
+
+    def eval_step(self, key):
+        alpha = _per_channel(self.params["alpha"])
+        return lambda x: self._prelu(x, alpha[x.ndim])
+
+    @staticmethod
+    def _prelu(x, alpha):
         # max(x, 0) + alpha min(x, 0): one term is zero at every element
         out = np.maximum(x, 0.0)
         neg_part = np.minimum(x, 0.0)
         neg_part *= alpha
         out += neg_part
-        return out, x
+        return out
 
     def backward(self, dout, cache, need_dx):
         x = cache
@@ -448,8 +537,8 @@ class PELU(Layer):
     def __init__(self, num_features):
         super().__init__()
         self.num_features = num_features
-        self.params["a"] = np.ones(num_features)
-        self.params["b"] = np.ones(num_features)
+        self.params["a"] = _read_only(np.ones(num_features))
+        self.params["b"] = _read_only(np.ones(num_features))
         self.zero_grads()
 
     def forward(self, xs, ctx):
@@ -457,16 +546,39 @@ class PELU(Layer):
         shape = _channel_shape(x.ndim)
         a = self.params["a"].reshape(shape)
         b = self.params["b"].reshape(shape)
+        expx = self._exp_neg(x, b)
+        out = self._pelu(x, expx - 1.0, a, a / b)
+        return out, (x, expx)
+
+    def eval_step(self, key):
+        a, b = _per_channel(self.params["a"]), _per_channel(self.params["b"])
+        a_b = {ndim: a[ndim] / b[ndim] for ndim in a}
+
+        def step(x):
+            expx = self._exp_neg(x, b[x.ndim])
+            expx -= 1.0  # no backward reads it, so it becomes the negative part
+            return self._pelu(x, expx, a[x.ndim], a_b[x.ndim])
+
+        return step
+
+    @staticmethod
+    def _exp_neg(x, b):
+        """exp(min(x, 0) / b): exactly 1.0 wherever x >= 0."""
         expx = np.minimum(x, 0.0)
         expx /= b
-        np.exp(expx, out=expx)  # exactly 1.0 wherever x >= 0
-        # (a/b) max(x, 0) + a (expx - 1): one term is zero at every element
+        return np.exp(expx, out=expx)
+
+    @staticmethod
+    def _pelu(x, neg_part, a, a_b):
+        """(a/b) max(x, 0) + a (expx - 1), given ``neg_part`` = expx - 1, which it scales.
+
+        One term is zero at every element, so the sum is exact.
+        """
         out = np.maximum(x, 0.0)
-        out *= a / b
-        neg_part = expx - 1.0
+        out *= a_b
         neg_part *= a
         out += neg_part
-        return out, (x, expx)
+        return out
 
     def backward(self, dout, cache, need_dx):
         x, expx = cache
@@ -484,8 +596,8 @@ class PELU(Layer):
         return [(a / b) * expx * dout]
 
     def project(self):
-        np.maximum(self.params["a"], self.FLOOR, out=self.params["a"])
-        np.maximum(self.params["b"], self.FLOOR, out=self.params["b"])
+        self.set_param("a", np.maximum(self.params["a"], self.FLOOR))
+        self.set_param("b", np.maximum(self.params["b"], self.FLOOR))
 
     def get_config(self):
         return {"num_features": self.num_features}
@@ -502,17 +614,28 @@ class MaxPool(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
+        flat = self._windows(x)
+        if ctx.mode == "finalize":  # nothing reads an index
+            return flat.max(axis=-1), None
+        arg = flat.argmax(axis=-1)
+        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        return out, (x.shape, arg)
+
+    def eval_step(self, key):
+        return lambda x: self._windows(x).max(axis=-1)
+
+    def _windows(self, x):
+        """The (n, c, oh, ow, kh * kw) pooling windows of ``x``.
+
+        Their max equals the first max, the one ``argmax`` picks, but for
+        the sign of an exact zero.
+        """
         n, c, h, w = x.shape
         oh, ow = h // self.kh, w // self.kw
         view = x[:, :, : oh * self.kh, : ow * self.kw].reshape(
             n, c, oh, self.kh, ow, self.kw
         )
-        flat = view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, self.kh * self.kw)
-        if ctx.mode == "eval":  # equal to the first max but for the sign of an exact zero
-            return flat.max(axis=-1), None
-        arg = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-        return out, (x.shape, arg)
+        return view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, self.kh * self.kw)
 
     def backward(self, dout, cache, need_dx):
         shape, arg = cache
@@ -536,10 +659,17 @@ class Flatten(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        return x.reshape(x.shape[0], -1), x.shape
+        return self._flat(x), x.shape
 
     def backward(self, dout, cache, need_dx):
         return [dout.reshape(cache)]
+
+    def eval_views(self):
+        return (self._flat,)
+
+    @staticmethod
+    def _flat(x):
+        return x.reshape(x.shape[0], -1)
 
 
 class Sum(Layer):
@@ -548,6 +678,13 @@ class Sum(Layer):
     kind = "elementwise-sum-port"
 
     def forward(self, xs, ctx):
+        return self._sum(xs), len(xs)
+
+    def eval_step(self, key):
+        return self._sum
+
+    @staticmethod
+    def _sum(xs):
         if len(xs) < 2:
             raise ConfigError("sum port needs at least two inputs")
         shape = xs[0].shape
@@ -557,7 +694,7 @@ class Sum(Layer):
         out = np.add(xs[0], xs[1], out=np.empty(shape))
         for x in xs[2:]:
             out += x
-        return out, len(xs)
+        return out
 
     def backward(self, dout, cache, need_dx):
         return [dout] * cache
@@ -572,12 +709,35 @@ class ScalarScale(Layer):
         super().__init__()
         self.num_features = num_features
         self.init = float(init)
-        self.params["coeff"] = np.full(num_features, float(init))
+        self.params["coeff"] = _read_only(np.full(num_features, float(init)))
         self.zero_grads()
 
     def forward(self, xs, ctx):
         x = _single(xs)
         return x * self.params["coeff"].reshape(_channel_shape(x.ndim)), x
+
+    def eval_step(self, key):
+        coeff = _per_channel(self.params["coeff"])
+        return lambda x: x * coeff[x.ndim]
+
+    def eval_scale_add(self, key):
+        """The eval step of this layer and the two-input Sum that alone reads it.
+
+        Its input is ``(x, other)``: this layer's input and the sum's other
+        one.  IEEE addition commutes exactly, so ``x * coeff + other``
+        equals the sum port's result in either input order bit for bit.
+        """
+        coeff = _per_channel(self.params["coeff"])
+
+        def step(xs):
+            x, other = xs
+            out = x * coeff[x.ndim]
+            if out.shape != other.shape:
+                raise ConfigError(f"sum port shape mismatch: {other.shape} vs {out.shape}")
+            out += other
+            return out
+
+        return step
 
     def backward(self, dout, cache, need_dx):
         x = cache
@@ -603,12 +763,18 @@ class SliceChannels(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        return x[:, self.start : self.stop], x.shape
+        return self._slice(x), x.shape
 
     def backward(self, dout, cache, need_dx):
         dx = np.zeros(cache)
         dx[:, self.start : self.stop] = dout
         return [dx]
+
+    def eval_views(self):
+        return (self._slice,)
+
+    def _slice(self, x):
+        return x[:, self.start : self.stop]
 
     def get_config(self):
         return {"start": self.start, "stop": self.stop}

@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import base64
 import json
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
+from operator import is_, itemgetter
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .layers import Context, layer_from_config
+from .layers import Context, ScalarScale, Sum, layer_from_config, subject_key
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
@@ -43,28 +45,62 @@ class Network:
             for ref in node.inputs:
                 if ref not in seen:
                     raise ConfigError(f"node '{node.name}' uses undefined input '{ref}'")
+            arity_ok = len(node.inputs) >= 2 if isinstance(node.layer, Sum) else len(node.inputs) == 1
+            if not arity_ok:
+                raise ConfigError(f"node '{node.name}' has {len(node.inputs)} inputs")
             seen.add(node.name)
             self._index[node.name] = node
         names = [node.name for node in self.nodes]
         self._released = _released([node.inputs for node in self.nodes], names, self.output_name)
         self._eval_plan = self._plan_eval()
+        self._eval_programs = {}  # bank key -> EvalProgram
 
     def _plan_eval(self):
-        """Eval steps ``(node, passes through, released)``.
+        """The layout of every eval program, whatever its batch-norm bank.
 
-        Only nodes whose output reaches the logits get a step.  Dropout is
-        the identity at eval and passes its input through; every other step
-        runs its own layer.  ``released`` names the step's inputs that no
-        later step reads.
+        Returns ``(steps, (output slot, output views))``.  Step ``k`` is
+        ``(node name, layer, bind, input slots, input views, released
+        slots)``: ``bind(key)`` gives its function, ``layer.eval_sources(key)``
+        what that was derived from, and it writes slot ``k``; slot 0 holds
+        the input.  Only nodes whose output reaches the logits are planned.
+        A layer with ``eval_views`` takes no step: its readers read its
+        input's slot through those views.  Nor does a ScalarScale that only a
+        two-input Sum reads: the sum's step is its ``eval_scale_add``.  A
+        step releases the slots that no later step reads.
         """
         needed = {self.output_name}
         for node in reversed(self.nodes):
             if node.name in needed:
                 needed.update(node.inputs)
-        steps = [node for node in self.nodes if node.name in needed]
-        reads, writes = [node.inputs for node in steps], [node.name for node in steps]
-        released = _released(reads, writes, self.output_name)
-        return [(node, node.layer.kind == "dropout", names) for node, names in zip(steps, released)]
+        nodes = [node for node in self.nodes if node.name in needed]
+        readers = Counter(ref for node in nodes for ref in node.inputs)
+        held = {INPUT: (INPUT, ())}  # value name -> (step whose output holds it, views)
+        steps = {}  # step name -> (layer, bind, value names read)
+        for node in nodes:
+            views = node.layer.eval_views()
+            if views is not None:
+                step, seen = held[node.inputs[0]]
+                held[node.name] = (step, seen + views)
+                continue
+            layer, bind, refs = node.layer, node.layer.eval_step, node.inputs
+            for i, ref in enumerate(refs if isinstance(layer, Sum) and len(refs) == 2 else ()):
+                scale = self._index.get(ref)  # None for the network input
+                if scale and isinstance(scale.layer, ScalarScale) and readers[ref] == 1:
+                    del steps[ref]
+                    layer, bind = scale.layer, scale.layer.eval_scale_add
+                    refs = [scale.inputs[0], refs[1 - i]]
+                    break
+            steps[node.name] = (layer, bind, refs)
+            held[node.name] = (node.name, ())
+        slot = {name: k for k, name in enumerate([INPUT, *steps])}
+        reads = [[slot[held[ref][0]] for ref in refs] for _, _, refs in steps.values()]
+        out_step, out_views = held[self.output_name]
+        released = _released(reads, range(1, len(steps) + 1), slot[out_step])
+        plan = [
+            (name, layer, bind, ins, [held[ref][1] for ref in refs], gone)
+            for (name, (layer, bind, refs)), ins, gone in zip(steps.items(), reads, released)
+        ]
+        return plan, (slot[out_step], out_views)
 
     # ---- structure ----------------------------------------------------
 
@@ -110,13 +146,16 @@ class Network:
     def forward(self, x, mode="eval", subject=None, rng=None):
         """Logits of ``x``.
 
-        Eval runs the plan of ``_plan_eval``: nodes that cannot reach the
-        logits are skipped, dropout passes its input through, and every
-        other node runs its own layer.  Each BatchNorm reads ``subject``'s
-        bank through ``BatchNorm.eval_affine``, so eval raises ConfigError
-        on a network never trained or finalized.  An input of more than
-        ``EVAL_BLOCK`` windows runs the plan on consecutive blocks of that
-        many and concatenates their logits, so no activation or patch
+        Eval runs ``subject``'s ``EvalProgram``, built from the layout of
+        ``_plan_eval`` with every layer's constants bound for that subject's
+        batch-norm bank and cached until a parameter or bank array it was
+        built from is replaced.  Nodes that cannot reach the logits are
+        skipped; dropout, flatten and channel slices take no step, and each
+        ScalarScale runs with the sum port that reads it.  Each BatchNorm
+        reads the bank through ``BatchNorm.eval_affine``, so eval raises
+        ConfigError for a subject without one.  An input of more than
+        ``EVAL_BLOCK`` windows runs the program on consecutive blocks of
+        that many and concatenates their logits, so no activation or patch
         matrix ever holds more than one block.  Eval mixes nothing across
         windows, so blocking changes a window's logits by rounding at most:
         BLAS may take another kernel for a matrix of another size.
@@ -127,21 +166,24 @@ class Network:
         """
         if mode == "eval":
             x = np.asarray(x, dtype=np.float64)
+            run = self._eval_program(subject).run
             if len(x) <= EVAL_BLOCK:
-                return self._forward_eval(x, subject)
-            blocks = range(0, len(x), EVAL_BLOCK)
-            return np.concatenate([self._forward_eval(x[i : i + EVAL_BLOCK], subject) for i in blocks])
+                return run(x)
+            return np.concatenate([run(x[i : i + EVAL_BLOCK]) for i in range(0, len(x), EVAL_BLOCK)])
+        if mode not in ("train", "finalize"):
+            raise ConfigError(f"unknown mode '{mode}'")
         return self._forward_full(x, mode, subject, rng)[0]
 
-    def _forward_eval(self, x, subject):
-        ctx = Context(mode="eval", subject=subject)
-        values = {INPUT: x}
-        for node, passes, released in self._eval_plan:
-            ins = [values[ref] for ref in node.inputs]
-            for name in released:  # inputs no later step reads; ``ins`` holds them for now
-                del values[name]
-            values[node.name] = ins[0] if passes else node.layer.forward(ins, ctx)[0]
-        return values[self.output_name]
+    def _eval_program(self, subject):
+        """``subject``'s cached eval program, rebuilt when any of its sources was replaced."""
+        key = subject_key(subject)
+        program = self._eval_programs.get(key)
+        if program is None or program.stale():
+            program = EvalProgram(self._eval_plan, key)
+            # a stale program holds replaced arrays alive; drop every one
+            self._eval_programs = {k: p for k, p in self._eval_programs.items() if not p.stale()}
+            self._eval_programs[key] = program
+        return program
 
     def _forward_full(self, x, mode, subject, rng):
         """Run every node in train or finalize mode; returns ``(logits, caches)``.
@@ -240,7 +282,7 @@ class Network:
             if entry["kind"] != node.layer.kind:
                 raise DataError(f"layer kind mismatch at '{node.name}'")
             for k, payload in entry["params"].items():
-                node.layer.params[k][...] = _decode(payload)
+                node.layer.set_param(k, _decode(payload))
             node.layer.frozen = bool(entry["frozen"])
             node.layer.load_extra(entry.get("extra", {}))
             node.layer.zero_grads()
@@ -255,6 +297,65 @@ class Network:
 
     def clone(self) -> "Network":
         return network_from_state(self.state_dict())
+
+
+Step = namedtuple("Step", "fn read out released name")
+
+
+class EvalProgram:
+    """One batch-norm bank's eval steps over integer slots, constants bound.
+
+    Each ``Step`` calls ``fn`` on what ``read`` takes from the slots (the
+    one input array, or a tuple of several), writes the result to slot
+    ``out`` and then clears the slots ``released``.  The program records
+    every array its steps were derived from with the mapping and name it
+    was found under, and is ``stale`` once any of those mappings holds
+    another object under that name.  Parameter and bank arrays are
+    read-only and replaced, never written, so this sees every change.
+    """
+
+    def __init__(self, plan, key):
+        layout, (self.out, self.out_views) = plan
+        self.slots = len(layout) + 1
+        self.steps, sources = [], []
+        for k, (name, layer, bind, ins, views, released) in enumerate(layout, 1):
+            fn = bind(key)
+            if any(views):
+                fn = _through(fn, views)
+            self.steps.append(Step(fn, itemgetter(*ins), k, released, name))
+            sources += layer.eval_sources(key)
+        self._mappings = [mapping for mapping, _ in sources]
+        self._names = [name for _, name in sources]
+        self._arrays = [mapping[name] for mapping, name in sources]
+
+    def stale(self):
+        current = map(dict.get, self._mappings, self._names)
+        return not all(map(is_, current, self._arrays))
+
+    def run(self, x):
+        slots = [None] * self.slots
+        slots[0] = x
+        for fn, read, out, released, _ in self.steps:
+            slots[out] = fn(read(slots))
+            for i in released:
+                slots[i] = None
+        out = slots[self.out]
+        for view in self.out_views:
+            out = view(out)
+        return out
+
+
+def _through(fn, views):
+    """``fn`` reading each of its inputs through that input's views."""
+
+    def seen(x, views):
+        for view in views:
+            x = view(x)
+        return x
+
+    if len(views) == 1:
+        return lambda x: fn(seen(x, views[0]))
+    return lambda xs: fn(tuple(seen(x, v) for x, v in zip(xs, views)))
 
 
 def _released(reads, writes, keep):

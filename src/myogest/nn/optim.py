@@ -38,7 +38,7 @@ class Adam:
             v += (1.0 - BETA2) * g * g
             m_hat = m / bc1
             v_hat = v / bc2
-            layer.params[pname] -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            layer.set_param(pname, layer.params[pname] - self.lr * m_hat / (np.sqrt(v_hat) + EPS))
         for node in self.net.nodes:
             if not node.layer.frozen:
                 node.layer.project()

@@ -174,10 +174,11 @@ def prepare_target_subject(target: TargetNetwork, subject: int):
     for node in target.network.nodes:
         if _is_bn(node) and node.name.startswith(SOURCE_PREFIX) and node.layer.banks:
             pools = node.layer.banks.values()
-            node.layer.banks[int(subject)] = {
-                "mean": np.mean([p["mean"] for p in pools], axis=0),
-                "var": np.mean([p["var"] for p in pools], axis=0),
-            }
+            node.layer.set_bank(
+                int(subject),
+                np.mean([p["mean"] for p in pools], axis=0),
+                np.mean([p["var"] for p in pools], axis=0),
+            )
 
 
 def train_target(target: TargetNetwork, X, y, subject: int, cfg: TrainConfig) -> TargetNetwork:

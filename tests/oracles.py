@@ -454,19 +454,25 @@ def numeric_param_grads(net, x, y, eps=1e-5):
     """Central finite differences of the train-mode cross-entropy per trainable parameter."""
     from myogest.nn.network import softmax_cross_entropy
 
+    def perturbed(idx, value):
+        bumped = arr.copy()
+        bumped[idx] = value
+        return bumped
+
     grads = {}
     for name, pname in net.trainable_parameters():
-        arr = net.node(name).layer.params[pname]
+        layer = net.node(name).layer
+        arr = layer.params[pname]
         g = np.zeros_like(arr)
         it = np.nditer(arr, flags=["multi_index"])
         for _ in it:
             idx = it.multi_index
             old = arr[idx]
-            arr[idx] = old + eps
+            layer.set_param(pname, perturbed(idx, old + eps))
             lp, _ = softmax_cross_entropy(net.forward(x, mode="train"), y)
-            arr[idx] = old - eps
+            layer.set_param(pname, perturbed(idx, old - eps))
             lm, _ = softmax_cross_entropy(net.forward(x, mode="train"), y)
-            arr[idx] = old
+            layer.set_param(pname, arr)
             g[idx] = (lp - lm) / (2 * eps)
         grads[(name, pname)] = g
     return grads

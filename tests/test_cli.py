@@ -615,6 +615,14 @@ def test_replay_bad_session_is_a_data_error(tmp_path, capsys, checkpoint, text):
     assert "session.csv" in capsys.readouterr().err
 
 
+def test_replay_through_a_network_without_statistics_exits_config(tmp_path, capsys, checkpoint):
+    session = tmp_path / "session.csv"
+    session.write_text("".join(f"{i / 200},1" + ",3" * 8 + "\n" for i in range(300)))
+    code = cli.main(["replay", "--session", str(session), "--checkpoint", str(checkpoint)])
+    assert code == cli.EXIT_CONFIG == 2
+    assert "batch-norm has no statistics for subject __default__" in capsys.readouterr().err
+
+
 def _spoil(path):
     """Overwrite the first byte of ``path`` with 0xff, which no UTF-8 text holds."""
     path.write_bytes(b"\xff" + path.read_bytes()[1:])

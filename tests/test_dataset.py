@@ -1,6 +1,7 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -172,6 +173,19 @@ class TestReadOnce:
         assert calls == []
         load_dataset(roots[0])
         assert len(calls) == len(load_dataset(roots[0]))
+
+    def test_a_warm_load_holds_less_than_the_tree(self, small_dataset, tmp_path):
+        # the tree's bytes were all held at once just to hash them
+        root = self.copy_of(small_dataset, tmp_path)
+        load_dataset(root)
+        total = sum(path.stat().st_size for path in root.rglob("*") if path.is_file())
+        tracemalloc.start()
+        try:
+            load_dataset(root)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < total
 
     def test_loaded_samples_are_read_only(self, small_dataset, tmp_path):
         root = self.copy_of(small_dataset, tmp_path)

@@ -1,3 +1,4 @@
+import json
 import tracemalloc
 import weakref
 
@@ -13,6 +14,7 @@ from myogest.nn import (
     Context,
     Conv2d,
     Dense,
+    Adam,
     Dropout,
     Flatten,
     MaxPool,
@@ -27,7 +29,12 @@ from myogest.nn import (
 )
 from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT
 from myogest.nn.network import EVAL_BLOCK
-from myogest.transfer import SourceNetwork, build_target, prepare_target_subject
+from myogest.transfer import (
+    SourceNetwork,
+    TargetNetwork,
+    build_target,
+    prepare_target_subject,
+)
 
 # narrow widths keep every architecture at a few hundred parameters
 NARROW = {
@@ -57,7 +64,7 @@ def test_gradcheck_architecture(arch):
 def test_conv2d_matches_direct_loops():
     rng = np.random.default_rng(7)
     conv = Conv2d(3, 4, 2, 3, rng=rng)
-    conv.params["bias"] = rng.standard_normal(4)
+    conv.set_param("bias", rng.standard_normal(4))
     x = rng.standard_normal((2, 3, 5, 6))
     out, cache = conv.forward([x], Context(mode="train"))
     expected = oracles.conv2d_direct(x, conv.params["weight"], conv.params["bias"])
@@ -139,6 +146,12 @@ def test_train_config_rejects_silent_misconfiguration(kwargs):
         TrainConfig(**kwargs)
 
 
+@pytest.mark.parametrize("layer,inputs", [(Sum(), ["input"]), (Flatten(), ["input", "input"])])
+def test_a_node_with_the_wrong_number_of_inputs_is_refused(layer, inputs):
+    with pytest.raises(ConfigError, match="node 'bad' has"):
+        Network([Node("bad", layer, inputs)])
+
+
 def test_train_config_accepts_the_edges():
     TrainConfig(batch_size=2, dropout_rate=0.0)
     TrainConfig(dropout_rate=0.99)
@@ -185,20 +198,17 @@ def _randomize(net, rng, subjects):
     for node in net.nodes:
         layer = node.layer
         if "bias" in layer.params:
-            layer.params["bias"][...] = rng.standard_normal(layer.params["bias"].shape)
+            layer.set_param("bias", rng.standard_normal(layer.params["bias"].shape))
         if layer.kind == "batch-norm":
             width = layer.num_features
-            layer.params["gamma"][...] = rng.uniform(0.5, 2.0, width)
-            layer.params["beta"][...] = rng.standard_normal(width)
+            layer.set_param("gamma", rng.uniform(0.5, 2.0, width))
+            layer.set_param("beta", rng.standard_normal(width))
             _random_banks(layer, rng, subjects)
 
 
 def _random_banks(bn, rng, subjects):
     for s in subjects:
-        bn.banks[s] = {
-            "mean": rng.standard_normal(bn.num_features),
-            "var": rng.uniform(0.2, 3.0, bn.num_features),
-        }
+        bn.set_bank(s, rng.standard_normal(bn.num_features), rng.uniform(0.2, 3.0, bn.num_features))
 
 
 def _assert_matches_oracle(net, x, subjects):
@@ -258,13 +268,99 @@ def test_fold_follows_every_parameter_and_bank_change():
     x = rng.standard_normal((5, *INPUT_SHAPES["spectrogram"]))
     net.forward(x, subject=1)
     bn = net.node("c3_bn").layer
-    bn.banks[1]["mean"] += 0.5
-    bn.params["gamma"] *= 1.5
-    net.node("c3_conv").layer.params["weight"] *= -1.0
-    net.node("fc4_fc").layer.params["bias"] += 2.0
+    bn.set_bank(1, bn.banks[1]["mean"] + 0.5, bn.banks[1]["var"])
+    bn.set_param("gamma", bn.params["gamma"] * 1.5)
+    conv, fc = net.node("c3_conv").layer, net.node("fc4_fc").layer
+    conv.set_param("weight", conv.params["weight"] * -1.0)
+    fc.set_param("bias", fc.params["bias"] + 2.0)
     _assert_matches_oracle(net, x, (1,))
     net.forward(x, mode="finalize", subject=1)  # rewrites subject 1's banks
     _assert_matches_oracle(net, x, (1,))
+
+
+# ---- every writer stores fresh read-only arrays, and eval follows them ------
+
+
+def _served(net, x, subject):
+    """The logits eval serves ``subject``, checked against the unfolded oracle."""
+    logits = net.forward(x, subject=subject)
+    np.testing.assert_allclose(logits, oracles.eval_forward_direct(net, x, subject), rtol=0, atol=1e-12)
+    return logits
+
+
+def _assert_follows(net, x, subject, write):
+    """``write()`` changes the logits served ``subject`` and no other subject's."""
+    others = {s: _served(net, x, s) for s in (1, 2, 3) if s != subject}
+    before = _served(net, x, subject)
+    write()
+    assert not np.allclose(_served(net, x, subject), before)
+    for s, logits in others.items():
+        assert _served(net, x, s).tobytes() == logits.tobytes(), s
+
+
+def test_every_writer_changes_the_logits_it_serves(tmp_path):
+    rng = np.random.default_rng(34)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((5, *INPUT_SHAPES["cwt"]))
+    checkpoint = tmp_path / "model.json"
+    net.save(checkpoint)
+    saved = _served(net, x, 3)
+
+    pelu = net.node("snd/fc4_act").layer
+    pelu.set_param("a", np.full(pelu.num_features, 2 * PELU.FLOOR))
+    opt = Adam(net, lr=0.05)
+    net.zero_grads()
+    for name, pname in net.trainable_parameters():
+        grad = net.node(name).layer.grads[pname]
+        grad[...] = rng.standard_normal(grad.shape)
+    pelu.grads["a"][...] = 1.0  # the first step moves every a down by lr, below the floor
+    before = _served(net, x, 3)
+    opt.step()
+    assert np.all(pelu.params["a"] == PELU.FLOOR)
+    assert not np.allclose(_served(net, x, 3), before)
+
+    net.load_state_dict(json.loads(checkpoint.read_text()))
+    assert _served(net, x, 3).tobytes() == saved.tobytes()
+
+    train_rng = np.random.default_rng(0)
+    _assert_follows(net, x, 3, lambda: net.forward(x, mode="train", subject=3, rng=train_rng))
+    _assert_follows(net, x, 3, lambda: net.forward(2 * x + 1, mode="finalize", subject=3))
+    _assert_follows(net, x, 3, lambda: prepare_target_subject(TargetNetwork(net), 3))
+
+
+def test_parameters_and_banks_refuse_in_place_writes():
+    rng = np.random.default_rng(35)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((3, *INPUT_SHAPES["cwt"]))
+    served = _served(net, x, 1)
+    conv, bn = net.node("snd/c3_conv").layer, net.node("src/c3_bn").layer
+    with pytest.raises(ValueError, match="read-only"):
+        conv.params["weight"][...] *= 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        bn.banks[1]["mean"] += 0.5
+    arrays = [arr for _, _, arr in net.named_parameters()]
+    arrays += [arr for node in net.nodes if node.layer.kind == "batch-norm"
+               for bank in node.layer.banks.values() for arr in bank.values()]
+    assert arrays and not any(arr.flags.writeable for arr in arrays)
+    assert _served(net, x, 1).tobytes() == served.tobytes()
+
+
+def test_each_subject_is_served_by_its_own_bank():
+    rng = np.random.default_rng(36)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((4, *INPUT_SHAPES["cwt"]))
+    logits = {s: _served(net, x, s) for s in (1, 2)}
+    assert not np.allclose(logits[1], logits[2])
+    program = net._eval_program(1)
+    assert net._eval_program(2) is not program
+    for node in net.nodes:  # a new bank for subject 2 only
+        if node.layer.kind == "batch-norm":
+            node.layer.set_bank(2, node.layer.banks[2]["mean"] + 1.0, node.layer.banks[2]["var"])
+    assert not np.allclose(_served(net, x, 2), logits[2])
+    assert net._eval_program(1) is program
+    assert _served(net, x, 1).tobytes() == logits[1].tobytes()
+    with pytest.raises(ConfigError, match="no statistics for subject 9"):
+        net.predict(x, subject=9)
 
 
 # ---- eval runs a long input in blocks of EVAL_BLOCK windows ----------------
@@ -272,16 +368,17 @@ def test_fold_follows_every_parameter_and_bank_change():
 
 def _assert_blocked_eval_matches_oracle(net, x, subject):
     blocks = []
-    run_block = net._forward_eval
+    program = net._eval_program(subject)
+    run_block = program.run
 
-    def recorded(xb, s):
+    def recorded(xb):
         blocks.append(len(xb))
-        return run_block(xb, s)
+        return run_block(xb)
 
-    net._forward_eval = recorded
+    program.run = recorded
     logits = net.forward(x, subject=subject)
     pred = net.predict(x, subject=subject)
-    del net._forward_eval
+    del program.run
     assert blocks == [EVAL_BLOCK, EVAL_BLOCK, 3] * 2
     ref = oracles.eval_forward_direct(net, x, subject)
     np.testing.assert_allclose(logits, ref, rtol=0, atol=1e-12)
@@ -329,6 +426,22 @@ def _record_forward_calls(net):
     return calls
 
 
+def _record_eval_steps(net, subject):
+    """Names of the nodes whose eval program steps run for ``subject``, in call order."""
+    calls = []
+    program = net._eval_program(subject)
+
+    def recorded(step):
+        def fn(x):
+            calls.append(step.name)
+            return step.fn(x)
+
+        return step._replace(fn=fn)
+
+    program.steps = [recorded(step) for step in program.steps]
+    return calls
+
+
 def _kind_names(net, kind):
     return [node.name for node in net.nodes if node.layer.kind == kind]
 
@@ -336,7 +449,7 @@ def _kind_names(net, kind):
 def test_eval_runs_each_needed_batch_norm_once_and_no_dropout_layer():
     rng = np.random.default_rng(15)
     net = _merged_cwt_target(rng)
-    calls = _record_forward_calls(net)
+    calls = _record_eval_steps(net, 3)
     needed = {net.output_name}
     for node in reversed(net.nodes):
         if node.name in needed:
@@ -349,7 +462,7 @@ def test_eval_runs_each_needed_batch_norm_once_and_no_dropout_layer():
         net.predict(xb, subject=3)
         assert sorted(c for c in calls if c in batch_norms) == batch_norms, len(xb)
         assert calls and not set(_kind_names(net, "dropout")) & set(calls), len(xb)
-    calls.clear()
+    calls = _record_forward_calls(net)
     net.forward(x, mode="train", subject=3, rng=np.random.default_rng(0))
     assert set(calls) == {node.name for node in net.nodes}
 
@@ -357,7 +470,7 @@ def test_eval_runs_each_needed_batch_norm_once_and_no_dropout_layer():
 def test_eval_skips_the_source_head_that_cannot_reach_the_logits():
     rng = np.random.default_rng(18)
     net = _merged_cwt_target(rng)
-    calls = _record_forward_calls(net)
+    calls = _record_eval_steps(net, 3)
     x = rng.standard_normal((4, *INPUT_SHAPES["cwt"]))
     net.predict(x, subject=3)
     assert "src/head" not in calls and "snd/head" in calls
@@ -380,7 +493,7 @@ def test_batch_norm_that_cannot_fold_runs_its_own_eval_forward():
     )
     _randomize(net, rng, subjects=(7,))
     x = rng.standard_normal((6, 2, 4, 5))
-    calls = _record_forward_calls(net)
+    calls = _record_eval_steps(net, 7)
     _assert_matches_oracle(net, x, (7,))
     assert calls.count("bn") == calls.count("bn2") == 4  # 2 batch sizes x (forward, predict)
 
@@ -399,7 +512,8 @@ def _cached_arrays(caches):
 
 
 class _LifetimeSpy:
-    """Wraps every layer's ``forward`` and notes, at each call, which earlier outputs live.
+    """Wraps every layer's ``forward``, or with ``eval_subject`` every step of
+    that subject's eval program, and notes, at each call, which earlier outputs live.
 
     Outputs are held by weak reference only.  Each live output is noted with
     whether a train cache holds it (the network keeps those for backward)
@@ -409,21 +523,36 @@ class _LifetimeSpy:
     viewed them.
     """
 
-    def __init__(self, net):
+    def __init__(self, net, eval_subject=None):
         self.names, self.outputs, self.last_read, self.notes = [], [], [], []
         self.caches = []
+        if eval_subject is not None:
+            program = net._eval_program(eval_subject)
+            program.steps = [step._replace(fn=self._step_spy(step)) for step in program.steps]
+            return
         for node in net.nodes:
             def spy(xs, ctx, *rest, _name=node.name, _inner=node.layer.forward):
-                self._note(xs)
-                out, cache = _inner(xs, ctx, *rest)
-                self.names.append(_name)
-                self.outputs.append(weakref.ref(out))
-                self.last_read.append(-1)
+                out, cache = self._call(_name, xs, lambda: _inner(xs, ctx, *rest))
                 if ctx.mode == "train":
                     self.caches.append(cache)
                 return out, cache
 
             node.layer.forward = spy
+
+    def _step_spy(self, step):
+        def spy(x):
+            xs = x if isinstance(x, tuple) else (x,)
+            return self._call(step.name, xs, lambda: (step.fn(x), None))[0]
+
+        return spy
+
+    def _call(self, name, xs, run):
+        self._note(xs)
+        out, cache = run()
+        self.names.append(name)
+        self.outputs.append(weakref.ref(out))
+        self.last_read.append(-1)
+        return out, cache
 
     def _note(self, xs):
         j = len(self.outputs)
@@ -463,7 +592,7 @@ def test_no_output_outlives_its_last_reader(arch, run):
         net = build_architecture(arch, num_classes=3, widths=NARROW[arch], seed=1)
         _randomize(net, rng, subjects=(3,))
     x = rng.standard_normal((64, *INPUT_SHAPES[net.metadata["architecture"]]))
-    spy = _LifetimeSpy(net)
+    spy = _LifetimeSpy(net, eval_subject=3 if run.startswith("predict") else None)
     if run.startswith("predict"):
         net.predict(x[: int(run.split("-")[1])], subject=3)
     elif run == "finalize":
@@ -571,7 +700,7 @@ def test_prelu_equals_its_select_form(shape, x_layout, d_layout):
     x = _with_edges(_map(rng, shape, x_layout))
     dout = _map(rng, shape, d_layout)
     layer = PReLU(shape[1])
-    layer.params["alpha"][...] = rng.uniform(0.05, 0.5, shape[1])
+    layer.set_param("alpha", rng.uniform(0.05, 0.5, shape[1]))
     out, dx = _train_pass(layer, x, dout)
     ref_out, ref_dx, ref_grads = oracles.prelu_direct(x, layer.params["alpha"], dout)
     # max(x, 0) + alpha min(x, 0) is +0 where the select gives -0: at x = -0
@@ -588,9 +717,10 @@ def test_pelu_equals_its_select_form(shape, x_layout, d_layout):
     x = _with_edges(_map(rng, shape, x_layout))
     dout = _map(rng, shape, d_layout)
     layer = PELU(shape[1])
-    layer.params["a"][...] = rng.uniform(0.5, 2.0, shape[1])
-    layer.params["b"][...] = rng.uniform(0.5, 2.0, shape[1])
-    layer.params["a"][0] = layer.params["b"][0] = PELU.FLOOR
+    a, b = rng.uniform(0.5, 2.0, shape[1]), rng.uniform(0.5, 2.0, shape[1])
+    a[0] = b[0] = PELU.FLOOR
+    layer.set_param("a", a)
+    layer.set_param("b", b)
     out, dx = _train_pass(layer, x, dout)
     ref_out, ref_dx, ref_grads = oracles.pelu_direct(x, layer.params["a"], layer.params["b"], dout)
     # (a/b) max(x, 0) + a (exp - 1) is +0 at x = -0, where the select gives -0
@@ -606,8 +736,8 @@ def test_batch_norm_train_equals_its_textbook_form(shape, x_layout, d_layout):
     x = _map(rng, shape, x_layout) * 3.0 + 1.0
     dout = _map(rng, shape, d_layout)
     layer = BatchNorm(shape[1])
-    layer.params["gamma"][...] = rng.uniform(0.5, 2.0, shape[1])
-    layer.params["beta"][...] = rng.standard_normal(shape[1])
+    layer.set_param("gamma", rng.uniform(0.5, 2.0, shape[1]))
+    layer.set_param("beta", rng.standard_normal(shape[1]))
     out, dx = _train_pass(layer, x, dout)
     ref_out, ref_dx, ref_grads, (mean, var) = oracles.batch_norm_train_direct(
         x, layer.params["gamma"], layer.params["beta"], dout, BN_EPS
@@ -652,9 +782,34 @@ def test_maxpool_equals_the_loop_form_with_ties_and_cropped_remainders(kh, kw, h
     assert out.tobytes() == ref_out.tobytes()
     (dx,) = layer.backward(dout, cache, True)
     assert dx.tobytes() == ref_dx.tobytes()
-    eval_out, eval_cache = layer.forward([x], Context(mode="eval"))
-    assert eval_cache is None
-    assert eval_out.shape == ref_out.shape and np.array_equal(eval_out, ref_out)
+    final_out, final_cache = layer.forward([x], Context(mode="finalize"))
+    assert final_cache is None
+    eval_out = layer.eval_step(DEFAULT_SUBJECT)(x)
+    for out in (final_out, eval_out):
+        assert out.shape == ref_out.shape and np.array_equal(out, ref_out)
+
+
+@pytest.mark.parametrize("arch", ["raw-1d", "enhanced-raw"])
+def test_finalize_pools_without_an_index_and_writes_the_same_banks(arch):
+    rng = np.random.default_rng(29)
+    net = build_architecture(arch, num_classes=3, widths=NARROW[arch], seed=1)
+    conv = net.node("c1_conv").layer
+    # integer inputs and weights tie many pooled values, as in the max-pooling test
+    conv.set_param("weight", rng.integers(-1, 2, conv.params["weight"].shape))
+    shape = (64, *INPUT_SHAPES[arch])
+    x = rng.integers(-2, 3, shape) * rng.choice([1.0, -1.0], shape)
+    indexed = net.clone()
+    for node in indexed.nodes:
+        if node.layer.kind == "maxpool":  # pool as train does: argmax, then gather
+            def pool(xs, ctx, _train=node.layer.forward):
+                return _train(xs, Context(mode="train"))[0], None
+
+            node.layer.forward = pool
+    for model in (net, indexed):
+        model.forward(x, mode="finalize", subject=1)
+    banks = [json.dumps(node.layer.state_extra()) for node in net.nodes]
+    assert banks == [json.dumps(node.layer.state_extra()) for node in indexed.nodes]
+    assert any("banks" in b for b in banks)
 
 
 def test_frozen_conv_keeps_no_patch_matrix_and_refuses_a_late_unfreeze():

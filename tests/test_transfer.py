@@ -82,7 +82,7 @@ def test_zeroed_scalars_give_the_second_network_alone(source):
     target = build_target(source, seed=4)
     for node in target.network.nodes:
         if node.layer.kind == "scalar-scale":
-            node.layer.params["coeff"][...] = 0.0
+            node.layer.set_param("coeff", 0.0)
     second = build_architecture(
         "cwt", num_classes=CLASSES, widths=WIDTHS, activation="pelu", seed=4
     )
