@@ -5,6 +5,8 @@ Every feature is one private kernel over rows: it takes an array of shape
 returns (...) for a scalar feature or (..., d) for a d-valued one.
 `feature_matrix` runs each kernel of a set once per chunk of windows on the
 stacked (n, 8, L) array, with the paper's fixed parameters from `_FEATURES`.
+Every kernel's temporaries are O(rows x L), so a chunk bounds peak memory
+whatever the number of windows.
 
 Moments are population moments (1/L scaling).  Degenerate inputs (zero
 variance, vanishing match counts) take the value documented on their kernel
@@ -20,10 +22,10 @@ from .timefreq import _mdwt_rows, mdwt_length
 
 FEATURE_SETS = ("TD", "EnhancedTD", "NinaPro", "SampEnPipeline")
 
-# Windows per feature_matrix chunk and rows per SampEn distance block: they
-# bound the kernels' temporaries, so peak memory does not grow with N.
-_CHUNK = 32
-_SAMPEN_BLOCK = 16
+# Windows per feature_matrix chunk: its 8 * _CHUNK rows bound the kernels'
+# temporaries, and are enough rows that numpy's per-call overhead is small.
+# 128 was slower end to end, with more than twice the page faults.
+_CHUNK = 64
 
 
 # ---------------------------------------------------------------------------
@@ -160,29 +162,59 @@ def _sampen(x, m, r_coeff):
     Both template lengths use the same L - m start positions, and r is
     r_coeff * population sigma.  Conventions: sigma = 0 gives 0; A = 0 gives
     ln B + ln of the ordered-pair space; B = 0 gives ln of the pair space.
+
+    The matches of Richman & Moorman (2000) are counted by sorted
+    neighbours: each row's templates are sorted on their first coordinate,
+    and the pairs (p, p + k) of sorted positions are walked for
+    k = 1, 2, ...  The sorted difference s[p+k] - s[p] is exactly
+    |x_i - x_j| (IEEE subtraction is sign-symmetric) and never falls as k
+    grows, so the walk ends at the first k where no row has a
+    first-coordinate match.  The other m coordinates (m >= 1) are checked
+    on the same pairs.  Every unordered pair is visited once in any sorted
+    order, ties included, so A and B (doubled to ordered pairs) are exact
+    integers and temporaries stay O(rows x L).
     """
     L = x.shape[-1]
     if L <= m + 1:
         raise DataError(f"sampen needs more than m+1={m + 1} samples")
     rows = x.reshape(-1, L)
     sigma = np.sqrt(_activity(rows))
-    r = r_coeff * sigma
+    # a constant row is 0 whatever it counts, so it never matches (and never
+    # lengthens the walk); a NaN radius matches nothing either
+    r = np.where(sigma == 0.0, -np.inf, r_coeff * sigma)
     n_templates = L - m
     pair_space = n_templates * (n_templates - 1)
-    off_diagonal = ~np.eye(n_templates, dtype=bool)
-    A = np.empty(len(rows), dtype=np.int64)
-    B = np.empty(len(rows), dtype=np.int64)
-    for s in range(0, len(rows), _SAMPEN_BLOCK):
-        block = rows[s : s + _SAMPEN_BLOCK]
-        # Chebyshev distance over all template pairs, built incrementally
-        diff = np.abs(block[:, :, None] - block[:, None, :])
-        dist = np.zeros((len(block), n_templates, n_templates))
-        for k in range(m):
-            np.maximum(dist, diff[:, k : k + n_templates, k : k + n_templates], out=dist)
-        r_b = r[s : s + _SAMPEN_BLOCK, None, None]
-        B[s : s + len(block)] = np.count_nonzero((dist <= r_b) & off_diagonal, axis=(1, 2))
-        np.maximum(dist, diff[:, m : m + n_templates, m : m + n_templates], out=dist)
-        A[s : s + len(block)] = np.count_nonzero((dist <= r_b) & off_diagonal, axis=(1, 2))
+    # coords[t][p, row]: coordinate t of the row's p-th template in sorted
+    # order, rows last and C-ordered so that every offset slice is contiguous
+    starts = np.argsort(rows[:, :n_templates], axis=-1).T.copy()
+    starts += L * np.arange(len(rows))
+    flat = rows.ravel()
+    coords = [flat[t:][starts] for t in range(m + 1)]
+    del starts  # not held through the walk
+    # matches per sorted position p (at most n_templates - 1 each), and one
+    # difference buffer and two masks that every offset k reuses
+    per_a = np.zeros((n_templates - 1, len(rows)), np.min_scalar_type(n_templates))
+    per_b = np.zeros_like(per_a)
+    diff = np.empty(per_a.shape)
+    match, near = np.empty(per_a.shape, bool), np.empty(per_a.shape, bool)
+
+    def within(t, k, out):
+        """|coordinate t of sorted template p + k minus that of p| <= r, for every p."""
+        d = np.subtract(coords[t][k:], coords[t][:-k], out=diff[: n_templates - k])
+        # coordinate 0 is sorted, so its differences are already >= 0
+        return np.less_equal(np.abs(d, out=d) if t else d, r, out=out[: n_templates - k])
+
+    for k in range(1, n_templates):
+        hit = within(0, k, match)
+        if not hit.any():
+            break
+        for t in range(1, m):
+            hit &= within(t, k, near)
+        per_b[: n_templates - k] += hit
+        hit &= within(m, k, near)
+        per_a[: n_templates - k] += hit
+    A = 2 * per_a.sum(axis=0, dtype=np.int64)
+    B = 2 * per_b.sum(axis=0, dtype=np.int64)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = -np.log(A / B)
         value = np.where(A == 0, np.log(B) + np.log(pair_space), value)
@@ -278,7 +310,8 @@ def feature_matrix(windows, set_name: str):
     A row holds each channel's features in turn, in the set's declared
     order; `layout` names each column as (feature, channel, index).  Each
     kernel runs once per chunk of `_CHUNK` windows on the stacked (n, 8, L)
-    array; all windows must share one length L.
+    array, so the values never depend on the chunking; all windows must
+    share one length L.
     """
     if set_name not in _SET_FEATURES:
         raise ConfigError(f"unknown feature set '{set_name}' (choose from {FEATURE_SETS})")

@@ -21,6 +21,9 @@ class Adam:
             arr = net.node(node_name).layer.params[pname]
             self.m[(node_name, pname)] = np.zeros_like(arr)
             self.v[(node_name, pname)] = np.zeros_like(arr)
+        # two scratch buffers the size of the largest parameter
+        size = max((m.size for m in self.m.values()), default=0)
+        self._scratch = (np.empty(size), np.empty(size))
 
     def step(self):
         self.t += 1
@@ -32,13 +35,20 @@ class Adam:
                 continue
             g = layer.grads[pname]
             v = self.v[(node_name, pname)]
+            # param - lr * (m / bc1) / (sqrt(v / bc2) + eps), every product and
+            # quotient in the textbook order, built in the two scratch buffers
+            a, b = (buf[: m.size].reshape(m.shape) for buf in self._scratch)
             m *= BETA1
-            m += (1.0 - BETA1) * g
+            m += np.multiply(g, 1.0 - BETA1, out=a)
             v *= BETA2
-            v += (1.0 - BETA2) * g * g
-            m_hat = m / bc1
-            v_hat = v / bc2
-            layer.set_param(pname, layer.params[pname] - self.lr * m_hat / (np.sqrt(v_hat) + EPS))
+            np.multiply(g, 1.0 - BETA2, out=a)
+            v += np.multiply(a, g, out=a)
+            np.divide(m, bc1, out=a)
+            np.sqrt(np.divide(v, bc2, out=b), out=b)
+            b += EPS
+            a *= self.lr
+            a /= b
+            layer.set_param(pname, np.subtract(layer.params[pname], a, out=a))
         for node in self.net.nodes:
             if not node.layer.frozen:
                 node.layer.project()

@@ -32,6 +32,7 @@ class LdaModel:
     projection_basis: np.ndarray  # (D, C-1)
     priors: np.ndarray
     _solve: np.ndarray = field(default=None, repr=False)  # covariance^-1 means^T
+    _const: np.ndarray = field(default=None, repr=False)  # per-class score offset
 
 
 def lda_fit(features, labels) -> LdaModel:
@@ -81,6 +82,7 @@ def lda_fit(features, labels) -> LdaModel:
 
     model = LdaModel(classes=classes, class_means=means, projection_basis=basis, priors=priors)
     model._solve = np.linalg.solve(within, means.T)  # (D, C)
+    model._const = -0.5 * np.einsum("cd,dc->c", means, model._solve) + np.log(priors)
     return model
 
 
@@ -92,10 +94,7 @@ def lda_project(model: LdaModel, features) -> np.ndarray:
 def lda_classify(model: LdaModel, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
     lin = X @ model._solve  # (N, C)
-    const = -0.5 * np.einsum("cd,dc->c", model.class_means, model._solve) + np.log(
-        model.priors
-    )
-    return model.classes[np.argmax(lin + const, axis=1)]
+    return model.classes[np.argmax(lin + model._const, axis=1)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +111,8 @@ def knn_classify(train_features, train_labels, queries, k=5):
     Distances are computed for ``KNN_BLOCK`` queries at a time, so memory
     holds one (block x training x features) difference tensor, never the
     whole query set's; each distance is the same per-row reduction either way.
+    One stable argsort per block ranks every query's neighbours; the stable
+    order is unique, so ties go to the lowest training index.
     """
     X = np.asarray(train_features, dtype=np.float64)
     y = np.asarray(train_labels)
@@ -122,15 +123,14 @@ def knn_classify(train_features, train_labels, queries, k=5):
     for start in range(0, len(Q), KNN_BLOCK):
         block = Q[start : start + KNN_BLOCK]
         dist = np.sqrt(((block[:, None, :] - X[None, :, :]) ** 2).sum(axis=2))
-        for i, row in enumerate(dist, start):
-            out[i] = _vote(row, y, k)
+        nearest = np.argsort(dist, axis=1, kind="stable")[:, :k]
+        for i, (row, idx) in enumerate(zip(dist, nearest), start):
+            out[i] = _vote(row, idx, y)
     return out
 
 
-def _vote(dist, y, k):
-    """Label of one query given its distance to every training example."""
-    # stable sort keeps ties deterministic (lowest training index first)
-    nearest = np.argsort(dist, kind="stable")[:k]
+def _vote(dist, nearest, y):
+    """Label of one query given its distances and its k nearest, nearest first."""
     labels = y[nearest]
     candidates, votes = np.unique(labels, return_counts=True)
     tied = candidates[votes == votes.max()]

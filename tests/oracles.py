@@ -283,6 +283,23 @@ def knn_classify_direct(train_features, train_labels, queries, k=5):
     return out
 
 
+def lda_scores_direct(train_features, train_labels, queries):
+    """Gaussian discriminant scores with a pooled covariance (Hastie et al.,
+    The Elements of Statistical Learning, eq. 4.10):
+    x' S^-1 mu_c - mu_c' S^-1 mu_c / 2 + ln(n_c / n), one column per sorted class."""
+    X = np.asarray(train_features, dtype=np.float64)
+    y = np.asarray(train_labels)
+    classes = sorted(set(y.tolist()))
+    means = [X[y == c].mean(axis=0) for c in classes]
+    scatter = sum((X[y == c] - mu).T @ (X[y == c] - mu) for c, mu in zip(classes, means))
+    inv = np.linalg.inv(scatter / (len(X) - len(classes)))
+    Q = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    return np.stack(
+        [Q @ inv @ mu - 0.5 * mu @ inv @ mu + np.log(np.mean(y == c)) for c, mu in zip(classes, means)],
+        axis=1,
+    )
+
+
 # ---------------------------------------------------------------------------
 # convolution
 
@@ -448,6 +465,15 @@ def eval_forward_direct(net, x, subject=None):
 
 # ---------------------------------------------------------------------------
 # gradients
+
+
+def adam_update_direct(param, grad, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """One Adam update (Kingma & Ba, 2015) as fresh arrays: (param, m, v)."""
+    m = beta1 * m + (1.0 - beta1) * grad
+    v = beta2 * v + (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1**t)
+    v_hat = v / (1.0 - beta2**t)
+    return param - lr * m_hat / (np.sqrt(v_hat) + eps), m, v
 
 
 def numeric_param_grads(net, x, y, eps=1e-5):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import oracles
 from myogest.dataset import Window
+from myogest import features
 from myogest.errors import ConfigError, DataError
 from myogest.features import (
     FEATURE_SETS,
@@ -106,6 +107,11 @@ class TestScalarExamples:
         assert one(_sampen, [0.0, 1.0, 0.0, -1.0], 2, 0.2) == np.log(2)
         # 3 templates, 6 ordered pairs: B = 2 but A = 0 gives ln 2 + ln 6
         assert one(_sampen, [0.0, 0.0, 0.0, 9.0, -9.0], 2, 0.2) == np.log(2) + np.log(6)
+
+    def test_sampen_distance_equal_to_r_is_a_match(self):
+        # 26 zeros and 26 ones: sigma = 0.5 and r = 2 * 0.5 = 1 exactly, so every pair matches
+        x = np.random.default_rng(0).permutation(np.resize([0.0, 1.0], 52))
+        assert one(_sampen, x, 2, 2.0) == oracles.sampen_direct(x, 2, 2.0) == 0.0
 
     def test_hist_constant_center_bin(self):
         counts = one(_hist, np.full(52, 5.0), 20, 3.0)
@@ -235,8 +241,33 @@ class TestOracleSuite:
             assert np.allclose(one(_cepstral, x, 4), want, atol=1e-9)
 
     def test_sampen(self, channels):
-        for x in channels[:120]:
-            assert abs(one(_sampen, x, 2, 0.2) - oracles.sampen_direct(x)) < 1e-6
+        # the match counts are exact integers, so the value is too
+        for x in channels[:300]:
+            assert one(_sampen, x, 2, 0.2) == oracles.sampen_direct(x)
+
+    def test_sampen_integer(self, int_channels):
+        for x in int_channels[:300]:
+            assert one(_sampen, x, 2, 0.2) == oracles.sampen_direct(x)
+
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_sampen_other_template_lengths(self, channels, int_channels, m):
+        for x in channels[:20] + int_channels[:20]:
+            assert one(_sampen, x, m, 0.2) == oracles.sampen_direct(x, m, 0.2)
+
+    def test_sampen_block_with_walk_extremes(self, channels, int_channels):
+        """Rows that end the sorted walk at once, at its last offset, or never
+        start it, in one block: each equals its oracle and its one-row value."""
+        step = np.zeros(52)
+        step[-2:] = [5.0, -5.0]  # 50 equal first coordinates: the walk reaches k = 49
+        ties = np.resize([0.0, 1.0, 0.0, -1.0], 52)  # r = 0.14: only exact ties match
+        spread = np.arange(52.0) ** 3  # no first coordinates within r but neighbours
+        nan = channels[3].copy()
+        nan[17] = np.nan
+        block = np.stack([channels[0], np.zeros(52), step, int_channels[1], np.full(52, 7.0),
+                          ties, spread, nan, channels[2]])
+        got = _sampen(block, 2, 0.2)
+        for row, value in zip(block, got):
+            assert value == oracles.sampen_direct(row) == one(_sampen, row, 2, 0.2)
 
     def test_hist(self, channels):
         for x in channels[:300]:
@@ -337,9 +368,8 @@ class TestAssemble:
 class TestFeatureMatrix:
     """The batched path against single windows and the oracles, window by window.
 
-    77 windows are not a multiple of the chunk size; window 40 has one zero
-    channel and window 41 is constant.  Even windows are int8-range integers
-    (ties abound), odd ones Gaussian.
+    Window 40 has one zero channel and window 41 is constant.  Even windows
+    are int8-range integers (ties abound), odd ones Gaussian.
     """
 
     N_WINDOWS, ZERO_WINDOW, ZERO_CHANNEL, CONSTANT_WINDOW = 77, 40, 5, 41
@@ -361,7 +391,8 @@ class TestFeatureMatrix:
         "cepstral": lambda x: oracles.cepstral_direct(oracles.ar_direct(x, 4), 4),
     }
     WIDTHS = {"TD": 32, "EnhancedTD": 168, "NinaPro": 248, "SampEnPipeline": 56}
-    COUNTS = {"zc", "ssc", "hist"}
+    # integer counts, and SampEn, whose value is a function of two counts
+    EXACT = {"zc", "ssc", "hist", "sampen"}
 
     @pytest.fixture(scope="class")
     def windows(self):
@@ -399,11 +430,19 @@ class TestFeatureMatrix:
         M, layout = feature_matrix(windows, set_name)
         for col, (name, ch, i) in enumerate(layout):
             want = np.array([oracle_values(name, n, ch)[i] for n in range(self.N_WINDOWS)])
-            if name in self.COUNTS:
+            if name in self.EXACT:
                 assert np.array_equal(M[:, col], want), (name, ch, i)
             else:
                 tol = 1e-8 if name == "ar" else 1e-9
                 assert np.allclose(M[:, col], want, rtol=0, atol=tol), (name, ch, i)
+
+    @pytest.mark.parametrize("set_name", FEATURE_SETS)
+    def test_any_chunk_size_gives_the_same_matrix(self, windows, set_name, monkeypatch):
+        """Chunks of 5 leave a short last chunk of 2 windows, and SampEn's
+        sorted walk ends at a different offset in each chunk."""
+        M, _ = feature_matrix(windows, set_name)
+        monkeypatch.setattr(features, "_CHUNK", 5)
+        assert feature_matrix(windows, set_name)[0].tobytes() == M.tobytes()
 
     def test_mixed_lengths_rejected(self, windows):
         short = Window(data=np.ones((8, 40)), label=0, subject_id=1)

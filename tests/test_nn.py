@@ -828,3 +828,44 @@ def test_frozen_conv_keeps_no_patch_matrix_and_refuses_a_late_unfreeze():
     conv.frozen = False
     with pytest.raises(ConfigError):
         conv.backward(dout, cache, True)
+
+
+def _adam_matches_the_textbook_update(net, x, y, subject, steps=20):
+    """Every step's parameters and moments equal ``oracles.adam_update_direct``, byte for byte."""
+    opt = Adam(net, lr=0.01)
+    rng = np.random.default_rng(5)
+    m = {key: np.zeros_like(arr) for key, arr in opt.m.items()}
+    v = {key: np.zeros_like(arr) for key, arr in opt.v.items()}
+    for t in range(1, steps + 1):
+        net.zero_grads()
+        net.train_batch(x, y, subject=subject, rng=rng)
+        want = {}
+        for key in opt.m:
+            layer = net.node(key[0]).layer
+            if layer.frozen:
+                continue
+            grad = layer.grads[key[1]]
+            want[key], m[key], v[key] = oracles.adam_update_direct(
+                layer.params[key[1]], grad, m[key], v[key], t, opt.lr)
+            if layer.kind == "pelu":
+                want[key] = np.maximum(want[key], PELU.FLOOR)
+        opt.step()
+        assert want
+        for key, param in want.items():
+            assert net.node(key[0]).layer.params[key[1]].tobytes() == param.tobytes(), (t, key)
+            assert opt.m[key].tobytes() == m[key].tobytes(), (t, key)
+            assert opt.v[key].tobytes() == v[key].tobytes(), (t, key)
+
+
+def test_adam_steps_equal_the_textbook_update_on_spectrogram():
+    net = build_architecture("spectrogram", num_classes=3, widths=NARROW["spectrogram"], seed=1)
+    x, y = _batch("spectrogram")
+    _adam_matches_the_textbook_update(net, x, y, subject=None)
+
+
+def test_adam_steps_equal_the_textbook_update_on_the_merged_cwt_target():
+    rng = np.random.default_rng(36)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((6, *INPUT_SHAPES["cwt"]))
+    y = rng.integers(0, 3, 6)
+    _adam_matches_the_textbook_update(net, x, y, subject=3)

@@ -5,7 +5,15 @@ import pytest
 from scipy.stats import friedmanchisquare
 
 import oracles
-from myogest.stats import KNN_BLOCK, friedman_holm, holm_adjust, knn_classify, wilcoxon_one_tail
+from myogest.stats import (
+    KNN_BLOCK,
+    friedman_holm,
+    holm_adjust,
+    knn_classify,
+    lda_classify,
+    lda_fit,
+    wilcoxon_one_tail,
+)
 
 
 @pytest.mark.parametrize("n", range(5, 13))
@@ -43,6 +51,19 @@ def test_holm_adjust_is_monotone_and_bounded(m):
         adj = holm_adjust(p)
         assert np.all(adj >= p) and np.all(adj <= 1.0)
         assert np.all(np.diff(adj[np.argsort(p, kind="stable")]) >= 0)
+
+
+def test_lda_classify_takes_the_best_discriminant_score_with_unequal_priors():
+    rng = np.random.default_rng(12)
+    y = np.repeat([0, 1, 2], [40, 15, 5])  # the priors move the boundaries
+    X = rng.standard_normal((60, 4)) + 0.8 * y[:, None]
+    Q = rng.standard_normal((300, 4)) + 0.8
+    scores = oracles.lda_scores_direct(X, y, Q)
+    top2 = np.sort(scores, axis=1)[:, -2:]
+    clear = top2[:, 1] - top2[:, 0] > 1e-6  # no query the rounding could flip
+    assert clear.sum() > 250
+    got = lda_classify(lda_fit(X, y), Q)
+    assert np.array_equal(got[clear], scores.argmax(axis=1)[clear])
 
 
 def _knn_1d(train, query, k):
