@@ -460,7 +460,22 @@ def build_split(
 
     if not train or not test:
         raise DataError(f"protocol '{protocol}' produced an empty split")
+    check_gestures_trained(train, test, "test")
     return DatasetSplit(train=train, test=test)
+
+
+def check_gestures_trained(train, held_out, what: str):
+    """DataError naming the subjects and gestures of ``held_out`` windows that no ``train`` window has.
+
+    A classifier can never predict a gesture it was not trained on, and its
+    label mapping has no class for one.
+    """
+    missing = sorted({w.label for w in held_out} - {w.label for w in train})
+    if missing:
+        subjects = sorted({w.subject_id for w in held_out if w.label in missing})
+        raise DataError(
+            f"subject {', '.join(map(str, subjects))}: {what} gestures {missing} are not in the training set"
+        )
 
 
 def windows_to_arrays(windows):

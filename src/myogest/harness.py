@@ -28,6 +28,7 @@ from .dataset import (
     activation_profile_from_windows,
     apply_shift,
     build_split,
+    check_gestures_trained,
     dataset_content_hash,  # re-exported: hashes a tree without loading it
     find_alignment,
     load_dataset,
@@ -427,6 +428,8 @@ def _run_ablation(cfg: ExperimentConfig) -> RunReport:
         base_train = [w for c in (1, 2) for r in cyc(c) for w in slice_windows(r, WINDOW_LENGTH)]
         val_w = [w for r in cyc(3) for w in slice_windows(r, WINDOW_LENGTH)]
         test_w = [w for r in cyc(4) for w in slice_windows(r, WINDOW_LENGTH)]
+        check_gestures_trained(base_train, val_w, "validation")
+        check_gestures_trained(base_train, test_w, "test")
         label_map = _label_mapping(base_train)
         split = DatasetSplit(train=base_train, test=test_w)
         X_val, y_val = _xy(val_w, spec, label_map)

@@ -30,14 +30,26 @@ Forward context carries the execution mode of ``forward``:
                 that only backward reads
 
 Eval does not call ``forward``.  ``Network`` runs an eval program per
-subject: each layer supplies ``eval_step(key)``, a function of its input
-with its constants bound for batch-norm bank ``key``, and
-``eval_sources(key)``, the arrays those were derived from, which the
-program checks by identity on every call.  Dropout, Flatten and
-SliceChannels take no step (``eval_views``): dropout is the identity at
-eval, and the others hand their input on as a view that the reading step
-takes.  A ScalarScale read only by a two-input Sum runs with it in one
-``eval_scale_add`` step.
+subject whose steps each run a group of sibling layers of one class, a
+single layer being a group of one.  Eval values are stacks: member ``g`` of
+a (G, N, ...) array is the map its ``g``-th layer reads or writes, and a
+conv output stack is (G, rows, channels) in memory.  Each class supplies
+``eval_group(layers, key, overwrite)``, the group's step as a function of
+its stacked input, with the members' constants bound for batch-norm bank
+``key`` and stacked to (G, 1, C); ``eval_step(key)`` is that step for one
+layer on an unstacked map.  Elementwise kinds run one ufunc call per
+operation over the whole stack, and with ``overwrite`` write their output
+over the input members that nothing reads after the step; the values are
+the same either way.  Conv2d and Dense run each member's own matrix
+product into its block of the output stack, with the same operands and
+row count as a lone layer, so grouping changes no bit; they also take a
+list of member inputs, read through different channel slices.  Each
+layer's ``eval_sources(key)`` names the arrays its constants were derived
+from, which the program checks by identity on every call.  Dropout,
+Flatten and SliceChannels take no step (``eval_views``): dropout is the
+identity at eval, and the others hand their input stack on as a view that
+the reading step takes.  A ScalarScale read only by a two-input Sum runs
+with it in one ``eval_scale_add`` step.
 
 BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
 only train and finalize create; eval reads it only through
@@ -104,6 +116,9 @@ def _read_only(value):
 
 class Layer:
     kind = "abstract"
+    # the group step runs member by member, so members may read one slot
+    # through different channel slices and pass a list of their inputs
+    eval_per_member = False
 
     def __init__(self):
         self.params = {}
@@ -128,18 +143,28 @@ class Layer:
         """
         self.params[name] = _read_only(np.broadcast_to(value, self.params[name].shape))
 
-    def eval_step(self, key):
-        """The eval output as a function of the input (a tuple of several),
-        with the constants for batch-norm bank ``key`` bound."""
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        """The eval step of sibling ``layers`` of this class, with the
+        constants for batch-norm bank ``key`` bound: a function of their
+        stacked input (a tuple of several) giving their stacked output.
+        With ``overwrite`` the step may write its output over its input
+        stack, which nothing reads after it."""
         raise NotImplementedError
 
+    def eval_step(self, key):
+        """This layer's eval output as a function of one unstacked input (a
+        tuple of several): its group step with a group of one."""
+        step = self.eval_group([self], key)
+        return lambda x: step(tuple(v[None] for v in x) if isinstance(x, tuple) else x[None])[0]
+
     def eval_sources(self, key):
-        """``(mapping, name)`` of every array ``eval_step(key)`` bound or derived from."""
+        """``(mapping, name)`` of every array ``eval_group(..., key)`` bound or derived from."""
         return [(self.params, name) for name in self.params]
 
     def eval_views(self):
         """None for a layer that takes an eval step; for an alias of its input,
-        the views (functions of one array) through which its readers see it."""
+        the views (functions of a stack) through which its readers see it."""
         return None
 
     def project(self):
@@ -161,9 +186,16 @@ def _channel_shape(ndim):
     return (1, -1, 1, 1) if ndim == 4 else (1, -1)
 
 
-def _per_channel(v):
-    """``v`` shaped against an (N, C) and an (N, C, H, W) map, keyed by ``ndim``."""
-    return {2: v.reshape(_channel_shape(2)), 4: v.reshape(_channel_shape(4))}
+def _per_channel(vs):
+    """The members' channel vectors ``vs`` stacked against a (G, N, C) and a
+    (G, N, C, H, W) stack, keyed by ``ndim``."""
+    v = np.stack(vs)
+    return {3: v[:, None, :], 5: v[:, None, :, None, None]}
+
+
+def _stacked(layers, name):
+    """Parameter ``name`` of every member, stacked against its maps by ``_per_channel``."""
+    return _per_channel([layer.params[name] for layer in layers])
 
 
 def _like_product(x, dout):
@@ -203,6 +235,7 @@ def _patch_index(c, h, w, kh, kw, channels_last):
 
 class Conv2d(Layer):
     kind = "conv2d"
+    eval_per_member = True
 
     def __init__(self, in_channels, out_channels, kh, kw, rng=None):
         super().__init__()
@@ -217,27 +250,45 @@ class Conv2d(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        w_t = self.params["weight"].reshape(self.out_channels, -1).T
-        out, cols, out_hw = self._conv(x, w_t, self.params["bias"])
+        oh, ow = self._out_hw(x)
+        cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
+        out = cols @ self._weight_matrix()
+        out += self.params["bias"]
+        out = out.reshape(len(x), oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         # a frozen conv's backward reads only the weights
-        return out, (x.shape, None if self.frozen else cols, out_hw)
+        return out, (x.shape, None if self.frozen else cols, (oh, ow))
 
-    def eval_step(self, key):
-        w_t, bias = self.params["weight"].reshape(self.out_channels, -1).T, self.params["bias"]
-        return lambda x: self._conv(x, w_t, bias)[0]
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        # each member keeps its transposed weight view: a contiguous copy
+        # would take another BLAS path and change bits
+        w_ts = [layer._weight_matrix() for layer in layers]
+        bias = _stacked(layers, "bias")[3]
+        conv = layers[0]
 
-    def _conv(self, x, w_t, bias):
-        """``(output, patch matrix, (oh, ow))`` of ``x`` under the weight matrix ``w_t``."""
-        n, c, h, w = x.shape
+        def step(xs):
+            n, (oh, ow) = len(xs[0]), conv._out_hw(xs[0])
+            out = np.empty((len(w_ts), n * oh * ow, conv.out_channels))
+            for g, w_t in enumerate(w_ts):  # indexing beats iterating a stack
+                np.matmul(conv._im2col(xs[g], oh, ow), w_t, out=out[g])
+            out += bias
+            return out.reshape(len(w_ts), n, oh, ow, -1).transpose(0, 1, 4, 2, 3)
+
+        return step
+
+    def _weight_matrix(self):
+        """The (c * kh * kw, out_channels) transposed view of the weights."""
+        return self.params["weight"].reshape(self.out_channels, -1).T
+
+    def _out_hw(self, x):
+        """``(oh, ow)`` of the output map over ``x``, which must fit the kernel."""
+        _, c, h, w = x.shape
         if c != self.in_channels:
             raise ConfigError(f"conv2d expects {self.in_channels} channels, got {c}")
         oh, ow = h - self.kh + 1, w - self.kw + 1
         if oh < 1 or ow < 1:
             raise ConfigError(f"conv kernel {self.kh}x{self.kw} larger than map {h}x{w}")
-        cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
-        out = cols @ w_t
-        out += bias
-        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2), cols, (oh, ow)
+        return oh, ow
 
     def _im2col(self, x, oh, ow):
         n, c, h, w = x.shape
@@ -246,7 +297,7 @@ class Conv2d(Layer):
         channels_last = x.strides[1] < x.strides[3]
         flat = (x.transpose(0, 2, 3, 1) if channels_last else x).reshape(n, -1)
         index = _patch_index(c, h, w, self.kh, self.kw, channels_last)
-        return np.take(flat, index, axis=1).reshape(n * oh * ow, -1)
+        return flat.take(index, axis=1).reshape(n * oh * ow, -1)
 
     def backward(self, dout, cache, need_dx):
         x_shape, cols, (oh, ow) = cache
@@ -279,6 +330,7 @@ class Conv2d(Layer):
 
 class Dense(Layer):
     kind = "fully-connected"
+    eval_per_member = True
 
     def __init__(self, in_features, out_features, rng=None):
         super().__init__()
@@ -291,17 +343,24 @@ class Dense(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        return self._affine(x, self.params["weight"].T, self.params["bias"]), x
+        out = x @ self.params["weight"].T
+        out += self.params["bias"]
+        return out, x
 
-    def eval_step(self, key):
-        w_t, bias = self.params["weight"].T, self.params["bias"]
-        return lambda x: self._affine(x, w_t, bias)
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        w_ts = [layer.params["weight"].T for layer in layers]
+        bias = _stacked(layers, "bias")[3]
+        width = layers[0].out_features
 
-    @staticmethod
-    def _affine(x, w_t, bias):
-        out = x @ w_t
-        out += bias
-        return out
+        def step(xs):
+            out = np.empty((len(w_ts), len(xs[0]), width))
+            for g, w_t in enumerate(w_ts):
+                np.matmul(xs[g], w_t, out=out[g])
+            out += bias
+            return out
+
+        return step
 
     def backward(self, dout, cache, need_dx):
         if not self.frozen:
@@ -358,11 +417,12 @@ class BatchNorm(Layer):
         """Store fresh read-only copies of ``mean`` and ``var`` as bank ``key``."""
         self.banks[key] = {"mean": _read_only(mean), "var": _read_only(var)}
 
-    def eval_step(self, key):
-        scale, shift = map(_per_channel, self.eval_affine(key))
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        scale, shift = map(_per_channel, zip(*(layer.eval_affine(key) for layer in layers)))
 
         def step(x):
-            out = x * scale[x.ndim]
+            out = np.multiply(x, scale[x.ndim], out=x if overwrite else None)
             out += shift[x.ndim]
             return out
 
@@ -486,15 +546,16 @@ class PReLU(Layer):
         x = _single(xs)
         return self._prelu(x, self.params["alpha"].reshape(_channel_shape(x.ndim))), x
 
-    def eval_step(self, key):
-        alpha = _per_channel(self.params["alpha"])
-        return lambda x: self._prelu(x, alpha[x.ndim])
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        alpha = _stacked(layers, "alpha")
+        return lambda x: cls._prelu(x, alpha[x.ndim], out=x if overwrite else None)
 
     @staticmethod
-    def _prelu(x, alpha):
+    def _prelu(x, alpha, out=None):
         # max(x, 0) + alpha min(x, 0): one term is zero at every element
-        out = np.maximum(x, 0.0)
         neg_part = np.minimum(x, 0.0)
+        out = np.maximum(x, 0.0, out=out)
         neg_part *= alpha
         out += neg_part
         return out
@@ -550,14 +611,15 @@ class PELU(Layer):
         out = self._pelu(x, expx - 1.0, a, a / b)
         return out, (x, expx)
 
-    def eval_step(self, key):
-        a, b = _per_channel(self.params["a"]), _per_channel(self.params["b"])
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        a, b = _stacked(layers, "a"), _stacked(layers, "b")
         a_b = {ndim: a[ndim] / b[ndim] for ndim in a}
 
         def step(x):
-            expx = self._exp_neg(x, b[x.ndim])
+            expx = cls._exp_neg(x, b[x.ndim])
             expx -= 1.0  # no backward reads it, so it becomes the negative part
-            return self._pelu(x, expx, a[x.ndim], a_b[x.ndim])
+            return cls._pelu(x, expx, a[x.ndim], a_b[x.ndim], out=x if overwrite else None)
 
         return step
 
@@ -569,12 +631,12 @@ class PELU(Layer):
         return np.exp(expx, out=expx)
 
     @staticmethod
-    def _pelu(x, neg_part, a, a_b):
+    def _pelu(x, neg_part, a, a_b, out=None):
         """(a/b) max(x, 0) + a (expx - 1), given ``neg_part`` = expx - 1, which it scales.
 
         One term is zero at every element, so the sum is exact.
         """
-        out = np.maximum(x, 0.0)
+        out = np.maximum(x, 0.0, out=out)
         out *= a_b
         neg_part *= a
         out += neg_part
@@ -617,25 +679,33 @@ class MaxPool(Layer):
         flat = self._windows(x)
         if ctx.mode == "finalize":  # nothing reads an index
             return flat.max(axis=-1), None
-        arg = flat.argmax(axis=-1)
-        out = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
+        # the running maximum keeps the earlier value on a tie (np.maximum
+        # returns its second operand there), so it is the first max, sign
+        # of zero included; the index counts the taps before the first one
+        # equal to it, as argmax does
+        taps = [flat[..., k] for k in range(flat.shape[-1])]
+        out = functools.reduce(lambda best, tap: np.maximum(tap, best), taps)
+        below = taps[0] != out
+        arg = below.astype(np.intp)
+        for tap in taps[1:-1]:
+            below &= tap != out
+            arg += below
         return out, (x.shape, arg)
 
-    def eval_step(self, key):
-        return lambda x: self._windows(x).max(axis=-1)
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        return lambda x: layers[0]._windows(x).max(axis=-1)
 
     def _windows(self, x):
-        """The (n, c, oh, ow, kh * kw) pooling windows of ``x``.
+        """The (..., oh, ow, kh * kw) pooling windows of ``x``, a map or a stack of maps.
 
         Their max equals the first max, the one ``argmax`` picks, but for
         the sign of an exact zero.
         """
-        n, c, h, w = x.shape
+        *lead, h, w = x.shape
         oh, ow = h // self.kh, w // self.kw
-        view = x[:, :, : oh * self.kh, : ow * self.kw].reshape(
-            n, c, oh, self.kh, ow, self.kw
-        )
-        return view.transpose(0, 1, 2, 4, 3, 5).reshape(n, c, oh, ow, self.kh * self.kw)
+        view = x[..., : oh * self.kh, : ow * self.kw].reshape(*lead, oh, self.kh, ow, self.kw)
+        return view.swapaxes(-3, -2).reshape(*lead, oh, ow, self.kh * self.kw)
 
     def backward(self, dout, cache, need_dx):
         shape, arg = cache
@@ -659,17 +729,13 @@ class Flatten(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        return self._flat(x), x.shape
+        return x.reshape(len(x), -1), x.shape
 
     def backward(self, dout, cache, need_dx):
         return [dout.reshape(cache)]
 
     def eval_views(self):
-        return (self._flat,)
-
-    @staticmethod
-    def _flat(x):
-        return x.reshape(x.shape[0], -1)
+        return (lambda stack: stack.reshape(*stack.shape[:2], -1),)
 
 
 class Sum(Layer):
@@ -680,8 +746,9 @@ class Sum(Layer):
     def forward(self, xs, ctx):
         return self._sum(xs), len(xs)
 
-    def eval_step(self, key):
-        return self._sum
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        return cls._sum
 
     @staticmethod
     def _sum(xs):
@@ -716,18 +783,20 @@ class ScalarScale(Layer):
         x = _single(xs)
         return x * self.params["coeff"].reshape(_channel_shape(x.ndim)), x
 
-    def eval_step(self, key):
-        coeff = _per_channel(self.params["coeff"])
-        return lambda x: x * coeff[x.ndim]
+    @classmethod
+    def eval_group(cls, layers, key, overwrite=False):
+        coeff = _stacked(layers, "coeff")
+        return lambda x: np.multiply(x, coeff[x.ndim], out=x if overwrite else None)
 
-    def eval_scale_add(self, key):
-        """The eval step of this layer and the two-input Sum that alone reads it.
+    @classmethod
+    def eval_scale_add(cls, layers, key, overwrite=False):
+        """The eval step of these layers, each with the two-input Sum that alone reads it.
 
-        Its input is ``(x, other)``: this layer's input and the sum's other
-        one.  IEEE addition commutes exactly, so ``x * coeff + other``
+        Its input is ``(x, other)``: the layers' inputs and the sums' other
+        ones.  IEEE addition commutes exactly, so ``x * coeff + other``
         equals the sum port's result in either input order bit for bit.
         """
-        coeff = _per_channel(self.params["coeff"])
+        coeff = _stacked(layers, "coeff")
 
         def step(xs):
             x, other = xs
@@ -763,7 +832,7 @@ class SliceChannels(Layer):
 
     def forward(self, xs, ctx):
         x = _single(xs)
-        return self._slice(x), x.shape
+        return x[:, self.start : self.stop], x.shape
 
     def backward(self, dout, cache, need_dx):
         dx = np.zeros(cache)
@@ -771,10 +840,7 @@ class SliceChannels(Layer):
         return [dx]
 
     def eval_views(self):
-        return (self._slice,)
-
-    def _slice(self, x):
-        return x[:, self.start : self.stop]
+        return (lambda stack: stack[:, :, self.start : self.stop],)
 
     def get_config(self):
         return {"start": self.start, "stop": self.stop}

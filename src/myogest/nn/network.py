@@ -17,7 +17,7 @@ from operator import is_, itemgetter
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .layers import Context, ScalarScale, Sum, layer_from_config, subject_key
+from .layers import Context, ScalarScale, SliceChannels, Sum, layer_from_config, subject_key
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
@@ -58,15 +58,26 @@ class Network:
     def _plan_eval(self):
         """The layout of every eval program, whatever its batch-norm bank.
 
-        Returns ``(steps, (output slot, output views))``.  Step ``k`` is
-        ``(node name, layer, bind, input slots, input views, released
-        slots)``: ``bind(key)`` gives its function, ``layer.eval_sources(key)``
-        what that was derived from, and it writes slot ``k``; slot 0 holds
-        the input.  Only nodes whose output reaches the logits are planned.
-        A layer with ``eval_views`` takes no step: its readers read its
-        input's slot through those views.  Nor does a ScalarScale that only a
-        two-input Sum reads: the sum's step is its ``eval_scale_add``.  A
-        step releases the slots that no later step reads.
+        Only nodes whose output reaches the logits are planned.  A layer with
+        ``eval_views`` takes no step: its readers read its input through
+        those views.  Nor does a ScalarScale that only a two-input Sum
+        reads: the sum's step is its ``eval_scale_add``.  Sibling nodes share
+        one step.  They have the same class, configuration and step function
+        and the same depth (the longest path from the input, counted in
+        steps), and input by input they read one slot through equal view
+        chains; members of a class that steps member by member may also read
+        it through different channel slices of one width.
+
+        Returns ``(steps, (output slot, output read))``.  Step ``k`` is
+        ``(node names, layers, bind, input slots, input reads, overwrite,
+        released slots)``: ``bind(layers, key, overwrite)`` gives its
+        function, and it writes slot ``k``, the stack of its members'
+        outputs; slot 0 holds the input as a stack of one.  A read takes a
+        slot's stack to what the step reads from it (None: the stack as it
+        is).  ``overwrite`` marks a step that reads members of one stack
+        through no view when no later step reads them: it may write its
+        output over them.  A step releases the slots that no later step
+        reads.
         """
         needed = {self.output_name}
         for node in reversed(self.nodes):
@@ -74,33 +85,69 @@ class Network:
                 needed.update(node.inputs)
         nodes = [node for node in self.nodes if node.name in needed]
         readers = Counter(ref for node in nodes for ref in node.inputs)
-        held = {INPUT: (INPUT, ())}  # value name -> (step whose output holds it, views)
+        held = {INPUT: (INPUT, ())}  # value name -> (step whose output holds it, view layers)
         steps = {}  # step name -> (layer, bind, value names read)
         for node in nodes:
             views = node.layer.eval_views()
-            if views is not None:
+            if views is not None:  # dropout has none: it is the identity
                 step, seen = held[node.inputs[0]]
-                held[node.name] = (step, seen + views)
+                held[node.name] = (step, seen + (node.layer,) if views else seen)
                 continue
-            layer, bind, refs = node.layer, node.layer.eval_step, node.inputs
+            layer, bind, refs = node.layer, type(node.layer).eval_group, node.inputs
             for i, ref in enumerate(refs if isinstance(layer, Sum) and len(refs) == 2 else ()):
                 scale = self._index.get(ref)  # None for the network input
                 if scale and isinstance(scale.layer, ScalarScale) and readers[ref] == 1:
                     del steps[ref]
-                    layer, bind = scale.layer, scale.layer.eval_scale_add
+                    layer, bind = scale.layer, ScalarScale.eval_scale_add
                     refs = [scale.inputs[0], refs[1 - i]]
                     break
             steps[node.name] = (layer, bind, refs)
             held[node.name] = (node.name, ())
-        slot = {name: k for k, name in enumerate([INPUT, *steps])}
-        reads = [[slot[held[ref][0]] for ref in refs] for _, _, refs in steps.values()]
+
+        depth = {INPUT: 0}
+        for name, (_, _, refs) in steps.items():
+            depth[name] = 1 + max(depth[held[ref][0]] for ref in refs)
+        place = {INPUT: (0, 0)}  # step name -> (slot, member)
+        groups = []  # (sibling key, step names) of slot k + 1
+        for name in sorted(steps, key=depth.get):
+            layer, bind, refs = steps[name]
+            loose = layer.eval_per_member
+            key = (depth[name], bind, layer.get_config(),
+                   [(place[held[ref][0]][0], _chain_key(held[ref][1], loose)) for ref in refs])
+            slot = next((k for k, (other, _) in enumerate(groups, 1) if other == key), None)
+            if slot is None:
+                groups.append((key, []))
+                slot = len(groups)
+            names = groups[slot - 1][1]
+            place[name] = (slot, len(names))
+            names.append(name)
+
+        size = [1] + [len(names) for _, names in groups]  # members per slot
+        # last[slot, member]: the last step reading it; plain: per step, the
+        # (slot, members) of its one input when read through no view
+        layout, plain, last = [], [], {}
+        for k, (_, names) in enumerate(groups, 1):
+            _, bind, refs = steps[names[0]]
+            ins, reads = [], []
+            for i in range(len(refs)):
+                sources = [held[steps[name][2][i]] for name in names]  # (step, views) per member
+                slot = place[sources[0][0]][0]
+                members = [place[step][1] for step, _ in sources]
+                chains = [views for _, views in sources]
+                ins.append(slot)
+                reads.append(_read(members, chains, size[slot]))
+                last.update(((slot, m), k) for m in members)
+            plain.append((slot, members) if len(refs) == 1 and slot and not any(chains) else None)
+            layout.append((tuple(names), [steps[name][0] for name in names], bind, ins, reads))
         out_step, out_views = held[self.output_name]
-        released = _released(reads, range(1, len(steps) + 1), slot[out_step])
-        plan = [
-            (name, layer, bind, ins, [held[ref][1] for ref in refs], gone)
-            for (name, (layer, bind, refs)), ins, gone in zip(steps.items(), reads, released)
+        out_slot, member = place[out_step]
+        last[out_slot, member] = len(layout) + 1
+        out_read = _read([member], [out_views], size[out_slot])
+        released = _released([step[3] for step in layout], range(1, len(layout) + 1), out_slot)
+        overwrite = [
+            read is not None and all(last[read[0], m] == k for m in read[1]) for k, read in enumerate(plain, 1)
         ]
-        return plan, (slot[out_step], out_views)
+        return [(*step, *rest) for step, *rest in zip(layout, overwrite, released)], (out_slot, out_read)
 
     # ---- structure ----------------------------------------------------
 
@@ -151,7 +198,12 @@ class Network:
         batch-norm bank and cached until a parameter or bank array it was
         built from is replaced.  Nodes that cannot reach the logits are
         skipped; dropout, flatten and channel slices take no step, and each
-        ScalarScale runs with the sum port that reads it.  Each BatchNorm
+        ScalarScale runs with the sum port that reads it.  Sibling nodes,
+        such as the slow-fusion branches or the transfer target's source
+        and second networks at one depth, run as one step over the stack of
+        their maps; each member's conv or Dense product has the operands
+        and row count it would have alone, so the logits are those of a
+        node-by-node walk, bit for bit.  Each BatchNorm
         reads the bank through ``BatchNorm.eval_affine``, so eval raises
         ConfigError for a subject without one.  An input of more than
         ``EVAL_BLOCK`` windows runs the program on consecutive blocks of
@@ -299,31 +351,31 @@ class Network:
         return network_from_state(self.state_dict())
 
 
-Step = namedtuple("Step", "fn read out released name")
+Step = namedtuple("Step", "fn read out released names")
 
 
 class EvalProgram:
     """One batch-norm bank's eval steps over integer slots, constants bound.
 
-    Each ``Step`` calls ``fn`` on what ``read`` takes from the slots (the
-    one input array, or a tuple of several), writes the result to slot
-    ``out`` and then clears the slots ``released``.  The program records
-    every array its steps were derived from with the mapping and name it
-    was found under, and is ``stale`` once any of those mappings holds
-    another object under that name.  Parameter and bank arrays are
-    read-only and replaced, never written, so this sees every change.
+    Each ``Step`` runs the group of nodes ``names``: it calls ``fn`` on what
+    ``read`` takes from the slots (the one input stack, or a tuple of
+    several), writes the stack of the members' outputs to slot ``out`` and
+    then clears the slots ``released``.  The program records every array
+    its steps were derived from with the mapping and name it was found
+    under, and is ``stale`` once any of those mappings holds another object
+    under that name.  Parameter and bank arrays are read-only and replaced,
+    never written, so this sees every change.
     """
 
     def __init__(self, plan, key):
-        layout, (self.out, self.out_views) = plan
+        layout, (self.out, self.out_read) = plan
         self.slots = len(layout) + 1
         self.steps, sources = [], []
-        for k, (name, layer, bind, ins, views, released) in enumerate(layout, 1):
-            fn = bind(key)
-            if any(views):
-                fn = _through(fn, views)
-            self.steps.append(Step(fn, itemgetter(*ins), k, released, name))
-            sources += layer.eval_sources(key)
+        for k, (names, layers, bind, ins, reads, overwrite, released) in enumerate(layout, 1):
+            fn = _reading(bind(layers, key, overwrite), reads)
+            self.steps.append(Step(fn, itemgetter(*ins), k, released, names))
+            for layer in layers:
+                sources += layer.eval_sources(key)
         self._mappings = [mapping for mapping, _ in sources]
         self._names = [name for _, name in sources]
         self._arrays = [mapping[name] for mapping, name in sources]
@@ -334,28 +386,70 @@ class EvalProgram:
 
     def run(self, x):
         slots = [None] * self.slots
-        slots[0] = x
+        slots[0] = x[None]
         for fn, read, out, released, _ in self.steps:
             slots[out] = fn(read(slots))
             for i in released:
                 slots[i] = None
         out = slots[self.out]
-        for view in self.out_views:
-            out = view(out)
-        return out
+        return (out if self.out_read is None else self.out_read(out))[0]
 
 
-def _through(fn, views):
-    """``fn`` reading each of its inputs through that input's views."""
+def _chain_key(chain, loose):
+    """What sibling reads through the view layers ``chain`` must share: each
+    view's kind and configuration, or with ``loose`` only a channel slice's width."""
+    return [
+        (view.kind, view.stop - view.start if loose and isinstance(view, SliceChannels) else view.get_config())
+        for view in chain
+    ]
 
-    def seen(x, views):
-        for view in views:
-            x = view(x)
-        return x
 
-    if len(views) == 1:
-        return lambda x: fn(seen(x, views[0]))
-    return lambda xs: fn(tuple(seen(x, v) for x, v in zip(xs, views)))
+def _read(members, chains, size):
+    """What a group reads from a stack of ``size``, as a function of it.
+
+    Member ``g`` reads member ``members[g]`` through the view layers
+    ``chains[g]``.  Equal chains give one stack: the stack itself (None)
+    when every member reads its own, a view when the members are evenly
+    spaced in it, else a copy.  Chains that differ (channel slices of one
+    width) give a list of the members' inputs.
+    """
+    views = [[view for layer in chain for view in layer.eval_views()] for chain in chains]
+    if any(_chain_key(chain, False) != _chain_key(chains[0], False) for chain in chains):
+        return lambda stack: [_seen(stack[m : m + 1], v)[0] for m, v in zip(members, views)]
+    views = views[0]
+    pick = members
+    spacing = members[1] - members[0] if len(members) > 1 else 1
+    if members == list(range(size)):
+        if not views:
+            return None
+        pick = slice(None)
+    elif spacing > 0 and members == list(range(members[0], members[-1] + 1, spacing)):
+        pick = slice(members[0], members[-1] + 1, spacing)
+    if not views:
+        return itemgetter(pick)
+    return lambda stack: _seen(stack[pick], views)
+
+
+def _seen(x, views):
+    """``x`` through each of ``views`` in turn."""
+    for view in views:
+        x = view(x)
+    return x
+
+
+def _whole(stack):
+    return stack
+
+
+def _reading(fn, reads):
+    """``fn`` reading each input slot through its read (None: as it is)."""
+    if not any(reads):
+        return fn
+    reads = [read or _whole for read in reads]
+    if len(reads) == 1:
+        (read,) = reads
+        return lambda x: fn(read(x))
+    return lambda xs: fn(tuple([read(x) for read, x in zip(reads, xs)]))
 
 
 def _released(reads, writes, keep):

@@ -266,6 +266,27 @@ def test_dim_reduction_reports_both_columns(one_subject, tmp_path, capsys):
     assert report["accuracies"] == report["columns"]["with-reduction"]
 
 
+@pytest.mark.parametrize(
+    "protocol,model,cycles,what",
+    [
+        ("myo-eval", "TD+lda", (1, 2, 3, 4), "test"),
+        ("myo-eval", "raw-1d", (1, 2, 3, 4), "test"),
+        ("augmentation-ablation", "raw-1d", (1, 2), "validation"),
+        ("augmentation-ablation", "raw-1d", (1, 2, 3), "test"),
+    ],
+)
+def test_a_gesture_missing_from_training_is_a_data_error(tmp_path, capsys, protocol, model, cycles,
+                                                          what):
+    root = tmp_path / "data"
+    generate_synthetic_dataset(root, subjects=(1, 2), rounds=3, cycles=4, n_samples=72, seed=24)
+    for cycle in cycles:  # subject 1, scored first, lacks gesture 2 in these cycles of round 1
+        (root / "subject_1" / "round_1" / f"cycle_{cycle}" / "gesture_2.csv").unlink()
+    code = cli.main(["train", "--dataset", str(root), "--protocol", protocol, "--model", model,
+                     "--train-overrides", TRAIN])
+    assert code == cli.EXIT_DATA == 3
+    assert f"subject 1: {what} gestures [2] are not in the training set" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("protocol", ["nope", "session-replay"])
 def test_exit_code_bad_protocol(data, capsys, protocol):
     code = cli.main(["train", "--dataset", str(data / "eval"), "--protocol", protocol])

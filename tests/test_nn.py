@@ -27,7 +27,7 @@ from myogest.nn import (
     finalize_bn,
     train,
 )
-from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT
+from myogest.nn.layers import BN_EPS, DEFAULT_SUBJECT, subject_key
 from myogest.nn.network import EVAL_BLOCK
 from myogest.transfer import (
     SourceNetwork,
@@ -414,6 +414,94 @@ def test_eval_memory_stays_at_one_block_whatever_the_set_size():
     assert four < 1.5 * one
 
 
+# ---- sibling nodes share one eval step, and grouping changes no bit ----------
+
+
+def _walk_eval_steps(net, x, subject):
+    """The logits of ``net`` with every node run alone through its one-layer eval
+    step (views through its ``eval_views``), in blocks of ``EVAL_BLOCK`` windows."""
+    key = subject_key(subject)
+
+    def block(xb):
+        values = {"input": xb}
+        for node in net.nodes:
+            ins = [values[ref] for ref in node.inputs]
+            views = node.layer.eval_views()
+            if views is None:
+                values[node.name] = node.layer.eval_step(key)(ins[0] if len(ins) == 1 else tuple(ins))
+                continue
+            out = ins[0][None]
+            for view in views:
+                out = view(out)
+            values[node.name] = out[0]
+        return values[net.output_name]
+
+    return np.concatenate([block(x[i : i + EVAL_BLOCK]) for i in range(0, len(x), EVAL_BLOCK)])
+
+
+def _assert_grouped_equals_the_walk(net, x, subject):
+    for xb in (x[:1], x):
+        assert net.forward(xb, subject=subject).tobytes() == _walk_eval_steps(net, xb, subject).tobytes()
+
+
+@pytest.mark.parametrize("arch", sorted(NARROW))
+def test_grouped_eval_equals_a_node_by_node_walk_of_its_steps(arch):
+    rng = np.random.default_rng(38)
+    net = build_architecture(arch, num_classes=5, seed=3)
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT,))
+    x = rng.standard_normal((2 * EVAL_BLOCK + 3, *INPUT_SHAPES[arch]))
+    _assert_grouped_equals_the_walk(net, x, None)
+
+
+def test_grouped_eval_equals_a_node_by_node_walk_of_its_steps_on_the_merged_target():
+    rng = np.random.default_rng(39)
+    net = _merged_cwt_target(rng, widths=None)
+    x = rng.standard_normal((2 * EVAL_BLOCK + 3, *INPUT_SHAPES["cwt"]))
+    for subject in (1, 2, 3):
+        _assert_grouped_equals_the_walk(net, x, subject)
+
+
+@pytest.mark.parametrize(
+    "member,written,write,moved",
+    [
+        ("snd/b2_c1_conv", "snd/b2_c1_conv",
+         lambda layer: layer.set_param("weight", layer.params["weight"] * -1.5), (1, 2, 3)),
+        ("src/b1_c1_bn", "src/b1_c1_bn",
+         lambda layer: layer.set_bank(3, layer.banks[3]["mean"] + 1.0, layer.banks[3]["var"]), (3,)),
+        # the merge's step is its ScalarScale's
+        ("merge1_3", "scale1_3", lambda layer: layer.set_param("coeff", layer.params["coeff"] * 0.5 - 0.25),
+         (1, 2, 3)),
+    ],
+    ids=["conv-weight", "bank", "coeff"],
+)
+def test_writing_one_member_rebuilds_its_programs_and_moves_only_its_logits(member, written, write, moved):
+    rng = np.random.default_rng(40)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((5, *INPUT_SHAPES["cwt"]))
+    before = {s: net.forward(x, subject=s) for s in (1, 2, 3)}
+    programs = {s: net._eval_program(s) for s in (1, 2, 3)}
+    assert len(next(step for step in programs[3].steps if member in step.names).names) > 1
+    write(net.node(written).layer)
+    for s in (1, 2, 3):
+        logits = net.forward(x, subject=s)
+        # the walk reads every node's constants as they are now, so only the written member moved
+        assert logits.tobytes() == _walk_eval_steps(net, x, s).tobytes(), s
+        assert (net._eval_program(s) is programs[s]) == (s not in moved), s
+        assert (logits.tobytes() == before[s].tobytes()) == (s not in moved), s
+
+
+def test_siblings_share_an_eval_step():
+    rng = np.random.default_rng(41)
+    merged = _merged_cwt_target(rng, widths=None)
+    steps = merged._eval_program(3).steps
+    assert len(steps) <= 40
+    first_convs = sorted(f"{side}/b{i}_c1_conv" for side in ("src", "snd") for i in range(4))
+    assert sorted(steps[0].names) == first_convs
+    spectrogram = build_architecture("spectrogram", seed=1)
+    _randomize(spectrogram, rng, subjects=(DEFAULT_SUBJECT,))
+    assert len(spectrogram._eval_program(None).steps) <= 17
+
+
 def _record_forward_calls(net):
     """Names of the nodes whose layer ``forward`` runs, in call order."""
     calls = []
@@ -427,13 +515,14 @@ def _record_forward_calls(net):
 
 
 def _record_eval_steps(net, subject):
-    """Names of the nodes whose eval program steps run for ``subject``, in call order."""
+    """Names of the nodes whose eval program steps run for ``subject``, in call
+    order: a step that runs a group of nodes records each member's name."""
     calls = []
     program = net._eval_program(subject)
 
     def recorded(step):
         def fn(x):
-            calls.append(step.name)
+            calls.extend(step.names)
             return step.fn(x)
 
         return step._replace(fn=fn)
@@ -514,6 +603,7 @@ def _cached_arrays(caches):
 class _LifetimeSpy:
     """Wraps every layer's ``forward``, or with ``eval_subject`` every step of
     that subject's eval program, and notes, at each call, which earlier outputs live.
+    A step that runs a group of nodes writes one output, noted once per member.
 
     Outputs are held by weak reference only.  Each live output is noted with
     whether a train cache holds it (the network keeps those for backward)
@@ -532,7 +622,7 @@ class _LifetimeSpy:
             return
         for node in net.nodes:
             def spy(xs, ctx, *rest, _name=node.name, _inner=node.layer.forward):
-                out, cache = self._call(_name, xs, lambda: _inner(xs, ctx, *rest))
+                out, cache = self._call((_name,), xs, lambda: _inner(xs, ctx, *rest))
                 if ctx.mode == "train":
                     self.caches.append(cache)
                 return out, cache
@@ -542,16 +632,17 @@ class _LifetimeSpy:
     def _step_spy(self, step):
         def spy(x):
             xs = x if isinstance(x, tuple) else (x,)
-            return self._call(step.name, xs, lambda: (step.fn(x), None))[0]
+            return self._call(step.names, xs, lambda: (step.fn(x), None))[0]
 
         return spy
 
-    def _call(self, name, xs, run):
+    def _call(self, names, xs, run):
         self._note(xs)
         out, cache = run()
-        self.names.append(name)
-        self.outputs.append(weakref.ref(out))
-        self.last_read.append(-1)
+        for name in names:
+            self.names.append(name)
+            self.outputs.append(weakref.ref(out))
+            self.last_read.append(-1)
         return out, cache
 
     def _note(self, xs):
