@@ -17,7 +17,11 @@ seed.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
 numerical failure.  A --config file that is missing or unreadable, and an
 unknown key there or in --train-overrides, exit 2; a checkpoint that cannot
 be read, has an unsupported version or has no ``architecture`` in its
-metadata exits 3.
+metadata exits 3.  A train setting that the protocol would ignore exits 2
+before any data is read: --transfer with a baseline model or under
+augmentation-ablation or dim-reduction, and a gesture_subset under any
+protocol but ninapro and out-of-sample.  A ``subjects`` list naming a
+subject the dataset lacks exits 3, for train and pretrain alike.
 """
 
 from __future__ import annotations

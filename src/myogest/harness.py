@@ -1,10 +1,16 @@
-"""Experiment orchestration: protocol runners, session replay and reports.
+"""Experiment orchestration: one cell runner for every protocol, session replay and reports.
 
-A run trains one model per subject per seed under the selected protocol and
-collects the test accuracies into a RunReport (JSON + CSV).  Deep models go
-through the training loop with their published default learning rates;
-feature-set baselines (optionally LDA-projected) are deterministic, so every
-seed repeats the same value.
+A run scores its subjects one at a time, each through one or more cells
+``(column, train, val, test, classes, shift, reduce)``: (inputs, labels) to
+train on, to validate on (None holds out a random fraction of ``train``)
+and to test on, the class count, the channel shift applied to the windows
+and whether a baseline LDA-projects its features.  A split protocol gives
+one cell in column None, aligned to the source under transfer;
+``augmentation-ablation`` one per technique, sharing one validation and one
+test set; ``dim-reduction`` a ``with-reduction`` and a ``without-reduction``
+cell on the myo-eval split.  A network is trained per seed (a transfer
+target, else from scratch at its published learning rate); a feature-set
+baseline is deterministic, so it is scored once and every seed repeats it.
 """
 
 from __future__ import annotations
@@ -63,6 +69,8 @@ from .transfer import (
 
 SPLIT_PROTOCOLS = ("myo-eval", "ninapro", "out-of-sample")  # one train/test split per subject
 PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction")
+# protocols scored in named columns -> headline column (sliding-window: the production default)
+HEADLINES = {"augmentation-ablation": "sliding-window", "dim-reduction": "with-reduction"}
 CLASSIFIERS = ("lda", "knn")
 # the ExperimentConfig fields build_split takes; a saved model records them
 SPLIT_KEYS = ("protocol", "cycles", "repetitions", "gesture_subset", "stride")
@@ -227,17 +235,15 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
     if kind != "net":
         raise ConfigError("pre-training requires a network model, not a baseline")
     recordings, subjects, _ = _grouped_recordings(cfg)
-    windows = []
-    for rec in recordings:
-        windows.extend(slice_windows(rec, cfg.stride))
+    windows = [w for rec in recordings for w in slice_windows(rec, cfg.stride)]
     reference = activation_profile_from_windows(windows)
     # each subject is aligned to the profile of all subjects pooled
     aligned = []
     for subj in subjects:
-        subj_windows = [w for w in windows if w.subject_id == subj]
-        profile = activation_profile_from_windows(subj_windows)
-        shift = find_alignment(reference, profile)
-        aligned.extend(apply_shift(w, shift) for w in subj_windows)
+        shift, subj_windows, _ = _align(reference, [w for w in windows if w.subject_id == subj])
+        if shift is None:
+            raise DataError(f"subject {subj}: gesture set differs from the pooled dataset's")
+        aligned.extend(subj_windows)
     num_classes = len({w.label for w in aligned})
     X = transform_windows(aligned, spec)
     _, y, subj_arr = windows_to_arrays(aligned)
@@ -250,15 +256,27 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
     return source
 
 
+def _align(reference, windows, held_out=(), expect_contiguous=True):
+    """(shift, windows, held_out) aligned to profile ``reference``; shift None if labels differ."""
+    profile = activation_profile_from_windows(windows, expect_contiguous)
+    if profile.shape != reference.shape:
+        return None, windows, held_out
+    shift = find_alignment(reference, profile).shift
+    return (shift, [apply_shift(w, shift) for w in windows],
+            [apply_shift(w, shift) for w in held_out])
+
+
 def _label_mapping(windows):
     labels = sorted({w.label for w in windows})
     return {lab: i for i, lab in enumerate(labels)}
 
 
-def _xy(windows, architecture, label_map):
-    X = transform_windows(windows, architecture)
+def _xy(windows, spec, label_map):
+    """Inputs and labels of ``windows``: a network's input tensor or a baseline's features."""
     y = np.array([label_map[w.label] for w in windows], dtype=np.int64)
-    return X, y
+    if isinstance(spec, tuple):
+        return feature_matrix(windows, spec[0])[0], y
+    return transform_windows(windows, spec), y
 
 
 def _subject_split(recordings, subject, settings: dict):
@@ -289,191 +307,153 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     that subject's windows, 0 when none was), and the split it was scored
     on: ``protocol``, ``cycles``, ``repetitions``, ``gesture_subset`` and
     ``stride``.  ``evaluate_checkpoint`` rebuilds that split from them.
+    A setting the protocol would ignore is a ConfigError, raised before any
+    data is read.
     """
     started = time.time()
+    kind, spec = parse_model(cfg.model)
+    _check_settings(cfg, kind, models_dir)
     if models_dir is not None:
-        if cfg.protocol not in SPLIT_PROTOCOLS or parse_model(cfg.model)[0] != "net":
-            raise ConfigError(f"saving models needs a network model and one of {SPLIT_PROTOCOLS}")
         models_dir = Path(models_dir)
         models_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.protocol in SPLIT_PROTOCOLS:
-        report = _run_protocol(cfg, models_dir)
-    elif cfg.protocol == "augmentation-ablation":
-        report = _run_ablation(cfg)
-    else:
-        report = _run_dim_reduction(cfg)
-    report.wall_clock_s = time.time() - started
+    source = load_source_checkpoint(cfg.source_checkpoint) if cfg.transfer else None
+    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
+    columns, flags = {}, []
+    for subject in subjects:
+        for column, *cell in _cells(cfg, spec, recordings, subject, source, flags):
+            columns.setdefault(column, {})[subject] = _score(cfg, spec, source, subject, *cell,
+                                                             models_dir)
+        del cell  # the next subject's arrays are built after this one's are released
+    headline = HEADLINES.get(cfg.protocol)
+    method = f"{cfg.model}@{headline}" if headline else cfg.model + ("+TL" if cfg.transfer else "")
+    values = np.array([columns[headline][s] for s in subjects], dtype=float).ravel()
+    report = RunReport(
+        config=asdict(cfg),
+        method=method,
+        subjects=subjects,
+        seeds=list(cfg.seeds),
+        accuracies=columns[headline],
+        mean=float(values.mean()),
+        pooled_std=float(values.std(ddof=1)) if values.size > 1 else 0.0,
+        wall_clock_s=time.time() - started,
+        dataset_hash=dataset_hash,
+        flags=flags,
+        columns=columns if headline else {},
+    )
     if cfg.out_dir:
         report.save(cfg.out_dir)
     return report
 
 
+def _check_settings(cfg: ExperimentConfig, kind: str, models_dir):
+    """ConfigError for a model the protocol cannot score or a setting it would ignore."""
+    needed = {"augmentation-ablation": "net", "dim-reduction": "baseline"}.get(cfg.protocol, kind)
+    if kind != needed:
+        raise ConfigError(f"protocol '{cfg.protocol}' scores a {needed} model, not '{cfg.model}'")
+    for what, wanted in (("transfer", cfg.transfer), ("saving models", models_dir is not None)):
+        if wanted and (kind != "net" or cfg.protocol not in SPLIT_PROTOCOLS):
+            raise ConfigError(f"{what} needs a network model and one of {SPLIT_PROTOCOLS}")
+    if cfg.gesture_subset is not None and cfg.protocol not in ("ninapro", "out-of-sample"):
+        raise ConfigError(f"gesture_subset is for ninapro and out-of-sample, not {cfg.protocol}")
+
+
 def _grouped_recordings(cfg: ExperimentConfig):
     """The run's recordings, their sorted subjects and the content hash of the tree read."""
     recordings = load_dataset(cfg.dataset)
-    dataset_hash = recordings.sha256
-    if cfg.subjects:
-        recordings = [r for r in recordings if r.subject_id in set(cfg.subjects)]
-    subjects = sorted({r.subject_id for r in recordings})
+    present = {r.subject_id for r in recordings}
+    missing = sorted(set(cfg.subjects or ()) - present)
+    if missing:
+        raise DataError(f"dataset has no recordings of subjects {missing}")
+    subjects = sorted(set(cfg.subjects) if cfg.subjects else present)
     if not subjects:
-        raise DataError("dataset has no subjects after filtering")
-    return recordings, subjects, dataset_hash
+        raise DataError("dataset has no recordings")
+    kept = [r for r in recordings if r.subject_id in subjects]
+    return kept, subjects, recordings.sha256
 
 
-def _report(cfg, method, subjects, accuracies, dataset_hash, flags=(), columns=None) -> RunReport:
-    """Build the run's report; mean and pooled std run over every subject x seed cell."""
-    cells = np.array([accuracies[s] for s in subjects], dtype=float).ravel()
-    return RunReport(
-        config=asdict(cfg),
-        method=method,
-        subjects=subjects,
-        seeds=list(cfg.seeds),
-        accuracies=accuracies,
-        mean=float(cells.mean()),
-        pooled_std=float(cells.std(ddof=1)) if cells.size > 1 else 0.0,
-        wall_clock_s=0.0,
-        dataset_hash=dataset_hash,
-        flags=list(flags),
-        columns=columns or {},
-    )
+def _cells(cfg, spec, recordings, subject, source, flags):
+    """Yield ``subject``'s cells (column, train, val, test, classes, shift, reduce).
 
-
-def _run_protocol(cfg: ExperimentConfig, models_dir) -> RunReport:
-    kind, spec = parse_model(cfg.model)
-    source = load_source_checkpoint(cfg.source_checkpoint) if cfg.transfer else None
-    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
-    settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
-    flags = []
-    accuracies = {}
-    for subject in subjects:
-        split = _subject_split(recordings, subject, settings)
-        train_w, test_w = split.train, split.test
-        shift = 0
-        if cfg.transfer and source is not None and source.reference_profile is not None:
-            profile = activation_profile_from_windows(
-                train_w, expect_contiguous=cfg.gesture_subset is None
-            )
-            if profile.shape == source.reference_profile.shape:
-                shift = find_alignment(source.reference_profile, profile).shift
-                train_w = [apply_shift(w, shift) for w in train_w]
-                test_w = [apply_shift(w, shift) for w in test_w]
-            else:
-                flags.append(f"subject {subject}: unaligned (gesture sets differ)")
-        label_map = _label_mapping(train_w)
-        num_classes = len(label_map)
-        if kind == "baseline":
-            acc = _baseline_accuracy(cfg, spec, train_w, test_w, label_map)
-            accuracies[subject] = [acc for _ in cfg.seeds]
-            continue
-        X_tr, y_tr = _xy(train_w, spec, label_map)
-        X_te, y_te = _xy(test_w, spec, label_map)
-        per_seed = []
-        for seed in cfg.seeds:
-            if cfg.transfer:
-                target = build_target(source, num_classes=num_classes, seed=seed)
-                net = target.network
-                tc = make_train_config(
-                    net.metadata, {"dropout_rate": TARGET_DROPOUT, **(cfg.train or {})}, seed
-                )
-                train_target(target, X_tr, y_tr, subject=subject, cfg=tc)
-            else:
-                net = build_architecture(spec, num_classes=num_classes, seed=seed)
-                tc = make_train_config(net.metadata, cfg.train, seed)
-                train(net, X_tr, y_tr, tc)
-            per_seed.append(_accuracy(net, X_te, y_te, subject))
-            if models_dir is not None and seed == cfg.seeds[0]:
-                net.metadata.update(settings, subject=int(subject), channel_shift=int(shift))
-                net.save(models_dir / f"model_s{subject}_seed{seed}.json")
-        accuracies[subject] = per_seed
-    method = cfg.model + ("+TL" if cfg.transfer else "")
-    return _report(cfg, method, subjects, accuracies, dataset_hash, flags=flags)
-
-
-def _baseline_accuracy(cfg, spec, train_w, test_w, label_map, dim_reduction=None):
-    set_name, clf = spec
-    F_tr, _ = feature_matrix(train_w, set_name)
-    F_te, _ = feature_matrix(test_w, set_name)
-    y_tr = np.array([label_map[w.label] for w in train_w])
-    y_te = np.array([label_map[w.label] for w in test_w])
-    reduce = cfg.dim_reduction if dim_reduction is None else dim_reduction
-    if reduce:
-        proj = lda_fit(F_tr, y_tr)
-        F_tr = lda_project(proj, F_tr)
-        F_te = lda_project(proj, F_te)
-    if clf == "lda":
-        model = lda_fit(F_tr, y_tr)
-        pred = lda_classify(model, F_te)
-    else:
-        pred = knn_classify(F_tr, y_tr, F_te)
-    return float((pred == y_te).mean())
-
-
-def _run_ablation(cfg: ExperimentConfig) -> RunReport:
-    """Augmentation comparison: train cycles 1-2 (augmented), validate on 3, test on 4.
-
-    Baseline examples are non-overlapping windows (stride WINDOW_LENGTH);
-    every other technique doubles the training count per the multiplier
-    contract.
+    The augmentation ablation trains on cycles 1-2 of round 1, augmented by
+    each technique, validates on cycle 3 and tests on cycle 4.  Its baseline
+    examples are non-overlapping windows (stride WINDOW_LENGTH); every other
+    technique doubles the training count per the multiplier contract.
     """
-    kind, spec = parse_model(cfg.model)
-    if kind != "net":
-        raise ConfigError("the ablation protocol trains a network model")
-    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
-    columns = {t: {} for t in TECHNIQUES}
-    for subject in subjects:
+    if cfg.protocol == "augmentation-ablation":
         recs = [r for r in recordings if r.subject_id == subject and r.round == 1]
-        cyc = lambda c: [r for r in recs if r.cycle == c]
-        if not (cyc(1) and cyc(2) and cyc(3) and cyc(4)):
+        cycles = [[r for r in recs if r.cycle == c] for c in (1, 2, 3, 4)]
+        if not all(cycles):
             raise DataError(f"subject {subject}: ablation needs cycles 1-4 in round 1")
-        base_train = [w for c in (1, 2) for r in cyc(c) for w in slice_windows(r, WINDOW_LENGTH)]
-        val_w = [w for r in cyc(3) for w in slice_windows(r, WINDOW_LENGTH)]
-        test_w = [w for r in cyc(4) for w in slice_windows(r, WINDOW_LENGTH)]
+        base_train, val_w, test_w = (
+            [w for r in group for w in slice_windows(r, WINDOW_LENGTH)]
+            for group in (cycles[0] + cycles[1], cycles[2], cycles[3])
+        )
         check_gestures_trained(base_train, val_w, "validation")
         check_gestures_trained(base_train, test_w, "test")
         label_map = _label_mapping(base_train)
         split = DatasetSplit(train=base_train, test=test_w)
-        X_val, y_val = _xy(val_w, spec, label_map)
-        X_te, y_te = _xy(test_w, spec, label_map)
+        val, test = _xy(val_w, spec, label_map), _xy(test_w, spec, label_map)
         for technique in TECHNIQUES:
-            augmented = augment_dataset(split, technique, recs)
-            X_tr, y_tr = _xy(augmented.train, spec, label_map)
-            per_seed = []
-            for seed in cfg.seeds:
-                net = build_architecture(spec, num_classes=len(label_map), seed=seed)
-                tc = make_train_config(net.metadata, cfg.train, seed)
-                train(net, X_tr, y_tr, tc, val=(X_val, y_val))
-                pred = net.predict(X_te)
-                per_seed.append(float((pred == y_te).mean()))
-            columns[technique][subject] = per_seed
-    # the headline accuracies use the production default (sliding-window)
-    headline = columns["sliding-window"]
-    return _report(
-        cfg, f"{cfg.model}@sliding-window", subjects, headline, dataset_hash, columns=columns
-    )
+            train_set = _xy(augment_dataset(split, technique, recs).train, spec, label_map)
+            yield technique, train_set, val, test, len(label_map), 0, None
+        return
+    settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
+    if cfg.protocol == "dim-reduction":
+        settings["protocol"] = "myo-eval"
+    split = _subject_split(recordings, subject, settings)
+    shift, train_w, test_w = 0, split.train, split.test
+    if source is not None and source.reference_profile is not None:
+        shift, train_w, test_w = _align(source.reference_profile, train_w, test_w,
+                                        expect_contiguous=cfg.gesture_subset is None)
+        if shift is None:
+            flags.append(f"subject {subject}: unaligned (gesture sets differ)")
+            shift = 0
+    label_map = _label_mapping(train_w)
+    train_set, test = _xy(train_w, spec, label_map), _xy(test_w, spec, label_map)
+    if cfg.protocol == "dim-reduction":
+        yield "with-reduction", train_set, None, test, len(label_map), shift, True
+        yield "without-reduction", train_set, None, test, len(label_map), shift, False
+    else:
+        yield None, train_set, None, test, len(label_map), shift, cfg.dim_reduction
 
 
-def _run_dim_reduction(cfg: ExperimentConfig) -> RunReport:
-    """Appendix-style comparison: the same baseline with and without projection."""
-    kind, spec = parse_model(cfg.model)
-    if kind != "baseline":
-        raise ConfigError("dim-reduction protocol expects a '<feature-set>+<classifier>' model")
-    recordings, subjects, dataset_hash = _grouped_recordings(cfg)
-    columns = {"with-reduction": {}, "without-reduction": {}}
-    for subject in subjects:
-        recs = [r for r in recordings if r.subject_id == subject]
-        split = build_split(recs, "myo-eval", cycles=cfg.cycles, stride=cfg.stride)
-        label_map = _label_mapping(split.train)
-        for name, reduce in (("with-reduction", True), ("without-reduction", False)):
-            acc = _baseline_accuracy(cfg, spec, split.train, split.test, label_map, reduce)
-            columns[name][subject] = [acc for _ in cfg.seeds]
-    return _report(
-        cfg,
-        f"{cfg.model}@with-reduction",
-        subjects,
-        columns["with-reduction"],
-        dataset_hash,
-        columns=columns,
-    )
+def _score(cfg, spec, source, subject, train_set, val, test, classes, shift, reduce, models_dir):
+    """A cell's test accuracy per seed; a baseline is scored once and every seed repeats it."""
+    if isinstance(spec, tuple):
+        return [_baseline_accuracy(spec[1], train_set, test, reduce)] * len(cfg.seeds)
+    per_seed = []
+    for seed in cfg.seeds:
+        net = _fit(cfg, spec, source, train_set, val, subject, classes, seed)
+        per_seed.append(_accuracy(net, *test, subject))
+        if models_dir is not None and seed == cfg.seeds[0]:
+            settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
+            net.metadata.update(settings, subject=int(subject), channel_shift=int(shift))
+            net.save(models_dir / f"model_s{subject}_seed{seed}.json")
+    return per_seed
+
+
+def _fit(cfg, spec, source, train_set, val, subject, classes, seed):
+    """A network trained at ``seed``: a transfer target of ``source``, else one from scratch."""
+    if source is not None:
+        target = build_target(source, num_classes=classes, seed=seed)
+        overrides = {"dropout_rate": TARGET_DROPOUT, **(cfg.train or {})}
+        tc = make_train_config(target.network.metadata, overrides, seed)
+        train_target(target, *train_set, subject=subject, cfg=tc)
+        return target.network
+    net = build_architecture(spec, num_classes=classes, seed=seed)
+    train(net, *train_set, make_train_config(net.metadata, cfg.train, seed), val=val)
+    return net
+
+
+def _baseline_accuracy(clf, train_set, test, reduce) -> float:
+    """Accuracy of classifier ``clf`` on feature matrices, LDA-projected first when ``reduce``."""
+    (F_tr, y_tr), (F_te, y_te) = train_set, test
+    if reduce:
+        proj = lda_fit(F_tr, y_tr)
+        F_tr, F_te = lda_project(proj, F_tr), lda_project(proj, F_te)
+    if clf == "lda":
+        return float((lda_classify(lda_fit(F_tr, y_tr), F_te) == y_te).mean())
+    return float((knn_classify(F_tr, y_tr, F_te) == y_te).mean())
 
 
 def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
@@ -493,7 +473,6 @@ def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
     X_te, y_te = _xy(test_w, arch, _label_mapping(split.train))
     acc = _accuracy(net, X_te, y_te, subject)
     return {"subject": subject, "test_accuracy": acc, "n_windows": len(y_te)}
-
 
 # ---------------------------------------------------------------------------
 # Session replay

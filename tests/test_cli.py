@@ -287,6 +287,53 @@ def test_a_gesture_missing_from_training_is_a_data_error(tmp_path, capsys, proto
     assert f"subject 1: {what} gestures [2] are not in the training set" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "pretrain"])
+def test_subjects_the_dataset_lacks_are_a_data_error(data, tmp_path, capsys, command):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"subjects": [1, 99, 98]}))
+    code = cli.main(["--config", str(config), command, "--dataset", str(data / "eval"),
+                     "--model", "raw-1d", "--train-overrides", TRAIN])
+    assert code == cli.EXIT_DATA
+    assert "dataset has no recordings of subjects [98, 99]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "settings,match",
+    [
+        ({"model": "TD+lda", "transfer": True}, "transfer needs a network model"),
+        ({"model": "raw-1d", "protocol": "augmentation-ablation", "transfer": True},
+         "transfer needs a network model and one of ('myo-eval', 'ninapro', 'out-of-sample')"),
+        ({"model": "TD+lda", "protocol": "dim-reduction", "transfer": True},
+         "transfer needs a network model"),
+        ({"model": "TD+lda", "gesture_subset": [0, 2]}, "gesture_subset is for ninapro"),
+        ({"model": "raw-1d", "protocol": "augmentation-ablation", "gesture_subset": [0, 2]},
+         "not augmentation-ablation"),
+        ({"model": "TD+lda", "protocol": "dim-reduction", "gesture_subset": [0, 2]},
+         "not dim-reduction"),
+    ],
+    ids=["baseline-transfer", "ablation-transfer", "dim-reduction-transfer",
+         "myo-eval-subset", "ablation-subset", "dim-reduction-subset"],
+)
+def test_a_setting_the_protocol_would_ignore_is_a_config_error(tmp_path, capsys, settings, match):
+    # neither the source nor the dataset exists: reading either would exit 3
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"source_checkpoint": str(tmp_path / "source.json"), **settings}))
+    code = cli.main(["--config", str(config), "train", "--dataset", str(tmp_path / "data")])
+    assert code == cli.EXIT_CONFIG
+    assert match in capsys.readouterr().err
+
+
+def test_pretraining_on_a_subject_without_every_gesture_is_a_data_error(tmp_path, capsys):
+    root = tmp_path / "pre"
+    generate_synthetic_dataset(root, subjects=(3, 4), rounds=1, cycles=4, n_samples=72, seed=21)
+    for path in root.glob("subject_4/round_1/cycle_*/gesture_6.csv"):
+        path.unlink()
+    code = cli.main(["pretrain", "--dataset", str(root), "--model", "raw-1d",
+                     "--train-overrides", TRAIN])
+    assert code == cli.EXIT_DATA
+    assert "subject 4: gesture set differs from the pooled dataset's" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("protocol", ["nope", "session-replay"])
 def test_exit_code_bad_protocol(data, capsys, protocol):
     code = cli.main(["train", "--dataset", str(data / "eval"), "--protocol", protocol])

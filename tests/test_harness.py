@@ -10,6 +10,7 @@ from myogest.harness import (
     run_session_replay,
 )
 from myogest.nn import finalize_bn
+from myogest.synthetic import generate_synthetic_dataset
 
 
 def raw_1d_input(samples, shift):
@@ -57,3 +58,20 @@ def test_session_replay_applies_channel_shift_and_skips_short_holds(tmp_path):
 def test_the_report_hash_is_the_content_hash_of_the_tree_scored(small_dataset):
     cfg = ExperimentConfig(model="TD+lda", dataset=str(small_dataset), seeds=[0], subjects=[1])
     assert run_experiment(cfg).dataset_hash == dataset_content_hash(cfg.dataset)
+
+
+def test_dim_reduction_columns_equal_myo_eval_runs_with_and_without_reduction(tmp_path):
+    root = tmp_path / "noisy"
+    generate_synthetic_dataset(root, subjects=(1, 2), rounds=3, cycles=4, n_samples=72,
+                               noises={1: 30.0, 2: 40.0}, seed=25)
+
+    def run(**settings):
+        cfg = ExperimentConfig(model="TD+knn", dataset=str(root), seeds=[0, 1], **settings)
+        return run_experiment(cfg)
+
+    columns = run(protocol="dim-reduction").columns
+    with_, without = columns["with-reduction"], columns["without-reduction"]
+    assert with_ == run(dim_reduction=True).accuracies
+    assert without == run(dim_reduction=False).accuracies
+    # noisy enough that the projection changes every subject's accuracy
+    assert all(with_[s] != without[s] for s in (1, 2))
