@@ -17,7 +17,6 @@ from .architectures import (
     build_spectrogram_net,
 )
 from .dataset import (
-    AlignmentShift,
     DatasetSplit,
     EmgRecording,
     Window,

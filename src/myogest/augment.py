@@ -1,7 +1,9 @@
 """Training-set augmentation: noise, spectral fatigue, electrode displacement.
 
-Every technique preserves labels and never touches the test set; each one
-but ``baseline`` doubles the training set (``MULTIPLIER``).  The synthetic
+``augment_dataset`` takes the training windows alone, so no technique can
+reach a test set; every technique preserves labels, and each one but
+``baseline`` doubles the training windows (``MULTIPLIER``).  A synthesized
+window is a copy of its source ``Window`` with new data.  The synthetic
 techniques work on the 52-sample window rfft with the paper's fixed
 parameters (Cote-Allard et al., "Deep Learning for Electromyographic Hand
 Gesture Signal Classification Using Transfer Learning"): muscle fatigue
@@ -19,7 +21,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .dataset import WINDOW_LENGTH, DatasetSplit, Window, slice_windows, window_count
+from .dataset import WINDOW_LENGTH, Window, slice_windows, window_count
 from .errors import ConfigError
 
 TECHNIQUES = (
@@ -38,10 +40,6 @@ DISPLACEMENT_FRACTION = 0.35
 SNR_DB = 25.0
 
 
-def _copy_window(w: Window, data: np.ndarray) -> Window:
-    return replace(w, data=data)
-
-
 def augment_gaussian(w: Window, snr_db: float, seed: int) -> Window:
     """Additive white Gaussian noise at the requested SNR per channel.
 
@@ -56,7 +54,7 @@ def augment_gaussian(w: Window, snr_db: float, seed: int) -> Window:
             continue
         noise_std = np.sqrt(power / 10.0 ** (snr_db / 10.0))
         data[c] = data[c] + noise_std * rng.standard_normal(data.shape[1])
-    return _copy_window(w, data)
+    return replace(w, data=data)
 
 
 def _weights(n_bins: int) -> np.ndarray:
@@ -91,7 +89,7 @@ def augment_fatigue(w: Window, probability: float, fraction: float, seed: int) -
         mag = np.sqrt(power / wgt)
         phase = np.angle(spec)
         data[c] = np.fft.irfft(mag * np.exp(1j * phase), n=data.shape[1])
-    return _copy_window(w, data)
+    return replace(w, data=data)
 
 
 def augment_displacement(w: Window, fraction: float, seed: int) -> Window:
@@ -107,7 +105,7 @@ def augment_displacement(w: Window, fraction: float, seed: int) -> Window:
     phase = np.angle(spec)
     new_mag = (1.0 - fraction) * mag + fraction * np.roll(mag, 1, axis=0)
     out = np.fft.irfft(new_mag * np.exp(1j * phase), n=data.shape[1], axis=1)
-    return _copy_window(w, out)
+    return replace(w, data=out)
 
 
 def _synthesize(w: Window, technique: str, seed: int) -> Window:
@@ -157,18 +155,15 @@ def _densified_windows(recordings, base_windows):
     return out[:target]
 
 
-def augment_dataset(split: DatasetSplit, technique: str, recordings) -> DatasetSplit:
-    """Grow the training set to MULTIPLIER x its size (baseline keeps it); test is untouched."""
+def augment_dataset(train: list, technique: str, recordings) -> list:
+    """The training windows grown to MULTIPLIER x their count (baseline keeps them)."""
     if technique not in TECHNIQUES:
         raise ConfigError(f"unknown augmentation '{technique}'")
-    if not split.train:
+    if not train:
         raise ConfigError("cannot augment an empty training set")
     if technique == "baseline":
-        train = list(split.train)
-    elif technique == "sliding-window":
-        train = _densified_windows(recordings, split.train)
-    else:
-        # MULTIPLIER 2: one synthesized copy of each window, seeded by its index
-        copies = [_synthesize(w, technique, i) for i, w in enumerate(split.train)]
-        train = list(split.train) + copies
-    return DatasetSplit(train=train, test=split.test)
+        return list(train)
+    if technique == "sliding-window":
+        return _densified_windows(recordings, train)
+    # MULTIPLIER 2: one synthesized copy of each window, seeded by its index
+    return list(train) + [_synthesize(w, technique, i) for i, w in enumerate(train)]

@@ -83,17 +83,6 @@ class DatasetSplit:
     test: list
 
 
-@dataclass
-class AlignmentShift:
-    """Circular channel shift that maps a subject onto the reference wearing."""
-
-    shift: int
-
-    def __post_init__(self):
-        if not 0 <= self.shift < NUM_CHANNELS:
-            raise ConfigError(f"shift must be in [0, {NUM_CHANNELS - 1}], got {self.shift}")
-
-
 def write_manifest(root, gesture_names, schema="myo"):
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
@@ -350,12 +339,12 @@ def activation_profile_from_windows(windows, expect_contiguous: bool = True) -> 
         missing = sorted(set(range(max(labels) + 1)) - set(labels))
         if missing:
             raise DataError(f"missing gestures for activation profile: {missing}")
+    row = {label: i for i, label in enumerate(labels)}
+    rows = np.array([row[w.label] for w in windows])
     profile = np.zeros((len(labels), NUM_CHANNELS))
-    counts = np.zeros(len(labels))
-    for w in windows:
-        profile[labels.index(w.label)] += np.sum(np.abs(w.data), axis=1)
-        counts[labels.index(w.label)] += 1
-    profile /= counts[:, None]
+    # np.add.at adds in window order, so each row sums in the order a loop over windows would
+    np.add.at(profile, rows, [np.sum(np.abs(w.data), axis=1) for w in windows])
+    profile /= np.bincount(rows, minlength=len(labels))[:, None]
     row_sums = profile.sum(axis=1)
     if np.any(row_sums <= 0):
         dead = np.nonzero(row_sums <= 0)[0].tolist()
@@ -363,15 +352,17 @@ def activation_profile_from_windows(windows, expect_contiguous: bool = True) -> 
     return profile / row_sums[:, None]
 
 
-def _rotate_channels(row: np.ndarray, shift: int) -> np.ndarray:
-    idx = (np.arange(NUM_CHANNELS) + shift) % NUM_CHANNELS
-    return row[..., idx]
+def _channel_order(shift: int) -> np.ndarray:
+    """Channel i of a shift by ``shift`` is channel (i + shift) mod 8."""
+    return (np.arange(NUM_CHANNELS) + shift) % NUM_CHANNELS
 
 
-def find_alignment(reference: np.ndarray, candidate: np.ndarray) -> AlignmentShift:
-    """Circular shift of the candidate minimizing total L1 profile distance.
+def find_alignment(reference: np.ndarray, candidate: np.ndarray) -> int:
+    """The shift in [0, 8) that aligns ``candidate`` to ``reference``.
 
-    Ties break toward the smallest shift so the result is deterministic.
+    It is the shift whose ``apply_shift`` of the candidate profile's channels
+    gives the least total L1 distance to the reference; ties break toward the
+    smallest shift so the result is deterministic.
     """
     reference = np.asarray(reference, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
@@ -380,17 +371,15 @@ def find_alignment(reference: np.ndarray, candidate: np.ndarray) -> AlignmentShi
             f"profile shapes differ: {reference.shape} vs {candidate.shape}"
         )
     costs = [
-        float(np.abs(reference - _rotate_channels(candidate, s)).sum())
+        float(np.abs(reference - candidate[..., _channel_order(s)]).sum())
         for s in range(NUM_CHANNELS)
     ]
-    best = int(np.argmin(costs))  # argmin returns the first (smallest) index on ties
-    return AlignmentShift(shift=best)
+    return int(np.argmin(costs))  # argmin returns the first (smallest) index on ties
 
 
-def apply_shift(item, shift) -> "Window | EmgRecording":
-    """Return a copy with channel i replaced by channel (i + s) mod 8."""
-    s = shift.shift if isinstance(shift, AlignmentShift) else int(shift) % NUM_CHANNELS
-    idx = (np.arange(NUM_CHANNELS) + s) % NUM_CHANNELS
+def apply_shift(item, shift: int) -> "Window | EmgRecording":
+    """Return a copy with channel i replaced by channel (i + shift) mod 8."""
+    idx = _channel_order(int(shift))
     if isinstance(item, EmgRecording):
         return replace(item, samples=item.samples[idx])
     if isinstance(item, Window):
@@ -477,10 +466,3 @@ def check_gestures_trained(train, held_out, what: str):
             f"subject {', '.join(map(str, subjects))}: {what} gestures {missing} are not in the training set"
         )
 
-
-def windows_to_arrays(windows):
-    """Stack windows into (N, 8, 52) float data plus label and subject vectors."""
-    X = np.stack([w.data for w in windows]).astype(np.float64)
-    y = np.array([w.label for w in windows], dtype=np.int64)
-    subjects = np.array([w.subject_id for w in windows], dtype=np.int64)
-    return X, y, subjects

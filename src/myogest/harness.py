@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -27,9 +29,9 @@ from .augment import TECHNIQUES, augment_dataset
 from .architectures import ARCHITECTURES, LEARNING_RATES, build_architecture
 from .dataset import (
     DEFAULT_STRIDE,
+    NUM_CHANNELS,
     SAMPLE_RATE,
     WINDOW_LENGTH,
-    DatasetSplit,
     EmgRecording,
     activation_profile_from_windows,
     apply_shift,
@@ -41,7 +43,6 @@ from .dataset import (
     read_rows,
     slice_windows,
     window_count,
-    windows_to_arrays,
 )
 from .errors import ConfigError, DataError
 from .features import FEATURE_SETS, feature_matrix
@@ -152,8 +153,8 @@ def transform_windows(windows, architecture: str) -> np.ndarray:
     Samples are scaled to [-1, 1] by the fixed armband range first; a
     constant scale keeps transfer consistent across subjects and datasets.
     """
-    X, _, _ = windows_to_arrays(windows)
-    X = X * INPUT_SCALE
+    X = np.stack([w.data for w in windows], dtype=np.float64)
+    X *= INPUT_SCALE
     if architecture == "spectrogram":
         return spectrogram_batch(X)
     if architecture == "cwt":
@@ -180,14 +181,39 @@ def parse_model(model: str):
     )
 
 
-def check_keys(cls, payload, what: str) -> dict:
-    """Return ``payload`` if it is a dict naming only fields of dataclass ``cls``."""
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+# field annotation -> (what a value must be, its test); a bool is no number and an int is a float
+_FIELD_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an int", _is_int),
+    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    dict: ("a JSON object", lambda v: isinstance(v, dict)),
+    list: ("a list of ints", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
+
+
+def check_keys(cls, payload, what: str, error=ConfigError) -> dict:
+    """Return ``payload`` if it is a dict of fields of dataclass ``cls``, each of its type.
+
+    The field's annotation gives the type (``_FIELD_TYPES``); None is
+    accepted only where the field's default is None.  ``error`` is raised
+    naming the first key that is unknown or of the wrong type.
+    """
     if not isinstance(payload, dict):
-        raise ConfigError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    accepted = [f.name for f in fields(cls)]
-    unknown = sorted(set(payload) - set(accepted))
+        raise error(f"{what} must be a JSON object, got {type(payload).__name__}")
+    defaults = {f.name: f.default for f in fields(cls)}
+    unknown = sorted(set(payload) - set(defaults))
     if unknown:
-        raise ConfigError(f"unknown {what} key(s) {unknown}; accepted: {accepted}")
+        raise error(f"unknown {what} key(s) {unknown}; accepted: {list(defaults)}")
+    types = get_type_hints(cls)
+    for key, value in payload.items():
+        name, accepts = _FIELD_TYPES[types[key]]
+        if not (accepts(value) or value is None and defaults[key] is None):
+            raise error(f"{what} key '{key}' must be {name}, got {value!r}")
     return payload
 
 
@@ -207,11 +233,27 @@ def save_source_checkpoint(source: SourceNetwork, path):
 
 
 def load_model_checkpoint(path):
-    """A saved model and its architecture; metadata without one is a DataError."""
+    """A saved model and its architecture.
+
+    Metadata without an architecture, or whose ``subject``, ``channel_shift``
+    or SPLIT_KEYS are of the wrong type, or whose protocol is not one of
+    SPLIT_PROTOCOLS, is a DataError naming the key.
+    """
     net = load_network(path)
-    arch = net.metadata.get("architecture")
+    md = net.metadata
+    arch = md.get("architecture")
     if arch is None:
         raise DataError(f"{path}: checkpoint metadata has no 'architecture'")
+    what = f"{path}: checkpoint metadata"
+    check_keys(ExperimentConfig, {k: md[k] for k in SPLIT_KEYS if k in md}, what, DataError)
+    protocol = md.get("protocol", ExperimentConfig.protocol)
+    if protocol not in SPLIT_PROTOCOLS:
+        raise DataError(f"{what} key 'protocol' must be one of {SPLIT_PROTOCOLS}, got {protocol!r}")
+    subject, shift = md.get("subject"), md.get("channel_shift", 0)
+    if subject is not None and not _is_int(subject):
+        raise DataError(f"{what} key 'subject' must be an int, got {subject!r}")
+    if not (_is_int(shift) and 0 <= shift < NUM_CHANNELS):
+        raise DataError(f"{what} key 'channel_shift' must be an int in [0, 8), got {shift!r}")
     return net, arch
 
 
@@ -246,7 +288,8 @@ def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
         aligned.extend(subj_windows)
     num_classes = len({w.label for w in aligned})
     X = transform_windows(aligned, spec)
-    _, y, subj_arr = windows_to_arrays(aligned)
+    y = np.array([w.label for w in aligned], dtype=np.int64)
+    subj_arr = np.array([w.subject_id for w in aligned], dtype=np.int64)
     net = build_architecture(spec, num_classes=num_classes, seed=cfg.seeds[0])
     tc = make_train_config(
         net.metadata, {"dropout_rate": PRETRAIN_DROPOUT, **(cfg.train or {})}, cfg.seeds[0]
@@ -261,7 +304,7 @@ def _align(reference, windows, held_out=(), expect_contiguous=True):
     profile = activation_profile_from_windows(windows, expect_contiguous)
     if profile.shape != reference.shape:
         return None, windows, held_out
-    shift = find_alignment(reference, profile).shift
+    shift = find_alignment(reference, profile)
     return (shift, [apply_shift(w, shift) for w in windows],
             [apply_shift(w, shift) for w in held_out])
 
@@ -391,10 +434,9 @@ def _cells(cfg, spec, recordings, subject, source, flags):
         check_gestures_trained(base_train, val_w, "validation")
         check_gestures_trained(base_train, test_w, "test")
         label_map = _label_mapping(base_train)
-        split = DatasetSplit(train=base_train, test=test_w)
         val, test = _xy(val_w, spec, label_map), _xy(test_w, spec, label_map)
         for technique in TECHNIQUES:
-            train_set = _xy(augment_dataset(split, technique, recs).train, spec, label_map)
+            train_set = _xy(augment_dataset(base_train, technique, recs), spec, label_map)
             yield technique, train_set, val, test, len(label_map), 0, None
         return
     settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}

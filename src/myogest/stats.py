@@ -28,11 +28,9 @@ ALPHA = 0.05
 @dataclass
 class LdaModel:
     classes: np.ndarray
-    class_means: np.ndarray  # (C, D)
     projection_basis: np.ndarray  # (D, C-1)
-    priors: np.ndarray
-    _solve: np.ndarray = field(default=None, repr=False)  # covariance^-1 means^T
-    _const: np.ndarray = field(default=None, repr=False)  # per-class score offset
+    score_weights: np.ndarray = field(repr=False)  # covariance^-1 means^T, (D, C)
+    score_offsets: np.ndarray = field(repr=False)  # per-class score offset, (C,)
 
 
 def lda_fit(features, labels) -> LdaModel:
@@ -48,7 +46,6 @@ def lda_fit(features, labels) -> LdaModel:
         raise DataError("lda needs at least two classes")
     n, d = X.shape
     means = np.stack([X[y == c].mean(axis=0) for c in classes])
-    priors = counts / n
 
     within = np.zeros((d, d))
     for i, c in enumerate(classes):
@@ -80,10 +77,9 @@ def lda_fit(features, labels) -> LdaModel:
     order = np.argsort(vals)[::-1][: len(classes) - 1]
     basis = vecs[:, order]
 
-    model = LdaModel(classes=classes, class_means=means, projection_basis=basis, priors=priors)
-    model._solve = np.linalg.solve(within, means.T)  # (D, C)
-    model._const = -0.5 * np.einsum("cd,dc->c", means, model._solve) + np.log(priors)
-    return model
+    weights = np.linalg.solve(within, means.T)
+    offsets = -0.5 * np.einsum("cd,dc->c", means, weights) + np.log(counts / n)
+    return LdaModel(classes, basis, weights, offsets)
 
 
 def lda_project(model: LdaModel, features) -> np.ndarray:
@@ -93,8 +89,8 @@ def lda_project(model: LdaModel, features) -> np.ndarray:
 
 def lda_classify(model: LdaModel, features) -> np.ndarray:
     X = np.asarray(features, dtype=np.float64)
-    lin = X @ model._solve  # (N, C)
-    return model.classes[np.argmax(lin + model._const, axis=1)]
+    lin = X @ model.score_weights  # (N, C)
+    return model.classes[np.argmax(lin + model.score_offsets, axis=1)]
 
 
 # ---------------------------------------------------------------------------

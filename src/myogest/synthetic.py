@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataset import SAMPLE_RATE, EmgRecording, save_recording, write_manifest
+from .dataset import SAMPLE_RATE, EmgRecording, apply_shift, save_recording, write_manifest
 
 GESTURE_FREQS = [12.0, 24.0, 36.0, 48.0, 60.0, 72.0, 84.0]
 
@@ -38,11 +38,8 @@ def synth_recording(
     burst = 0.75 + 0.25 * np.sin(2 * np.pi * 1.5 * t + rng.uniform(0, 2 * np.pi))
     data[main] += amplitude * carrier * burst
     data[(main + 1) % 8] += 0.45 * amplitude * carrier * burst
-    if rotation:
-        idx = (np.arange(8) + rotation) % 8
-        data = data[idx]
     samples = np.clip(np.rint(data), -128, 127).astype(np.int64)
-    return EmgRecording(subject_id, round_idx, cycle, gesture, samples)
+    return apply_shift(EmgRecording(subject_id, round_idx, cycle, gesture, samples), rotation)
 
 
 def generate_synthetic_recordings(

@@ -101,6 +101,27 @@ def mdwt_direct(coefficients):
 
 
 # ---------------------------------------------------------------------------
+# channel alignment
+
+
+def activation_profile_direct(windows):
+    """Per-gesture mean of each window's per-channel |x| sums, rows L1-normalized.
+
+    Rows are the sorted labels present; each window is added to its row one
+    at a time, in window order.
+    """
+    labels = sorted({w.label for w in windows})
+    profile = np.zeros((len(labels), 8))
+    counts = np.zeros(len(labels))
+    for w in windows:
+        row = labels.index(w.label)
+        profile[row] += np.sum(np.abs(w.data), axis=1)
+        counts[row] += 1
+    profile /= counts[:, None]
+    return profile / profile.sum(axis=1)[:, None]
+
+
+# ---------------------------------------------------------------------------
 # features
 
 

@@ -427,6 +427,37 @@ def test_exit_code_unknown_train_override(data, capsys, overrides):
     assert json.loads(overrides).popitem()[0] in err and "patience_epochs" in err
 
 
+@pytest.mark.parametrize(
+    "option,payload",
+    [
+        ("--config", {"cycles": "4"}),
+        ("--config", {"seeds": 3}),
+        ("--config", {"seeds": [0, True]}),
+        ("--config", {"gesture_subset": [0, 2.0]}),
+        ("--config", {"dim_reduction": 1}),
+        ("--config", {"stride": None}),
+        ("--train-overrides", {"batch_size": "16"}),
+        ("--train-overrides", {"max_epochs": 1.5}),
+        ("--train-overrides", {"learning_rate": True}),
+        ("--train-overrides", {"dropout_rate": None}),
+    ],
+    ids=["config-cycles-str", "config-seeds-int", "config-seeds-bool-element",
+         "config-gesture_subset-float-element", "config-dim_reduction-int", "config-stride-null",
+         "overrides-batch_size-str", "overrides-max_epochs-float", "overrides-learning_rate-bool",
+         "overrides-dropout_rate-null"],
+)
+def test_a_json_value_of_the_wrong_type_is_a_config_error(data, tmp_path, capsys, option, payload):
+    if option == "--config":
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(payload))
+        argv = ["--config", path, "train", "--protocol", "ninapro"]
+    else:
+        argv = ["train", "--cycles", "2", "--train-overrides", json.dumps(payload)]
+    code = cli.main([str(a) for a in [*argv, "--dataset", data / "eval", "--model", "raw-1d"]])
+    assert code == cli.EXIT_CONFIG
+    assert f"key '{next(iter(payload))}' must be" in capsys.readouterr().err
+
+
 def test_exit_code_invalid_json_override(data, capsys):
     code = cli.main(["train", "--dataset", str(data / "eval"), "--model", "raw-1d",
                      "--train-overrides", "{max_epochs: 1}"])
@@ -714,6 +745,37 @@ def test_non_utf8_input_is_a_data_error(tmp_path, capsys, pinned_table, checkpoi
     code = cli.main([str(a) for a in argv])
     assert code == cli.EXIT_DATA
     assert str(bad) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [
+        ("channel_shift", "abc"),
+        ("channel_shift", 9),
+        ("channel_shift", 1.5),
+        ("channel_shift", -1),
+        ("subject", True),
+        ("subject", "1"),
+        ("cycles", "2"),
+        ("gesture_subset", [0, "2"]),
+        ("stride", 2.5),
+        ("protocol", 3),
+        ("protocol", "augmentation-ablation"),
+    ],
+    ids=["shift-str", "shift-9", "shift-float", "shift-negative", "subject-bool", "subject-str",
+         "cycles-str", "gesture_subset-str-element", "stride-float", "protocol-int",
+         "protocol-ablation"],
+)
+def test_malformed_checkpoint_metadata_is_a_data_error(data, tmp_path, capsys, checkpoint, key,
+                                                       value):
+    path = _with_metadata(checkpoint, tmp_path / "bad.json", **{key: value})
+    session = tmp_path / "session.csv"
+    session.write_text("".join(f"{i / 200},1" + ",3" * 8 + "\n" for i in range(300)))
+    for argv in (["evaluate", "--dataset", data / "eval", "--checkpoint", path],
+                 ["replay", "--session", session, "--checkpoint", path]):
+        code = cli.main([str(a) for a in argv])
+        assert code == cli.EXIT_DATA
+        assert f"bad.json: checkpoint metadata key '{key}' must be" in capsys.readouterr().err
 
 
 def _checkpoint_text(version=None, drop_metadata=()):

@@ -6,9 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from myogest import dataset
 from myogest.dataset import (
-    AlignmentShift,
     EmgRecording,
     Window,
     activation_profile_from_windows,
@@ -315,19 +315,32 @@ class TestActivationProfile:
         with pytest.raises(DataError, match=r"\[1\]"):
             profile_of(recs)
 
+    @pytest.mark.parametrize("gestures", [range(7), [1, 4, 6]])
+    def test_matches_the_window_by_window_oracle(self, small_dataset, gestures):
+        windows = [
+            w for rec in load_dataset(small_dataset) if rec.gesture in gestures
+            for w in slice_windows(rec)
+        ]
+        # shuffled labels interleave the gestures' windows
+        labels = np.random.default_rng(3).permutation([w.label for w in windows])
+        windows = [Window(w.data, int(label), w.subject_id) for w, label in zip(windows, labels)]
+        profile = activation_profile_from_windows(windows, expect_contiguous=False)
+        assert profile.tobytes() == oracles.activation_profile_direct(windows).tobytes()
+
 
 class TestAlignment:
     def test_identity(self, rng):
         profile = rng.random((7, 8))
         profile /= profile.sum(axis=1, keepdims=True)
-        assert find_alignment(profile, profile).shift == 0
+        assert find_alignment(profile, profile) == 0
 
     def test_recovers_rotation(self, rng):
         profile = rng.random((7, 8))
         profile /= profile.sum(axis=1, keepdims=True)
         for r in range(8):
             rotated = profile[:, (np.arange(8) + r) % 8]
-            s = find_alignment(profile, rotated).shift
+            s = find_alignment(profile, rotated)
+            assert type(s) is int and s == (8 - r) % 8
             undone = rotated[:, (np.arange(8) + s) % 8]
             assert np.abs(profile - undone).sum() < 1e-12
 
@@ -337,7 +350,7 @@ class TestAlignment:
         profile = np.tile(row, (3, 1))
         costs = [np.abs(profile - profile[:, (np.arange(8) + s) % 8]).sum() for s in range(8)]
         assert min(costs) == costs[0]  # enumerated by hand: even shifts tie at 0
-        assert find_alignment(profile, profile).shift == 0
+        assert find_alignment(profile, profile) == 0
 
     def test_shape_mismatch(self):
         with pytest.raises(ConfigError):
@@ -348,7 +361,7 @@ class TestApplyShift:
     def test_zero_shift_identity(self):
         rec = make_rec()
         rec.samples[3, 7] = 42
-        out = apply_shift(rec, AlignmentShift(0))
+        out = apply_shift(rec, 0)
         assert np.array_equal(out.samples, rec.samples)
 
     def test_shift_eight_is_identity(self):

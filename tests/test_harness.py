@@ -1,22 +1,26 @@
 import math
 
 import numpy as np
+import pytest
 
+from myogest import harness
 from myogest.architectures import build_architecture
+from myogest.augment import TECHNIQUES
+from myogest.dataset import load_dataset
 from myogest.harness import (
     ExperimentConfig,
     dataset_content_hash,
     run_experiment,
     run_session_replay,
 )
-from myogest.nn import finalize_bn
+from myogest.nn import TrainConfig, finalize_bn
 from myogest.synthetic import generate_synthetic_dataset
 
 
-def raw_1d_input(samples, shift):
-    """Rotate channels, cut 52-sample windows at stride 5, scale by 1/128."""
+def raw_1d_input(samples, shift, stride=5):
+    """Rotate channels, cut 52-sample windows at ``stride``, scale by 1/128."""
     rotated = samples[(np.arange(8) + shift) % 8]
-    X = np.stack([rotated[:, o : o + 52] for o in range(0, rotated.shape[1] - 51, 5)]) / 128.0
+    X = np.stack([rotated[:, o : o + 52] for o in range(0, rotated.shape[1] - 51, stride)]) / 128.0
     return X[:, :, None, :]
 
 
@@ -75,3 +79,39 @@ def test_dim_reduction_columns_equal_myo_eval_runs_with_and_without_reduction(tm
     assert without == run(dim_reduction=False).accuracies
     # noisy enough that the projection changes every subject's accuracy
     assert all(with_[s] != without[s] for s in (1, 2))
+
+
+@pytest.fixture(scope="module")
+def ablation_tests(small_dataset):
+    """The (inputs, labels) each augmentation-ablation column of subject 1 was scored on."""
+    scored = []
+
+    def score(cfg, spec, source, subject, train_set, val, test, *rest):
+        scored.append(test)
+        return [0.0] * len(cfg.seeds)
+
+    cfg = ExperimentConfig(protocol="augmentation-ablation", model="raw-1d",
+                           dataset=str(small_dataset), seeds=[0], subjects=[1])
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(harness, "_score", score)
+        report = run_experiment(cfg)
+    return dict(zip(report.columns, scored))
+
+
+@pytest.mark.parametrize("technique", TECHNIQUES)
+def test_every_ablation_column_is_scored_on_the_unaugmented_test_cycle(small_dataset,
+                                                                       ablation_tests, technique):
+    # cycle 4 of round 1, cut into non-overlapping windows, gestures 0-6 in order
+    holds = [r for r in load_dataset(small_dataset) if (r.subject_id, r.round, r.cycle) == (1, 1, 4)]
+    X, y = ablation_tests[technique]
+    expected = [raw_1d_input(rec.samples, 0, stride=52) for rec in holds]
+    assert np.array_equal(X, np.concatenate(expected))
+    assert y.tolist() == [rec.gesture for rec, x in zip(holds, expected) for _ in x]
+
+
+def test_json_values_that_fit_their_fields_pass_the_type_check():
+    overrides = {"learning_rate": 1, "dropout_rate": 0.25, "max_epochs": 3}  # an int is a float
+    assert harness.check_keys(TrainConfig, overrides, "overrides") is overrides
+    # None only where the default is None
+    config = {"gesture_subset": None, "subjects": [2, 1], "transfer": False, "train": {}}
+    assert harness.check_keys(ExperimentConfig, config, "config") is config
