@@ -17,15 +17,20 @@ seed.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
 numerical failure.  A --config file that is missing or unreadable, and an
 unknown key or a value of the wrong type there or in --train-overrides,
 exit 2 (a bool is not a number, an int passes as a float, list fields hold
-ints, and null is accepted only where the default is null); a checkpoint
-that cannot be read, has an unsupported version or has no ``architecture``
-in its metadata exits 3, as does one whose ``subject`` is not an int, whose
-``channel_shift`` is not an int in [0, 8), whose split keys are of the
-wrong type or whose protocol is not a split protocol.  A train setting that the protocol would ignore exits 2
-before any data is read: --transfer with a baseline model or under
-augmentation-ablation or dim-reduction, and a gesture_subset under any
-protocol but ninapro and out-of-sample.  A ``subjects`` list naming a
-subject the dataset lacks exits 3, for train and pretrain alike.
+ints, and null is accepted only where the default is null).  The
+TrainConfig keys, from --train-overrides or the config's ``train``, are
+checked like that and against TrainConfig's ranges before any data is
+read, so a bad override exits 2 even for a dataset that is missing.  A
+checkpoint that cannot be read, has an unsupported version or has no
+``architecture`` in its metadata exits 3, as does one whose ``subject`` is
+not an int, whose ``channel_shift`` is not an int in [0, 8), whose split
+keys are of the wrong type or out of the split's range (``cycles`` 9,
+say), or whose protocol is not a split protocol.  A train setting that the
+protocol would ignore exits 2 before any data is read: --transfer with a
+baseline model or under augmentation-ablation or dim-reduction, and a
+gesture_subset under any protocol but ninapro and out-of-sample.  A
+``subjects`` list naming a subject the dataset lacks exits 3, for train
+and pretrain alike.
 """
 
 from __future__ import annotations

@@ -274,7 +274,13 @@ def load_dataset(root_path) -> list:
 
 
 def save_recording(root, rec: EmgRecording):
-    """Write one recording into the canonical tree (used by converters)."""
+    """Write one recording into the canonical tree (used by converters).
+
+    The file has one line per time sample: its 8 values formatted with
+    ``%d``, joined by commas and ended by ``\\n``.  Those are the bytes of
+    ``np.savetxt(path, rec.samples.T, fmt="%d", delimiter=",")``; here the
+    whole recording is formatted by one ``%`` and written at once.
+    """
     root = Path(root)
     path = (
         root
@@ -284,7 +290,8 @@ def save_recording(root, rec: EmgRecording):
         / f"gesture_{rec.gesture}.csv"
     )
     path.parent.mkdir(parents=True, exist_ok=True)
-    np.savetxt(path, rec.samples.T, fmt="%d", delimiter=",")
+    row = ",".join(["%d"] * NUM_CHANNELS) + "\n"
+    path.write_text(row * rec.num_samples % tuple(rec.samples.T.ravel().tolist()))
     return path
 
 

@@ -101,6 +101,8 @@ class ExperimentConfig:
             raise ConfigError("transfer=true requires a source checkpoint path")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        # the run builds its TrainConfig only after reading the data
+        TrainConfig(**check_keys(TrainConfig, self.train or {}, "TrainConfig"))
 
 
 @dataclass
@@ -504,13 +506,18 @@ def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
     The split, subject and channel shift come from the checkpoint's metadata.
     A checkpoint saved before a key was recorded gets ExperimentConfig's
     default for it (``myo-eval``, 4 cycles, 4 repetitions, all gestures,
-    ``DEFAULT_STRIDE``) and shift 0.
+    ``DEFAULT_STRIDE``) and shift 0.  A recorded value that ``build_split``
+    rejects (``cycles`` 9, say) is a DataError naming the checkpoint.
     """
     net, arch = load_model_checkpoint(checkpoint_path)
     md = net.metadata
     subject = md.get("subject")
     settings = {k: md.get(k, getattr(ExperimentConfig, k)) for k in SPLIT_KEYS}
-    split = _subject_split(load_dataset(dataset), subject, settings)
+    recordings = load_dataset(dataset)
+    try:
+        split = _subject_split(recordings, subject, settings)
+    except ConfigError as exc:  # a split setting build_split rejects came from the checkpoint
+        raise DataError(f"{checkpoint_path}: checkpoint metadata: {exc}") from None
     test_w = [apply_shift(w, md.get("channel_shift", 0)) for w in split.test]
     X_te, y_te = _xy(test_w, arch, _label_mapping(split.train))
     acc = _accuracy(net, X_te, y_te, subject)

@@ -43,7 +43,10 @@ over the input members that nothing reads after the step; the values are
 the same either way.  Conv2d and Dense run each member's own matrix
 product into its block of the output stack, with the same operands and
 row count as a lone layer, so grouping changes no bit; they also take a
-list of member inputs, read through different channel slices.  Each
+list of member inputs, read through different channel slices, where
+members that read one view get one object.  Conv2d gathers one patch
+matrix per distinct input object, which every member reading it
+multiplies.  Each
 layer's ``eval_sources(key)`` names the arrays its constants were derived
 from, which the program checks by identity on every call.  Dropout,
 Flatten and SliceChannels take no step (``eval_views``): dropout is the
@@ -269,8 +272,15 @@ class Conv2d(Layer):
         def step(xs):
             n, (oh, ow) = len(xs[0]), conv._out_hw(xs[0])
             out = np.empty((len(w_ts), n * oh * ow, conv.out_channels))
-            for g, w_t in enumerate(w_ts):  # indexing beats iterating a stack
-                np.matmul(conv._im2col(xs[g], oh, ow), w_t, out=out[g])
+            # id of an input -> (the input, held so that no other takes its id, its members)
+            readers = {}
+            for g in range(len(w_ts)):  # indexing beats iterating a stack
+                x = xs[g]
+                readers.setdefault(id(x), (x, []))[1].append(g)
+            for x, members in readers.values():  # one patch matrix per distinct input
+                cols = conv._im2col(x, oh, ow)
+                for g in members:
+                    np.matmul(cols, w_ts[g], out=out[g])
             out += bias
             return out.reshape(len(w_ts), n, oh, ow, -1).transpose(0, 1, 4, 2, 3)
 

@@ -411,11 +411,21 @@ def _read(members, chains, size):
     ``chains[g]``.  Equal chains give one stack: the stack itself (None)
     when every member reads its own, a view when the members are evenly
     spaced in it, else a copy.  Chains that differ (channel slices of one
-    width) give a list of the members' inputs.
+    width) give a list of the members' inputs, in which members that read
+    one member through equal chains share one view object.
     """
     views = [[view for layer in chain for view in layer.eval_views()] for chain in chains]
-    if any(_chain_key(chain, False) != _chain_key(chains[0], False) for chain in chains):
-        return lambda stack: [_seen(stack[m : m + 1], v)[0] for m, v in zip(members, views)]
+    keys = [(m, _chain_key(chain, False)) for m, chain in zip(members, chains)]
+    if any(key[1] != keys[0][1] for key in keys):
+        first = [keys.index(key) for key in keys]  # the first member reading each view
+
+        def read(stack):
+            xs = []
+            for g, (m, v, f) in enumerate(zip(members, views, first)):
+                xs.append(xs[f] if f < g else _seen(stack[m : m + 1], v)[0])
+            return xs
+
+        return read
     views = views[0]
     pick = members
     spacing = members[1] - members[0] if len(members) > 1 else 1

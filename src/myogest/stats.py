@@ -5,6 +5,11 @@ for n <= 12 and falls back to the normal approximation with continuity and
 tie corrections above.  Friedman ranks treat rank 1 as best; the post-hoc
 comparisons against the best-ranked method are Holm step-down adjusted
 two-sided z tests, matching the usual multi-classifier comparison recipe.
+
+scipy is imported inside the two functions that read it, ``lda_fit``
+(``scipy.linalg.eigh``) and ``friedman_holm`` (``scipy.special.gammaincc``):
+loading ``scipy.special`` takes longer than the rest of ``import myogest``,
+and a ConvNet run calls neither.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
-from scipy.special import gammaincc
 
 from .errors import ConfigError, DataError, NumericalError
 
@@ -249,6 +253,8 @@ def friedman_holm(accuracy_table) -> FriedmanResult:
     table = np.asarray(accuracy_table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ConfigError("need at least 2 datasets x 2 methods")
+    from scipy.special import gammaincc
+
     n, k = table.shape
     mean_ranks = np.stack([_rank_with_ties(-row) for row in table]).mean(axis=0)
 

@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import myogest
 from myogest import cli, harness
 from myogest.architectures import build_architecture
 from myogest.augment import TECHNIQUES
@@ -458,6 +463,15 @@ def test_a_json_value_of_the_wrong_type_is_a_config_error(data, tmp_path, capsys
     assert f"key '{next(iter(payload))}' must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["pretrain", "train"])
+def test_train_overrides_are_checked_before_any_data_is_read(tmp_path, capsys, command):
+    code = cli.main(["--out", str(tmp_path / "out"), command, "--dataset", str(tmp_path / "missing"),
+                     "--model", "cwt", "--train-overrides", '{"max_epochs": "2"}'])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "max_epochs" in err and "manifest" not in err
+
+
 def test_exit_code_invalid_json_override(data, capsys):
     code = cli.main(["train", "--dataset", str(data / "eval"), "--model", "raw-1d",
                      "--train-overrides", "{max_epochs: 1}"])
@@ -778,6 +792,23 @@ def test_malformed_checkpoint_metadata_is_a_data_error(data, tmp_path, capsys, c
         assert f"bad.json: checkpoint metadata key '{key}' must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "changes,message",
+    [
+        ({"cycles": 9}, "cycles must be in [1, 4], got 9"),
+        ({"protocol": "ninapro", "repetitions": 5}, "repetitions must be in [1, 4], got 5"),
+        ({"stride": 0}, "stride must be >= 1, got 0"),
+    ],
+    ids=["cycles-9", "repetitions-5", "stride-0"],
+)
+def test_an_out_of_range_split_key_in_a_checkpoint_is_a_data_error(data, tmp_path, capsys,
+                                                                   checkpoint, changes, message):
+    path = _with_metadata(checkpoint, tmp_path / "bad.json", **changes)
+    code = cli.main(["evaluate", "--dataset", str(data / "eval"), "--checkpoint", str(path)])
+    assert code == cli.EXIT_DATA
+    assert f"bad.json: checkpoint metadata: {message}" in capsys.readouterr().err
+
+
 def _checkpoint_text(version=None, drop_metadata=()):
     state = build_architecture("raw-1d", num_classes=7, seed=5).state_dict()
     state["metadata"] = {k: v for k, v in state["metadata"].items() if k not in drop_metadata}
@@ -807,3 +838,25 @@ def test_bad_checkpoint_is_a_data_error(data, tmp_path, capsys, content):
         code = cli.main([str(a) for a in argv])
         assert code == cli.EXIT_DATA
         assert "model.json" in capsys.readouterr().err
+
+
+def _scipy_modules_after(code):
+    """The scipy modules loaded once ``code`` has run in a fresh interpreter."""
+    listing = "print(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    env = dict(os.environ, PYTHONPATH=str(Path(myogest.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", f"import json, sys\n{code}\n{listing}"], env=env,
+                         capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_importing_the_package_and_cli_loads_no_scipy():
+    assert _scipy_modules_after("import myogest, myogest.cli") == []
+
+
+@pytest.mark.parametrize("model,loads_linalg", [("raw-1d", False), ("TD+lda", True)])
+def test_scipy_loads_only_for_a_model_that_reads_it(data, model, loads_linalg):
+    argv = ["--seed", "3", "train", "--dataset", str(data / "eval"), "--model", model,
+            "--cycles", "2", "--train-overrides", TRAIN]
+    modules = _scipy_modules_after(f"from myogest import cli\nassert cli.main({argv!r}) == 0")
+    assert ("scipy.linalg" in modules) == loads_linalg
+    assert bool(modules) == loads_linalg

@@ -86,6 +86,15 @@ class TestLoadDataset:
         with pytest.raises(DataError, match="manifest"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("T", [1, 52, 300])
+    def test_saved_bytes_are_those_of_savetxt(self, tmp_path, T):
+        rng = np.random.default_rng(T)
+        samples = rng.integers(-128, 128, size=(8, T))
+        samples[:3, 0] = (-128, 127, 0)
+        path = save_recording(tmp_path, EmgRecording(1, 1, 1, 0, samples))
+        np.savetxt(tmp_path / "savetxt.csv", samples.T, fmt="%d", delimiter=",")
+        assert path.read_bytes() == (tmp_path / "savetxt.csv").read_bytes()
+
     def test_missing_manifest_fails_the_hash_as_it_fails_the_load(self, tmp_path):
         messages = []
         for read in (load_dataset, dataset_content_hash):

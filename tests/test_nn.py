@@ -502,6 +502,23 @@ def test_siblings_share_an_eval_step():
     assert len(spectrogram._eval_program(None).steps) <= 17
 
 
+def test_members_reading_one_input_slice_gather_its_patches_once(monkeypatch):
+    rng = np.random.default_rng(42)
+    net = _merged_cwt_target(rng, widths=None)
+    x = rng.standard_normal((3, *INPUT_SHAPES["cwt"]))
+    stage1 = [net.node(name).layer for name in net._eval_program(3).steps[0].names]
+    gathered = []
+    im2col = Conv2d._im2col
+    monkeypatch.setattr(Conv2d, "_im2col", lambda conv, *a: (gathered.append(conv), im2col(conv, *a))[1])
+    logits = net.forward(x, subject=3)
+    # src/b<i>_c1_conv and snd/b<i>_c1_conv read slice i: 4 gathers for the 8 stage-1 convs
+    assert sum(conv in stage1 for conv in gathered) == 4
+    assert len(gathered) == sum(node.layer.kind == "conv2d" for node in net.nodes) - 4
+    monkeypatch.undo()
+    assert logits.tobytes() == _walk_eval_steps(net, x, 3).tobytes()
+    np.testing.assert_allclose(logits, oracles.eval_forward_direct(net, x, 3), rtol=0, atol=1e-12)
+
+
 def _record_forward_calls(net):
     """Names of the nodes whose layer ``forward`` runs, in call order."""
     calls = []
