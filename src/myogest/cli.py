@@ -25,12 +25,20 @@ checkpoint that cannot be read, has an unsupported version or has no
 ``architecture`` in its metadata exits 3, as does one whose ``subject`` is
 not an int, whose ``channel_shift`` is not an int in [0, 8), whose split
 keys are of the wrong type or out of the split's range (``cycles`` 9,
-say), or whose protocol is not a split protocol.  A train setting that the
-protocol would ignore exits 2 before any data is read: --transfer with a
-baseline model or under augmentation-ablation or dim-reduction, and a
-gesture_subset under any protocol but ninapro and out-of-sample.  A
-``subjects`` list naming a subject the dataset lacks exits 3, for train
-and pretrain alike.
+say), or whose protocol is not a split protocol; evaluate names such a
+checkpoint before it reads the dataset.  A train split out of range
+(``--cycles 9``, say) exits 2 before any data is read, as does a setting
+that the run would ignore: --transfer with a baseline model or under
+augmentation-ablation or dim-reduction, a gesture_subset under any
+protocol but ninapro and out-of-sample, ``cycles`` under ninapro or
+out-of-sample, ``repetitions`` under myo-eval or dim-reduction, any
+split setting under augmentation-ablation, ``dim_reduction`` with a
+network model or under dim-reduction, a ``source_checkpoint`` without
+--transfer, and, for pretrain, any setting but the dataset, model,
+subjects, stride, seeds and train.  Only a value other than the default
+counts as set.  A ``subjects`` list naming a subject the dataset lacks
+exits 3, for train and pretrain alike, as does a replay session whose
+samples are not integers in [-128, 127] or whose labels are not integers.
 """
 
 from __future__ import annotations
@@ -93,8 +101,6 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
     payload.update({k: v for k, v in overrides.items() if v is not None})
     if args.seed is not None:
         payload["seeds"] = [args.seed]
-    if args.out:
-        payload["out_dir"] = args.out
     return ExperimentConfig(**payload)
 
 
@@ -175,7 +181,6 @@ def cmd_pretrain(args):
         args,
         dataset=args.dataset,
         model=args.model,
-        protocol="myo-eval",
         train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
     )
     source = pretrain_source(cfg)
@@ -196,6 +201,7 @@ def cmd_train(args):
         cycles=args.cycles,
         repetitions=args.repetitions,
         train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
+        out_dir=args.out,
     )
     report = run_experiment(cfg, models_dir=args.save_models)
     print(json.dumps({"method": report.method, "mean": report.mean, "pooled_std": report.pooled_std}))

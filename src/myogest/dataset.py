@@ -150,9 +150,9 @@ def read_rows(path, what: str, delimiter=",", skip: int = 0, data: bytes = None)
 def read_samples(path, data: bytes = None) -> np.ndarray:
     """Read one gesture file (or its bytes ``data``) into an (8, T) int64 array.
 
-    Each row is one time sample of 8 integer-valued numbers in [-128, 127]
-    (``3.0`` is accepted, ``3.5`` is not).  ``.csv`` files are
-    comma-separated; any other suffix is whitespace-separated.
+    Each row is one time sample of 8 numbers that ``integer_samples``
+    accepts.  ``.csv`` files are comma-separated; any other suffix is
+    whitespace-separated.
     """
     path = Path(path)
     _, raw = read_rows(path, "gesture file", "," if path.suffix == ".csv" else None, data=data)
@@ -160,14 +160,23 @@ def read_samples(path, data: bytes = None) -> np.ndarray:
         raise DataError(f"{path}: empty gesture file")
     if raw.shape[1] != NUM_CHANNELS:
         raise DataError(f"{path}: expected {NUM_CHANNELS} columns, got {raw.shape[1]}")
-    rounded = np.rint(raw)
+    return integer_samples(path, raw).T  # file rows are time samples; recordings are channel-major
+
+
+def integer_samples(path, values) -> np.ndarray:
+    """``values`` read from ``path`` as int64 armband samples.
+
+    Every value must be integer-valued (``3.0`` is, ``3.5``, nan and inf are
+    not) and in [-128, 127]; otherwise DataError names ``path``.
+    """
+    rounded = np.rint(values)
     # the negated form also rejects nan and inf
-    if not np.all(np.abs(raw - rounded) <= 1e-9):
+    if not np.all(np.abs(values - rounded) <= 1e-9):
         raise DataError(f"{path}: non-integer sample values")
     if rounded.min() < -128 or rounded.max() > 127:
         bad = int(rounded[(rounded < -128) | (rounded > 127)][0])
         raise DataError(f"{path}: sample value {bad} outside [-128, 127]")
-    return rounded.astype(np.int64).T  # file rows are time samples; recordings are channel-major
+    return rounded.astype(np.int64)
 
 
 _PATH_RE = re.compile(r"subject_(\d+)/round_(\d+)/cycle_(\d+)/gesture_(\d+)\.csv$")
@@ -402,6 +411,30 @@ def _windows_for(recordings, pred, stride):
     return out
 
 
+def check_split_settings(
+    protocol: str, cycles: int = 4, repetitions: int = 4, gesture_subset=None,
+    stride: int = DEFAULT_STRIDE,
+):
+    """ConfigError for split settings that no dataset could satisfy.
+
+    The protocol must be ``myo-eval`` (``cycles`` in [1, 4]), ``ninapro`` or
+    ``out-of-sample`` (``repetitions`` in [1, 4]; ``out-of-sample`` needs a
+    ``gesture_subset``), and ``stride`` at least 1.
+    """
+    if protocol == "myo-eval":
+        if not 1 <= cycles <= 4:
+            raise ConfigError(f"cycles must be in [1, 4], got {cycles}")
+    elif protocol in ("ninapro", "out-of-sample"):
+        if not 1 <= repetitions <= 4:
+            raise ConfigError(f"repetitions must be in [1, 4], got {repetitions}")
+        if protocol == "out-of-sample" and gesture_subset is None:
+            raise ConfigError("out-of-sample protocol requires a gesture subset")
+    else:
+        raise ConfigError(f"unknown protocol '{protocol}'")
+    if stride < 1:
+        raise ConfigError(f"stride must be >= 1, got {stride}")
+
+
 def build_split(
     recordings,
     protocol: str,
@@ -415,15 +448,16 @@ def build_split(
     ``myo-eval``: train on the first ``cycles`` cycles of round 1, test on
     rounds 2-3.  ``ninapro``: repetitions are stored as cycles of round 1;
     train on the first ``repetitions``, test on the last two.  ``out-of-sample``
-    is the ninapro split restricted to a gesture subset.
+    is the ninapro split restricted to a gesture subset.  Settings that
+    ``check_split_settings`` rejects raise ConfigError before any recording
+    is read.
     """
+    check_split_settings(protocol, cycles, repetitions, gesture_subset, stride)
     recs = list(recordings)
     if not recs:
         raise DataError("empty recording list")
 
     if protocol == "myo-eval":
-        if not 1 <= cycles <= 4:
-            raise ConfigError(f"cycles must be in [1, 4], got {cycles}")
         available = sorted({r.cycle for r in recs if r.round == 1})
         if len(available) < cycles:
             raise ConfigError(
@@ -432,9 +466,7 @@ def build_split(
         train_cycles = set(available[:cycles])
         train = _windows_for(recs, lambda r: r.round == 1 and r.cycle in train_cycles, stride)
         test = _windows_for(recs, lambda r: r.round in (2, 3), stride)
-    elif protocol in ("ninapro", "out-of-sample"):
-        if not 1 <= repetitions <= 4:
-            raise ConfigError(f"repetitions must be in [1, 4], got {repetitions}")
+    else:
         reps = sorted({r.cycle for r in recs if r.round == 1})
         if len(reps) < repetitions + 2:
             raise ConfigError(
@@ -443,16 +475,12 @@ def build_split(
         train_reps = set(reps[:repetitions])
         test_reps = set(reps[-2:])
         keep = (lambda r: r.gesture in gesture_subset) if gesture_subset is not None else (lambda r: True)
-        if protocol == "out-of-sample" and gesture_subset is None:
-            raise ConfigError("out-of-sample protocol requires a gesture subset")
         train = _windows_for(
             recs, lambda r: r.round == 1 and r.cycle in train_reps and keep(r), stride
         )
         test = _windows_for(
             recs, lambda r: r.round == 1 and r.cycle in test_reps and keep(r), stride
         )
-    else:
-        raise ConfigError(f"unknown protocol '{protocol}'")
 
     if not train or not test:
         raise DataError(f"protocol '{protocol}' produced an empty split")

@@ -37,8 +37,10 @@ from .dataset import (
     apply_shift,
     build_split,
     check_gestures_trained,
+    check_split_settings,
     dataset_content_hash,  # re-exported: hashes a tree without loading it
     find_alignment,
+    integer_samples,
     load_dataset,
     read_rows,
     slice_windows,
@@ -101,6 +103,8 @@ class ExperimentConfig:
             raise ConfigError("transfer=true requires a source checkpoint path")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.protocol != "augmentation-ablation":
+            check_split_settings(**_split_settings(self))
         # the run builds its TrainConfig only after reading the data
         TrainConfig(**check_keys(TrainConfig, self.train or {}, "TrainConfig"))
 
@@ -239,7 +243,8 @@ def load_model_checkpoint(path):
 
     Metadata without an architecture, or whose ``subject``, ``channel_shift``
     or SPLIT_KEYS are of the wrong type, or whose protocol is not one of
-    SPLIT_PROTOCOLS, is a DataError naming the key.
+    SPLIT_PROTOCOLS, is a DataError naming the key, as is a split that
+    ``check_split_settings`` rejects (``cycles`` 9, say).
     """
     net = load_network(path)
     md = net.metadata
@@ -248,9 +253,14 @@ def load_model_checkpoint(path):
         raise DataError(f"{path}: checkpoint metadata has no 'architecture'")
     what = f"{path}: checkpoint metadata"
     check_keys(ExperimentConfig, {k: md[k] for k in SPLIT_KEYS if k in md}, what, DataError)
-    protocol = md.get("protocol", ExperimentConfig.protocol)
-    if protocol not in SPLIT_PROTOCOLS:
-        raise DataError(f"{what} key 'protocol' must be one of {SPLIT_PROTOCOLS}, got {protocol!r}")
+    settings = _recorded_split(md)
+    if settings["protocol"] not in SPLIT_PROTOCOLS:
+        raise DataError(f"{what} key 'protocol' must be one of {SPLIT_PROTOCOLS}, "
+                        f"got {settings['protocol']!r}")
+    try:
+        check_split_settings(**settings)
+    except ConfigError as exc:
+        raise DataError(f"{what}: {exc}") from None
     subject, shift = md.get("subject"), md.get("channel_shift", 0)
     if subject is not None and not _is_int(subject):
         raise DataError(f"{what} key 'subject' must be an int, got {subject!r}")
@@ -259,12 +269,17 @@ def load_model_checkpoint(path):
     return net, arch
 
 
+def _recorded_split(md) -> dict:
+    """The SPLIT_KEYS metadata ``md`` records, with ExperimentConfig's default for one it lacks."""
+    return {k: md.get(k, getattr(ExperimentConfig, k)) for k in SPLIT_KEYS}
+
+
 def load_source_checkpoint(path) -> SourceNetwork:
     net = load_network(path)
     for node in net.nodes:
         # sources saved when building ran the network carry an unused unit bank
         if node.layer.kind == "batch-norm":
-            node.layer.banks.pop(DEFAULT_SUBJECT, None)
+            node.layer.drop_bank(DEFAULT_SUBJECT)
     profile = net.metadata.get("reference_profile")
     return SourceNetwork(
         network=net,
@@ -274,10 +289,16 @@ def load_source_checkpoint(path) -> SourceNetwork:
 
 
 def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
-    """Pre-train a shared source network on every subject of the dataset."""
+    """Pre-train a shared source network on every subject of the dataset.
+
+    A setting pre-training never reads (the protocol, transfer, the split
+    but its stride, ``dim_reduction`` and ``out_dir``) that differs from
+    its default is a ConfigError, raised before any data is read.
+    """
     kind, spec = parse_model(cfg.model)
     if kind != "net":
         raise ConfigError("pre-training requires a network model, not a baseline")
+    _reject_unread(cfg, _PRETRAIN_UNREAD, "pre-training")
     recordings, subjects, _ = _grouped_recordings(cfg)
     windows = [w for rec in recordings for w in slice_windows(rec, cfg.stride)]
     reference = activation_profile_from_windows(windows)
@@ -390,8 +411,35 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     return report
 
 
+# the settings each protocol never reads, whatever the model
+_PROTOCOL_UNREAD = {
+    "myo-eval": ("repetitions",),
+    "ninapro": ("cycles",),
+    "out-of-sample": ("cycles",),
+    "augmentation-ablation": ("cycles", "repetitions", "stride", "dim_reduction"),
+    "dim-reduction": ("repetitions", "dim_reduction"),  # it scores both columns
+}
+_PRETRAIN_UNREAD = ("protocol", "transfer", "source_checkpoint", "cycles", "repetitions",
+                    "gesture_subset", "dim_reduction", "out_dir")
+
+
+def _split_settings(cfg: ExperimentConfig) -> dict:
+    """``cfg``'s ``build_split`` settings: dim-reduction scores the myo-eval split."""
+    settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
+    if cfg.protocol == "dim-reduction":
+        settings["protocol"] = "myo-eval"
+    return settings
+
+
 def _check_settings(cfg: ExperimentConfig, kind: str, models_dir):
-    """ConfigError for a model the protocol cannot score or a setting it would ignore."""
+    """ConfigError for a model the protocol cannot score or a setting it would ignore.
+
+    A setting is ignored when the protocol never reads it
+    (``_PROTOCOL_UNREAD``), ``dim_reduction`` with a network model, which
+    is never LDA-projected, and ``source_checkpoint`` without transfer.
+    ``train`` is accepted with a baseline, so one set of overrides can
+    serve every model of a comparison.
+    """
     needed = {"augmentation-ablation": "net", "dim-reduction": "baseline"}.get(cfg.protocol, kind)
     if kind != needed:
         raise ConfigError(f"protocol '{cfg.protocol}' scores a {needed} model, not '{cfg.model}'")
@@ -400,6 +448,19 @@ def _check_settings(cfg: ExperimentConfig, kind: str, models_dir):
             raise ConfigError(f"{what} needs a network model and one of {SPLIT_PROTOCOLS}")
     if cfg.gesture_subset is not None and cfg.protocol not in ("ninapro", "out-of-sample"):
         raise ConfigError(f"gesture_subset is for ninapro and out-of-sample, not {cfg.protocol}")
+    unread = _PROTOCOL_UNREAD[cfg.protocol] + (("dim_reduction",) if kind == "net" else ())
+    if not cfg.transfer:
+        unread += ("source_checkpoint",)
+    _reject_unread(cfg, unread, f"a {cfg.protocol} run of {cfg.model}")
+
+
+def _reject_unread(cfg: ExperimentConfig, names, run: str):
+    """ConfigError for the first field of ``names`` that ``cfg`` sets to a non-default value."""
+    default = ExperimentConfig()
+    for name in names:
+        value = getattr(cfg, name)
+        if value != getattr(default, name):
+            raise ConfigError(f"{run} never reads {name}, so {value!r} would be ignored")
 
 
 def _grouped_recordings(cfg: ExperimentConfig):
@@ -441,10 +502,7 @@ def _cells(cfg, spec, recordings, subject, source, flags):
             train_set = _xy(augment_dataset(base_train, technique, recs), spec, label_map)
             yield technique, train_set, val, test, len(label_map), 0, None
         return
-    settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
-    if cfg.protocol == "dim-reduction":
-        settings["protocol"] = "myo-eval"
-    split = _subject_split(recordings, subject, settings)
+    split = _subject_split(recordings, subject, _split_settings(cfg))
     shift, train_w, test_w = 0, split.train, split.test
     if source is not None and source.reference_profile is not None:
         shift, train_w, test_w = _align(source.reference_profile, train_w, test_w,
@@ -470,8 +528,7 @@ def _score(cfg, spec, source, subject, train_set, val, test, classes, shift, red
         net = _fit(cfg, spec, source, train_set, val, subject, classes, seed)
         per_seed.append(_accuracy(net, *test, subject))
         if models_dir is not None and seed == cfg.seeds[0]:
-            settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
-            net.metadata.update(settings, subject=int(subject), channel_shift=int(shift))
+            net.metadata.update(_split_settings(cfg), subject=int(subject), channel_shift=int(shift))
             net.save(models_dir / f"model_s{subject}_seed{seed}.json")
     return per_seed
 
@@ -506,18 +563,14 @@ def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
     The split, subject and channel shift come from the checkpoint's metadata.
     A checkpoint saved before a key was recorded gets ExperimentConfig's
     default for it (``myo-eval``, 4 cycles, 4 repetitions, all gestures,
-    ``DEFAULT_STRIDE``) and shift 0.  A recorded value that ``build_split``
-    rejects (``cycles`` 9, say) is a DataError naming the checkpoint.
+    ``DEFAULT_STRIDE``) and shift 0.  A recorded split that no dataset
+    could satisfy (``cycles`` 9, say) is a DataError naming the checkpoint,
+    raised before the dataset is read.
     """
     net, arch = load_model_checkpoint(checkpoint_path)
     md = net.metadata
     subject = md.get("subject")
-    settings = {k: md.get(k, getattr(ExperimentConfig, k)) for k in SPLIT_KEYS}
-    recordings = load_dataset(dataset)
-    try:
-        split = _subject_split(recordings, subject, settings)
-    except ConfigError as exc:  # a split setting build_split rejects came from the checkpoint
-        raise DataError(f"{checkpoint_path}: checkpoint metadata: {exc}") from None
+    split = _subject_split(load_dataset(dataset), subject, _recorded_split(md))
     test_w = [apply_shift(w, md.get("channel_shift", 0)) for w in split.test]
     X_te, y_te = _xy(test_w, arch, _label_mapping(split.train))
     acc = _accuracy(net, X_te, y_te, subject)
@@ -531,21 +584,26 @@ def read_session_file(path):
     """Rows of (timestamp, requested gesture, 8 samples) -> list of holds.
 
     A hold is a maximal run of consecutive rows with the same gesture.
-    Returns (timestamps, labels, samples) per hold.
+    Returns (timestamps, labels, samples) per hold.  Samples are checked as
+    a gesture file's are (``integer_samples``), and a label that is not an
+    integer is a DataError naming ``path``.
     """
     _, rows = read_rows(path, "session file")
     if rows.shape[1] != 10:
         raise DataError(f"{path}: expected 10 columns (t, label, 8 samples)")
+    labels = rows[:, 1]
+    if not np.all(np.isfinite(labels) & (labels == np.rint(labels))):
+        raise DataError(f"{path}: non-integer gesture labels")
+    samples = integer_samples(path, rows[:, 2:])
     holds = []
     start = 0
     for i in range(1, len(rows) + 1):
-        if i == len(rows) or rows[i, 1] != rows[start, 1]:
-            chunk = rows[start:i]
+        if i == len(rows) or labels[i] != labels[start]:
             holds.append(
                 {
-                    "t_start": float(chunk[0, 0]),
-                    "label": int(chunk[0, 1]),
-                    "samples": chunk[:, 2:].T,  # (8, T)
+                    "t_start": float(rows[start, 0]),
+                    "label": int(labels[start]),
+                    "samples": samples[start:i].T,  # (8, T)
                 }
             )
             start = i

@@ -46,13 +46,11 @@ row count as a lone layer, so grouping changes no bit; they also take a
 list of member inputs, read through different channel slices, where
 members that read one view get one object.  Conv2d gathers one patch
 matrix per distinct input object, which every member reading it
-multiplies.  Each
-layer's ``eval_sources(key)`` names the arrays its constants were derived
-from, which the program checks by identity on every call.  Dropout,
-Flatten and SliceChannels take no step (``eval_views``): dropout is the
-identity at eval, and the others hand their input stack on as a view that
-the reading step takes.  A ScalarScale read only by a two-input Sum runs
-with it in one ``eval_scale_add`` step.
+multiplies.  Dropout, Flatten and SliceChannels take no step
+(``eval_views``): dropout is the identity at eval, and the others hand
+their input stack on as a view that the reading step takes.  A
+ScalarScale read only by a two-input Sum runs with it in one
+``eval_scale_add`` step.
 
 BatchNorm keeps a statistics bank per subject (``__default__`` for none) that
 only train and finalize create; eval reads it only through
@@ -60,10 +58,11 @@ only train and finalize create; eval reads it only through
 
 Parameter and bank arrays are read-only.  Every writer (the optimizer,
 constraint projection, checkpoint loading, the train and finalize bank
-updates, a new transfer subject's banks) stores fresh arrays through
-``Layer.set_param`` or ``BatchNorm.set_bank``, so an eval program sees a
-changed constant as a new object and rebuilds, and a stray in-place write
-raises ValueError rather than leave a program serving stale constants.
+updates, a new transfer subject's banks) goes through ``Layer.set_param``,
+``BatchNorm.set_bank`` or ``BatchNorm.drop_bank``, which count the writes
+to any parameter and to each bank key over every network (``write_counts``).
+An eval program rebuilds once its counts move, at worst needlessly, and a
+stray in-place write raises ValueError rather than slip past the counts.
 
 Only ``train`` mode is ever backpropagated.  A frozen Conv2d keeps no
 patch matrix in its train cache, since its backward reads only the
@@ -87,6 +86,7 @@ as the select form or written into a buffer laid out as numpy lays out
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +96,12 @@ from ..errors import ConfigError
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 DEFAULT_SUBJECT = "__default__"
+_writes = Counter()  # None: parameter writes; a bank key: that bank's writes and removals
+
+
+def write_counts(key):
+    """(parameter writes, writes of bank ``key``) so far, over every layer."""
+    return _writes[None], _writes[key]
 
 
 def subject_key(subject):
@@ -141,10 +147,11 @@ class Layer:
     def set_param(self, name, value):
         """Store ``value``, broadcast to the parameter's shape, as a fresh read-only array.
 
-        The only way a parameter changes: the arrays are read-only, so an
-        eval program that bound the old one sees it replaced.
+        The only way a parameter changes: the arrays are read-only, and the
+        write is counted, so every eval program rebuilds.
         """
         self.params[name] = _read_only(np.broadcast_to(value, self.params[name].shape))
+        _writes[None] += 1
 
     @classmethod
     def eval_group(cls, layers, key, overwrite=False):
@@ -160,10 +167,6 @@ class Layer:
         tuple of several): its group step with a group of one."""
         step = self.eval_group([self], key)
         return lambda x: step(tuple(v[None] for v in x) if isinstance(x, tuple) else x[None])[0]
-
-    def eval_sources(self, key):
-        """``(mapping, name)`` of every array ``eval_group(..., key)`` bound or derived from."""
-        return [(self.params, name) for name in self.params]
 
     def eval_views(self):
         """None for a layer that takes an eval step; for an alias of its input,
@@ -398,7 +401,7 @@ class BatchNorm(Layer):
         self.num_features = num_features
         self.params["gamma"] = _read_only(np.ones(num_features))
         self.params["beta"] = _read_only(np.zeros(num_features))
-        self.banks = {}  # never replaced, so an eval program's identity checks read this dict
+        self.banks = {}
         self.zero_grads()
 
     @staticmethod
@@ -426,6 +429,12 @@ class BatchNorm(Layer):
     def set_bank(self, key, mean, var):
         """Store fresh read-only copies of ``mean`` and ``var`` as bank ``key``."""
         self.banks[key] = {"mean": _read_only(mean), "var": _read_only(var)}
+        _writes[key] += 1
+
+    def drop_bank(self, key):
+        """Remove bank ``key``, if there is one, counting the write."""
+        self.banks.pop(key, None)
+        _writes[key] += 1
 
     @classmethod
     def eval_group(cls, layers, key, overwrite=False):
@@ -437,10 +446,6 @@ class BatchNorm(Layer):
             return out
 
         return step
-
-    def eval_sources(self, key):
-        bank = self.banks[key]
-        return [(self.banks, key), (bank, "mean"), (bank, "var"), *super().eval_sources(key)]
 
     def forward(self, xs, ctx):
         x = _single(xs)
@@ -501,7 +506,8 @@ class BatchNorm(Layer):
         }
 
     def load_extra(self, extra):
-        self.banks.clear()
+        for key in list(self.banks):
+            self.drop_bank(key)
         for k, v in extra.get("banks", {}).items():
             self.set_bank(k if k == DEFAULT_SUBJECT else int(k), v["mean"], v["var"])
 

@@ -12,12 +12,12 @@ import base64
 import json
 from collections import Counter, namedtuple
 from dataclasses import dataclass, field
-from operator import is_, itemgetter
+from operator import itemgetter
 
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .layers import Context, ScalarScale, SliceChannels, Sum, layer_from_config, subject_key
+from .layers import Context, ScalarScale, SliceChannels, Sum, layer_from_config, subject_key, write_counts
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
@@ -195,8 +195,8 @@ class Network:
 
         Eval runs ``subject``'s ``EvalProgram``, built from the layout of
         ``_plan_eval`` with every layer's constants bound for that subject's
-        batch-norm bank and cached until a parameter or bank array it was
-        built from is replaced.  Nodes that cannot reach the logits are
+        batch-norm bank and cached until a parameter or that bank is
+        written (``write_counts``).  Nodes that cannot reach the logits are
         skipped; dropout, flatten and channel slices take no step, and each
         ScalarScale runs with the sum port that reads it.  Sibling nodes,
         such as the slow-fusion branches or the transfer target's source
@@ -227,12 +227,12 @@ class Network:
         return self._forward_full(x, mode, subject, rng)[0]
 
     def _eval_program(self, subject):
-        """``subject``'s cached eval program, rebuilt when any of its sources was replaced."""
+        """``subject``'s cached eval program, rebuilt once a parameter or its bank was written."""
         key = subject_key(subject)
         program = self._eval_programs.get(key)
         if program is None or program.stale():
             program = EvalProgram(self._eval_plan, key)
-            # a stale program holds replaced arrays alive; drop every one
+            # a stale program may hold replaced arrays alive; drop every one
             self._eval_programs = {k: p for k, p in self._eval_programs.items() if not p.stale()}
             self._eval_programs[key] = program
         return program
@@ -360,29 +360,21 @@ class EvalProgram:
     Each ``Step`` runs the group of nodes ``names``: it calls ``fn`` on what
     ``read`` takes from the slots (the one input stack, or a tuple of
     several), writes the stack of the members' outputs to slot ``out`` and
-    then clears the slots ``released``.  The program records every array
-    its steps were derived from with the mapping and name it was found
-    under, and is ``stale`` once any of those mappings holds another object
-    under that name.  Parameter and bank arrays are read-only and replaced,
-    never written, so this sees every change.
+    then clears the slots ``released``.  It is ``stale`` once
+    ``write_counts(key)`` has moved since it bound its constants.
     """
 
     def __init__(self, plan, key):
         layout, (self.out, self.out_read) = plan
+        self.key, self.writes = key, write_counts(key)
         self.slots = len(layout) + 1
-        self.steps, sources = [], []
+        self.steps = []
         for k, (names, layers, bind, ins, reads, overwrite, released) in enumerate(layout, 1):
             fn = _reading(bind(layers, key, overwrite), reads)
             self.steps.append(Step(fn, itemgetter(*ins), k, released, names))
-            for layer in layers:
-                sources += layer.eval_sources(key)
-        self._mappings = [mapping for mapping, _ in sources]
-        self._names = [name for _, name in sources]
-        self._arrays = [mapping[name] for mapping, name in sources]
 
     def stale(self):
-        current = map(dict.get, self._mappings, self._names)
-        return not all(map(is_, current, self._arrays))
+        return write_counts(self.key) != self.writes
 
     def run(self, x):
         slots = [None] * self.slots

@@ -328,6 +328,53 @@ def test_a_setting_the_protocol_would_ignore_is_a_config_error(tmp_path, capsys,
     assert match in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command,settings,flags,match",
+    [
+        ("train", {"model": "TD+lda", "protocol": "ninapro"}, ["--cycles", "1"],
+         "a ninapro run of TD+lda never reads cycles, so 1 would be ignored"),
+        ("train", {"model": "raw-1d"}, ["--repetitions", "2"], "never reads repetitions, so 2"),
+        ("train", {"model": "raw-1d", "dim_reduction": False}, [], "never reads dim_reduction"),
+        ("train", {"model": "TD+lda", "protocol": "dim-reduction", "dim_reduction": False}, [],
+         "a dim-reduction run of TD+lda never reads dim_reduction"),
+        ("train", {"model": "raw-1d", "protocol": "augmentation-ablation", "stride": 3}, [],
+         "never reads stride, so 3"),
+        ("train", {"model": "raw-1d", "source_checkpoint": "source.json"}, [],
+         "a myo-eval run of raw-1d never reads source_checkpoint"),
+        ("pretrain", {"model": "raw-1d", "cycles": 2}, [], "pre-training never reads cycles, so 2"),
+        ("pretrain", {"model": "raw-1d", "protocol": "ninapro"}, [], "never reads protocol"),
+        ("pretrain", {"model": "raw-1d", "out_dir": "runs"}, [], "never reads out_dir"),
+    ],
+    ids=["ninapro-cycles", "myo-eval-repetitions", "network-dim-reduction",
+         "dim-reduction-dim-reduction", "ablation-stride", "source-without-transfer",
+         "pretrain-cycles", "pretrain-protocol", "pretrain-out-dir"],
+)
+def test_a_setting_the_run_never_reads_is_a_config_error(tmp_path, capsys, command, settings, flags,
+                                                         match):
+    # the dataset does not exist: reading it would exit 3
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(settings))
+    code = cli.main(["--config", str(config), command, "--dataset", str(tmp_path / "data"), *flags])
+    assert code == cli.EXIT_CONFIG
+    assert match in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags,match",
+    [
+        (["--cycles", "9"], "cycles must be in [1, 4], got 9"),
+        (["--protocol", "ninapro", "--repetitions", "5"], "repetitions must be in [1, 4], got 5"),
+        (["--protocol", "out-of-sample"], "out-of-sample protocol requires a gesture subset"),
+    ],
+    ids=["cycles-9", "repetitions-5", "out-of-sample-without-subset"],
+)
+def test_an_out_of_range_split_is_a_config_error_before_the_dataset_is_read(tmp_path, capsys,
+                                                                            flags, match):
+    code = cli.main(["train", "--dataset", str(tmp_path / "missing"), "--model", "raw-1d", *flags])
+    assert code == cli.EXIT_CONFIG == 2
+    assert match in capsys.readouterr().err
+
+
 def test_pretraining_on_a_subject_without_every_gesture_is_a_data_error(tmp_path, capsys):
     root = tmp_path / "pre"
     generate_synthetic_dataset(root, subjects=(3, 4), rounds=1, cycles=4, n_samples=72, seed=21)
@@ -719,7 +766,13 @@ def checkpoint(tmp_path):
     return path
 
 
-@pytest.mark.parametrize("text", ["0.0,1,2,3,4,5,6,7,8,x\n", ""], ids=["non-numeric", "empty"])
+@pytest.mark.parametrize(
+    "text",
+    ["0.0,1,2,3,4,5,6,7,8,x\n", "", "0.0,1,nan,3,4,5,6,7,8,9\n", "0.0,1,500,3,4,5,6,7,8,9\n",
+     "0.0,1,3.5,3,4,5,6,7,8,9\n", "0.0,1.5,2,3,4,5,6,7,8,9\n", "0.0,inf,2,3,4,5,6,7,8,9\n"],
+    ids=["non-numeric", "empty", "nan-sample", "sample-500", "fractional-sample", "fractional-label",
+         "inf-label"],
+)
 def test_replay_bad_session_is_a_data_error(tmp_path, capsys, checkpoint, text):
     session = tmp_path / "session.csv"
     session.write_text(text)
@@ -807,6 +860,14 @@ def test_an_out_of_range_split_key_in_a_checkpoint_is_a_data_error(data, tmp_pat
     code = cli.main(["evaluate", "--dataset", str(data / "eval"), "--checkpoint", str(path)])
     assert code == cli.EXIT_DATA
     assert f"bad.json: checkpoint metadata: {message}" in capsys.readouterr().err
+
+
+def test_an_out_of_range_checkpoint_split_is_named_before_the_dataset_is_read(tmp_path, capsys,
+                                                                              checkpoint):
+    path = _with_metadata(checkpoint, tmp_path / "bad.json", cycles=9)
+    code = cli.main(["evaluate", "--dataset", str(tmp_path / "missing"), "--checkpoint", str(path)])
+    assert code == cli.EXIT_DATA
+    assert "bad.json: checkpoint metadata: cycles must be in [1, 4], got 9" in capsys.readouterr().err
 
 
 def _checkpoint_text(version=None, drop_metadata=()):

@@ -363,6 +363,29 @@ def test_each_subject_is_served_by_its_own_bank():
         net.predict(x, subject=9)
 
 
+def test_a_bank_removed_by_loading_a_checkpoint_is_never_served():
+    rng = np.random.default_rng(37)
+    net = _merged_cwt_target(rng)
+    x = rng.standard_normal((3, *INPUT_SHAPES["cwt"]))
+    full, state = net.state_dict(), net.state_dict()
+    for entry in state["nodes"]:
+        entry["extra"].get("banks", {}).pop("2", None)
+    served = _served(net, x, 1)
+    _served(net, x, 2)
+    net.load_state_dict(state)
+    with pytest.raises(ConfigError, match="no statistics for subject 2"):
+        net.predict(x, subject=2)
+    assert _served(net, x, 1).tobytes() == served.tobytes()
+    # the banks alone, with no parameter written
+    net.load_state_dict(full)
+    _served(net, x, 2)
+    for node, entry in zip(net.nodes, state["nodes"]):
+        node.layer.load_extra(entry["extra"])
+    with pytest.raises(ConfigError, match="no statistics for subject 2"):
+        net.predict(x, subject=2)
+    assert _served(net, x, 1).tobytes() == served.tobytes()
+
+
 # ---- eval runs a long input in blocks of EVAL_BLOCK windows ----------------
 
 
