@@ -11,34 +11,11 @@ which evaluate and replay apply, and the ``protocol``, ``cycles``,
 the test split with, so evaluate takes only --dataset and --checkpoint.
 A checkpoint without those split keys is scored on the defaults
 (myo-eval, 4 cycles, 4 repetitions, all gestures, stride 5).
-``--train-overrides`` takes a JSON object of TrainConfig keys:
-learning_rate, batch_size, dropout_rate, patience_epochs, max_epochs and
-seed.  Exit codes: 0 success, 2 configuration error, 3 data error, 4
-numerical failure.  A --config file that is missing or unreadable, and an
-unknown key or a value of the wrong type there or in --train-overrides,
-exit 2 (a bool is not a number, an int passes as a float, list fields hold
-ints, and null is accepted only where the default is null).  The
-TrainConfig keys, from --train-overrides or the config's ``train``, are
-checked like that and against TrainConfig's ranges before any data is
-read, so a bad override exits 2 even for a dataset that is missing.  A
-checkpoint that cannot be read, has an unsupported version or has no
-``architecture`` in its metadata exits 3, as does one whose ``subject`` is
-not an int, whose ``channel_shift`` is not an int in [0, 8), whose split
-keys are of the wrong type or out of the split's range (``cycles`` 9,
-say), or whose protocol is not a split protocol; evaluate names such a
-checkpoint before it reads the dataset.  A train split out of range
-(``--cycles 9``, say) exits 2 before any data is read, as does a setting
-that the run would ignore: --transfer with a baseline model or under
-augmentation-ablation or dim-reduction, a gesture_subset under any
-protocol but ninapro and out-of-sample, ``cycles`` under ninapro or
-out-of-sample, ``repetitions`` under myo-eval or dim-reduction, any
-split setting under augmentation-ablation, ``dim_reduction`` with a
-network model or under dim-reduction, a ``source_checkpoint`` without
---transfer, and, for pretrain, any setting but the dataset, model,
-subjects, stride, seeds and train.  Only a value other than the default
-counts as set.  A ``subjects`` list naming a subject the dataset lacks
-exits 3, for train and pretrain alike, as does a replay session whose
-samples are not integers in [-128, 127] or whose labels are not integers.
+Exit codes: 0 success, 2 configuration error, 3 data error, 4 numerical
+failure.  The settings below are checked before any data is read.  A
+checkpoint that cannot be read, names no architecture or records a split
+that the table refuses exits 3, as does an input file that is missing or
+malformed.
 """
 
 from __future__ import annotations
@@ -47,12 +24,12 @@ import argparse
 import json
 import re
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from .dataset import (
+    DEFAULT_STRIDE,
     EmgRecording,
     load_dataset,
     read_rows,
@@ -65,7 +42,6 @@ from .errors import ConfigError, DataError, MyogestError, NumericalError
 from .features import feature_matrix
 from .harness import (
     ExperimentConfig,
-    check_keys,
     emit_report,
     evaluate_checkpoint,
     pretrain_source,
@@ -74,8 +50,10 @@ from .harness import (
     run_session_replay,
     save_source_checkpoint,
 )
-from .nn import TrainConfig
+from .settings import ROWS, check_keys, check_reads, help_text, rows
 from .stats import friedman_holm, friedman_payload, wilcoxon_one_tail, wilcoxon_payload
+
+__doc__ = (__doc__ or "") + "\n" + help_text()
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -90,7 +68,9 @@ def _json(text, what):
         raise ConfigError(f"{what} is not valid JSON ({exc})") from None
 
 
-def _experiment_config(args, **overrides) -> ExperimentConfig:
+def _experiment_config(args, **flags) -> ExperimentConfig:
+    """The --config file's settings, overridden by the subcommand's flags named after a
+    setting, then by ``flags``, then by --seed; a flag that is not given overrides none."""
     payload = {}
     if args.config:
         try:
@@ -98,7 +78,9 @@ def _experiment_config(args, **overrides) -> ExperimentConfig:
         except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config file {args.config} ({exc})") from None
         payload.update(check_keys(ExperimentConfig, _json(text, args.config), "config"))
-    payload.update({k: v for k, v in overrides.items() if v is not None})
+    given = {row.name: getattr(args, row.name, None) for row in rows("ExperimentConfig")}
+    given.update(train=_json(args.train, "--train-overrides") if args.train else None, **flags)
+    payload.update({k: v for k, v in given.items() if v is not None})
     if args.seed is not None:
         payload["seeds"] = [args.seed]
     return ExperimentConfig(**payload)
@@ -177,13 +159,7 @@ def cmd_extract(args):
 
 
 def cmd_pretrain(args):
-    cfg = _experiment_config(
-        args,
-        dataset=args.dataset,
-        model=args.model,
-        train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
-    )
-    source = pretrain_source(cfg)
+    source = pretrain_source(_experiment_config(args))
     out = Path(args.out or "source_checkpoint.json")
     save_source_checkpoint(source, out)
     print(f"pre-trained on subjects {source.pretrain_subjects} -> {out}")
@@ -191,19 +167,7 @@ def cmd_pretrain(args):
 
 
 def cmd_train(args):
-    cfg = _experiment_config(
-        args,
-        dataset=args.dataset,
-        model=args.model,
-        protocol=args.protocol,
-        transfer=args.transfer or None,
-        source_checkpoint=args.source,
-        cycles=args.cycles,
-        repetitions=args.repetitions,
-        train=_json(args.train_overrides, "--train-overrides") if args.train_overrides else None,
-        out_dir=args.out,
-    )
-    report = run_experiment(cfg, models_dir=args.save_models)
+    report = run_experiment(_experiment_config(args, out_dir=args.out), models_dir=args.save_models)
     print(json.dumps({"method": report.method, "mean": report.mean, "pooled_std": report.pooled_std}))
     return EXIT_OK
 
@@ -236,8 +200,11 @@ def cmd_replay(args):
 def cmd_report(args):
     reports = []
     for path in args.inputs:
-        with open(path) as fh:
-            reports.append(run_report_from_json(fh.read()))
+        try:
+            reports.append(run_report_from_json(Path(path).read_text()))
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise DataError(f"{path}: not a readable run report "
+                            f"({type(exc).__name__}: {exc})") from None
     result = emit_report(reports, out_dir=args.out)
     print(json.dumps(result["table"], indent=2))
     return EXIT_OK
@@ -283,14 +250,13 @@ def _load_table(path):
 # ---------------------------------------------------------------------------
 
 
-TRAIN_OVERRIDES_HELP = (
-    f"JSON object overriding TrainConfig keys ({', '.join(f.name for f in fields(TrainConfig))}); "
-    "an unknown key exits 2"
-)
+TRAIN_OVERRIDES_HELP = (f"JSON object of TrainConfig keys "
+                        f"({', '.join(row.name for row in rows('TrainConfig'))}); see train.<key>")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="myogest", description=__doc__)
+    parser = argparse.ArgumentParser(prog="myogest", description=__doc__,
+                                     formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--config", help="JSON file with experiment configuration")
     parser.add_argument("--seed", type=int, help="single seed shortcut")
     parser.add_argument("--out", help="output file or directory")
@@ -305,24 +271,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("extract", help="emit a feature matrix CSV")
     p.add_argument("--dataset", required=True)
     p.add_argument("--feature-set", default="TD")
-    p.add_argument("--stride", type=int, default=ExperimentConfig.stride)
+    p.add_argument("--stride", type=int, default=DEFAULT_STRIDE)
     p.set_defaults(func=cmd_extract)
 
     p = sub.add_parser("pretrain", help="pre-train a shared source network")
     p.add_argument("--dataset", required=True)
     p.add_argument("--model")
-    p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
+    p.add_argument("--train-overrides", dest="train", help=TRAIN_OVERRIDES_HELP)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("train", help="run a training protocol end to end")
     p.add_argument("--dataset", required=True)
-    p.add_argument("--protocol")
-    p.add_argument("--model")
-    p.add_argument("--transfer", action="store_true")
-    p.add_argument("--source", help="source checkpoint for --transfer")
-    p.add_argument("--cycles", type=int)
-    p.add_argument("--repetitions", type=int)
-    p.add_argument("--train-overrides", help=TRAIN_OVERRIDES_HELP)
+    for name in ("protocol", "model", "cycles", "repetitions"):
+        p.add_argument(f"--{name}", type=ROWS[name].kind)
+    p.add_argument("--transfer", action="store_true", default=None)
+    p.add_argument("--source", dest="source_checkpoint", help="source checkpoint for --transfer")
+    p.add_argument("--train-overrides", dest="train", help=TRAIN_OVERRIDES_HELP)
     p.add_argument(
         "--save-models",
         help="directory for the model scored at the first seed, one per subject; its "
@@ -363,6 +327,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        flags = {row.name: getattr(args, row.name[2:]) for row in rows("global")}
+        check_reads(check_keys("global", flags, "command line"), args.command, args.command)
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -34,10 +34,10 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataError, DegenerateProfileError
+from .settings import DEFAULT_STRIDE, check_split
 
 NUM_CHANNELS = 8
 WINDOW_LENGTH = 52
-DEFAULT_STRIDE = 5
 SAMPLE_RATE = 200
 
 _SCHEMAS = ("myo", "ninapro-converted")
@@ -411,30 +411,6 @@ def _windows_for(recordings, pred, stride):
     return out
 
 
-def check_split_settings(
-    protocol: str, cycles: int = 4, repetitions: int = 4, gesture_subset=None,
-    stride: int = DEFAULT_STRIDE,
-):
-    """ConfigError for split settings that no dataset could satisfy.
-
-    The protocol must be ``myo-eval`` (``cycles`` in [1, 4]), ``ninapro`` or
-    ``out-of-sample`` (``repetitions`` in [1, 4]; ``out-of-sample`` needs a
-    ``gesture_subset``), and ``stride`` at least 1.
-    """
-    if protocol == "myo-eval":
-        if not 1 <= cycles <= 4:
-            raise ConfigError(f"cycles must be in [1, 4], got {cycles}")
-    elif protocol in ("ninapro", "out-of-sample"):
-        if not 1 <= repetitions <= 4:
-            raise ConfigError(f"repetitions must be in [1, 4], got {repetitions}")
-        if protocol == "out-of-sample" and gesture_subset is None:
-            raise ConfigError("out-of-sample protocol requires a gesture subset")
-    else:
-        raise ConfigError(f"unknown protocol '{protocol}'")
-    if stride < 1:
-        raise ConfigError(f"stride must be >= 1, got {stride}")
-
-
 def build_split(
     recordings,
     protocol: str,
@@ -449,10 +425,11 @@ def build_split(
     rounds 2-3.  ``ninapro``: repetitions are stored as cycles of round 1;
     train on the first ``repetitions``, test on the last two.  ``out-of-sample``
     is the ninapro split restricted to a gesture subset.  Settings that
-    ``check_split_settings`` rejects raise ConfigError before any recording
+    ``settings.check_split`` rejects raise ConfigError before any recording
     is read.
     """
-    check_split_settings(protocol, cycles, repetitions, gesture_subset, stride)
+    check_split({"protocol": protocol, "cycles": cycles, "repetitions": repetitions,
+                 "gesture_subset": gesture_subset, "stride": stride}, "split")
     recs = list(recordings)
     if not recs:
         raise DataError("empty recording list")

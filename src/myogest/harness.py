@@ -17,18 +17,15 @@ from __future__ import annotations
 
 import csv
 import json
-import numbers
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import get_type_hints
 
 import numpy as np
 
 from .augment import TECHNIQUES, augment_dataset
 from .architectures import ARCHITECTURES, LEARNING_RATES, build_architecture
 from .dataset import (
-    DEFAULT_STRIDE,
     NUM_CHANNELS,
     SAMPLE_RATE,
     WINDOW_LENGTH,
@@ -37,7 +34,6 @@ from .dataset import (
     apply_shift,
     build_split,
     check_gestures_trained,
-    check_split_settings,
     dataset_content_hash,  # re-exported: hashes a tree without loading it
     find_alignment,
     integer_samples,
@@ -50,6 +46,7 @@ from .errors import ConfigError, DataError
 from .features import FEATURE_SETS, feature_matrix
 from .nn import TrainConfig, load_network, train
 from .nn.layers import DEFAULT_SUBJECT
+from .settings import SPLIT_KEYS, check_keys, check_run, check_split, config_class, is_int
 from .stats import (
     friedman_holm,
     friedman_payload,
@@ -70,43 +67,10 @@ from .transfer import (
     train_target,
 )
 
-SPLIT_PROTOCOLS = ("myo-eval", "ninapro", "out-of-sample")  # one train/test split per subject
-PROTOCOLS = SPLIT_PROTOCOLS + ("augmentation-ablation", "dim-reduction")
 # protocols scored in named columns -> headline column (sliding-window: the production default)
 HEADLINES = {"augmentation-ablation": "sliding-window", "dim-reduction": "with-reduction"}
 CLASSIFIERS = ("lda", "knn")
-# the ExperimentConfig fields build_split takes; a saved model records them
-SPLIT_KEYS = ("protocol", "cycles", "repetitions", "gesture_subset", "stride")
-
-
-@dataclass
-class ExperimentConfig:
-    protocol: str = "myo-eval"
-    model: str = "cwt"
-    dataset: str = ""
-    transfer: bool = False
-    source_checkpoint: str = None
-    cycles: int = 4
-    repetitions: int = 4
-    gesture_subset: list = None
-    seeds: list = field(default_factory=lambda: [0, 1, 2])
-    dim_reduction: bool = True
-    train: dict = field(default_factory=dict)
-    subjects: list = None
-    stride: int = DEFAULT_STRIDE
-    out_dir: str = None
-
-    def __post_init__(self):
-        if self.protocol not in PROTOCOLS:
-            raise ConfigError(f"unknown protocol '{self.protocol}'")
-        if self.transfer and not self.source_checkpoint:
-            raise ConfigError("transfer=true requires a source checkpoint path")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
-        if self.protocol != "augmentation-ablation":
-            check_split_settings(**_split_settings(self))
-        # the run builds its TrainConfig only after reading the data
-        TrainConfig(**check_keys(TrainConfig, self.train or {}, "TrainConfig"))
+ExperimentConfig = config_class("ExperimentConfig", __name__, "One run's settings (``settings.TABLE``).")
 
 
 @dataclass
@@ -187,46 +151,9 @@ def parse_model(model: str):
     )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-# field annotation -> (what a value must be, its test); a bool is no number and an int is a float
-_FIELD_TYPES = {
-    bool: ("true or false", lambda v: isinstance(v, bool)),
-    int: ("an int", _is_int),
-    float: ("a number", lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)),
-    str: ("a string", lambda v: isinstance(v, str)),
-    dict: ("a JSON object", lambda v: isinstance(v, dict)),
-    list: ("a list of ints", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-}
-
-
-def check_keys(cls, payload, what: str, error=ConfigError) -> dict:
-    """Return ``payload`` if it is a dict of fields of dataclass ``cls``, each of its type.
-
-    The field's annotation gives the type (``_FIELD_TYPES``); None is
-    accepted only where the field's default is None.  ``error`` is raised
-    naming the first key that is unknown or of the wrong type.
-    """
-    if not isinstance(payload, dict):
-        raise error(f"{what} must be a JSON object, got {type(payload).__name__}")
-    defaults = {f.name: f.default for f in fields(cls)}
-    unknown = sorted(set(payload) - set(defaults))
-    if unknown:
-        raise error(f"unknown {what} key(s) {unknown}; accepted: {list(defaults)}")
-    types = get_type_hints(cls)
-    for key, value in payload.items():
-        name, accepts = _FIELD_TYPES[types[key]]
-        if not (accepts(value) or value is None and defaults[key] is None):
-            raise error(f"{what} key '{key}' must be {name}, got {value!r}")
-    return payload
-
-
 def make_train_config(net_metadata: dict, overrides: dict, seed: int) -> TrainConfig:
     learning_rate = LEARNING_RATES[net_metadata["architecture"]]
-    overrides = check_keys(TrainConfig, overrides or {}, "TrainConfig")
-    return TrainConfig(**{"learning_rate": learning_rate, "seed": seed, **overrides})
+    return TrainConfig(**{"learning_rate": learning_rate, "seed": seed, **(overrides or {})})
 
 
 def save_source_checkpoint(source: SourceNetwork, path):
@@ -239,39 +166,23 @@ def save_source_checkpoint(source: SourceNetwork, path):
 
 
 def load_model_checkpoint(path):
-    """A saved model and its architecture.
-
-    Metadata without an architecture, or whose ``subject``, ``channel_shift``
-    or SPLIT_KEYS are of the wrong type, or whose protocol is not one of
-    SPLIT_PROTOCOLS, is a DataError naming the key, as is a split that
-    ``check_split_settings`` rejects (``cycles`` 9, say).
-    """
+    """A saved model, its architecture and the split (SPLIT_KEYS, a missing key at its
+    default) it was scored on.  Metadata without an architecture, or whose split keys,
+    ``subject`` (an int) or ``channel_shift`` (in [0, 8)) are refused, is a DataError."""
     net = load_network(path)
     md = net.metadata
     arch = md.get("architecture")
     if arch is None:
         raise DataError(f"{path}: checkpoint metadata has no 'architecture'")
     what = f"{path}: checkpoint metadata"
-    check_keys(ExperimentConfig, {k: md[k] for k in SPLIT_KEYS if k in md}, what, DataError)
-    settings = _recorded_split(md)
-    if settings["protocol"] not in SPLIT_PROTOCOLS:
-        raise DataError(f"{what} key 'protocol' must be one of {SPLIT_PROTOCOLS}, "
-                        f"got {settings['protocol']!r}")
-    try:
-        check_split_settings(**settings)
-    except ConfigError as exc:
-        raise DataError(f"{what}: {exc}") from None
+    recorded = {k: md[k] for k in SPLIT_KEYS if k in md}
+    split = check_split(check_keys(ExperimentConfig, recorded, what, DataError), what, DataError)
     subject, shift = md.get("subject"), md.get("channel_shift", 0)
-    if subject is not None and not _is_int(subject):
+    if subject is not None and not is_int(subject):
         raise DataError(f"{what} key 'subject' must be an int, got {subject!r}")
-    if not (_is_int(shift) and 0 <= shift < NUM_CHANNELS):
+    if not (is_int(shift) and 0 <= shift < NUM_CHANNELS):
         raise DataError(f"{what} key 'channel_shift' must be an int in [0, 8), got {shift!r}")
-    return net, arch
-
-
-def _recorded_split(md) -> dict:
-    """The SPLIT_KEYS metadata ``md`` records, with ExperimentConfig's default for one it lacks."""
-    return {k: md.get(k, getattr(ExperimentConfig, k)) for k in SPLIT_KEYS}
+    return net, arch, split
 
 
 def load_source_checkpoint(path) -> SourceNetwork:
@@ -289,16 +200,12 @@ def load_source_checkpoint(path) -> SourceNetwork:
 
 
 def pretrain_source(cfg: ExperimentConfig) -> SourceNetwork:
-    """Pre-train a shared source network on every subject of the dataset.
+    """Pre-train a shared source network on every subject of the dataset at its first seed.
 
-    A setting pre-training never reads (the protocol, transfer, the split
-    but its stride, ``dim_reduction`` and ``out_dir``) that differs from
-    its default is a ConfigError, raised before any data is read.
+    A run that ``check_run`` refuses is a ConfigError, raised before any data is read.
     """
     kind, spec = parse_model(cfg.model)
-    if kind != "net":
-        raise ConfigError("pre-training requires a network model, not a baseline")
-    _reject_unread(cfg, _PRETRAIN_UNREAD, "pre-training")
+    check_run(cfg, "pretrain", kind)
     recordings, subjects, _ = _grouped_recordings(cfg)
     windows = [w for rec in recordings for w in slice_windows(rec, cfg.stride)]
     reference = activation_profile_from_windows(windows)
@@ -373,12 +280,11 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     that subject's windows, 0 when none was), and the split it was scored
     on: ``protocol``, ``cycles``, ``repetitions``, ``gesture_subset`` and
     ``stride``.  ``evaluate_checkpoint`` rebuilds that split from them.
-    A setting the protocol would ignore is a ConfigError, raised before any
-    data is read.
+    A run that ``check_run`` refuses is a ConfigError, raised before any data is read.
     """
     started = time.time()
     kind, spec = parse_model(cfg.model)
-    _check_settings(cfg, kind, models_dir)
+    check_run(cfg, "train", kind, save_models=models_dir is not None)
     if models_dir is not None:
         models_dir = Path(models_dir)
         models_dir.mkdir(parents=True, exist_ok=True)
@@ -411,56 +317,12 @@ def run_experiment(cfg: ExperimentConfig, models_dir=None) -> RunReport:
     return report
 
 
-# the settings each protocol never reads, whatever the model
-_PROTOCOL_UNREAD = {
-    "myo-eval": ("repetitions",),
-    "ninapro": ("cycles",),
-    "out-of-sample": ("cycles",),
-    "augmentation-ablation": ("cycles", "repetitions", "stride", "dim_reduction"),
-    "dim-reduction": ("repetitions", "dim_reduction"),  # it scores both columns
-}
-_PRETRAIN_UNREAD = ("protocol", "transfer", "source_checkpoint", "cycles", "repetitions",
-                    "gesture_subset", "dim_reduction", "out_dir")
-
-
 def _split_settings(cfg: ExperimentConfig) -> dict:
     """``cfg``'s ``build_split`` settings: dim-reduction scores the myo-eval split."""
     settings = {k: getattr(cfg, k) for k in SPLIT_KEYS}
     if cfg.protocol == "dim-reduction":
         settings["protocol"] = "myo-eval"
     return settings
-
-
-def _check_settings(cfg: ExperimentConfig, kind: str, models_dir):
-    """ConfigError for a model the protocol cannot score or a setting it would ignore.
-
-    A setting is ignored when the protocol never reads it
-    (``_PROTOCOL_UNREAD``), ``dim_reduction`` with a network model, which
-    is never LDA-projected, and ``source_checkpoint`` without transfer.
-    ``train`` is accepted with a baseline, so one set of overrides can
-    serve every model of a comparison.
-    """
-    needed = {"augmentation-ablation": "net", "dim-reduction": "baseline"}.get(cfg.protocol, kind)
-    if kind != needed:
-        raise ConfigError(f"protocol '{cfg.protocol}' scores a {needed} model, not '{cfg.model}'")
-    for what, wanted in (("transfer", cfg.transfer), ("saving models", models_dir is not None)):
-        if wanted and (kind != "net" or cfg.protocol not in SPLIT_PROTOCOLS):
-            raise ConfigError(f"{what} needs a network model and one of {SPLIT_PROTOCOLS}")
-    if cfg.gesture_subset is not None and cfg.protocol not in ("ninapro", "out-of-sample"):
-        raise ConfigError(f"gesture_subset is for ninapro and out-of-sample, not {cfg.protocol}")
-    unread = _PROTOCOL_UNREAD[cfg.protocol] + (("dim_reduction",) if kind == "net" else ())
-    if not cfg.transfer:
-        unread += ("source_checkpoint",)
-    _reject_unread(cfg, unread, f"a {cfg.protocol} run of {cfg.model}")
-
-
-def _reject_unread(cfg: ExperimentConfig, names, run: str):
-    """ConfigError for the first field of ``names`` that ``cfg`` sets to a non-default value."""
-    default = ExperimentConfig()
-    for name in names:
-        value = getattr(cfg, name)
-        if value != getattr(default, name):
-            raise ConfigError(f"{run} never reads {name}, so {value!r} would be ignored")
 
 
 def _grouped_recordings(cfg: ExperimentConfig):
@@ -560,17 +422,13 @@ def _baseline_accuracy(clf, train_set, test, reduce) -> float:
 def evaluate_checkpoint(dataset, checkpoint_path) -> dict:
     """Score a model saved by ``run_experiment`` on the split it was scored on.
 
-    The split, subject and channel shift come from the checkpoint's metadata.
-    A checkpoint saved before a key was recorded gets ExperimentConfig's
-    default for it (``myo-eval``, 4 cycles, 4 repetitions, all gestures,
-    ``DEFAULT_STRIDE``) and shift 0.  A recorded split that no dataset
-    could satisfy (``cycles`` 9, say) is a DataError naming the checkpoint,
-    raised before the dataset is read.
+    The split, subject and channel shift come from the checkpoint's metadata,
+    as ``load_model_checkpoint`` checks them before the dataset is read.
     """
-    net, arch = load_model_checkpoint(checkpoint_path)
+    net, arch, settings = load_model_checkpoint(checkpoint_path)
     md = net.metadata
     subject = md.get("subject")
-    split = _subject_split(load_dataset(dataset), subject, _recorded_split(md))
+    split = _subject_split(load_dataset(dataset), subject, settings)
     test_w = [apply_shift(w, md.get("channel_shift", 0)) for w in split.test]
     X_te, y_te = _xy(test_w, arch, _label_mapping(split.train))
     acc = _accuracy(net, X_te, y_te, subject)
@@ -618,7 +476,7 @@ def run_session_replay(session_file, checkpoint_path, skip_first_second=True, ou
     first ``SAMPLE_RATE`` samples; a hold too short for one window gets NaN
     accuracy.  Only a transfer model is run with the checkpoint's ``subject``.
     """
-    net, arch = load_model_checkpoint(checkpoint_path)
+    net, arch, _ = load_model_checkpoint(checkpoint_path)
     subject = net.metadata.get("subject")
     shift = net.metadata.get("channel_shift", 0)
     timeline = []

@@ -36,8 +36,7 @@ a (G, N, ...) array is the map its ``g``-th layer reads or writes, and a
 conv output stack is (G, rows, channels) in memory.  Each class supplies
 ``eval_group(layers, key, overwrite)``, the group's step as a function of
 its stacked input, with the members' constants bound for batch-norm bank
-``key`` and stacked to (G, 1, C); ``eval_step(key)`` is that step for one
-layer on an unstacked map.  Elementwise kinds run one ufunc call per
+``key`` and stacked to (G, 1, C).  Elementwise kinds run one ufunc call per
 operation over the whole stack, and with ``overwrite`` write their output
 over the input members that nothing reads after the step; the values are
 the same either way.  Conv2d and Dense run each member's own matrix
@@ -161,12 +160,6 @@ class Layer:
         With ``overwrite`` the step may write its output over its input
         stack, which nothing reads after it."""
         raise NotImplementedError
-
-    def eval_step(self, key):
-        """This layer's eval output as a function of one unstacked input (a
-        tuple of several): its group step with a group of one."""
-        step = self.eval_group([self], key)
-        return lambda x: step(tuple(v[None] for v in x) if isinstance(x, tuple) else x[None])[0]
 
     def eval_views(self):
         """None for a layer that takes an eval step; for an alias of its input,

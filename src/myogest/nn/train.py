@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import ConfigError, NumericalError
+from ..settings import config_class
 from .network import softmax_cross_entropy
 from .optim import Adam
 
@@ -32,23 +33,7 @@ log = logging.getLogger(__name__)
 ANNEAL_FACTOR = 5.0
 VALIDATION_FRACTION = 0.10
 MIN_IMPROVEMENT = 1e-5
-
-
-@dataclass
-class TrainConfig:
-    learning_rate: float = 0.002
-    batch_size: int = 128
-    dropout_rate: float = 0.5
-    patience_epochs: int = 5
-    max_epochs: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        # batches shorter than 2 are dropped (batch-norm needs two windows)
-        if self.batch_size < 2:
-            raise ConfigError("batch_size must be at least 2")
-        if not 0.0 <= self.dropout_rate < 1.0:
-            raise ConfigError("dropout_rate must be in [0, 1)")
+TrainConfig = config_class("TrainConfig", __name__, "A training run's settings (``settings.TABLE``).")
 
 
 @dataclass

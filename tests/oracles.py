@@ -484,6 +484,13 @@ def eval_forward_direct(net, x, subject=None):
     return values[net.output_name]
 
 
+def eval_step(layer, key):
+    """``layer``'s eval output as a function of one unstacked input (a tuple
+    of several): its ``eval_group`` step with a group of one."""
+    step = type(layer).eval_group([layer], key)
+    return lambda x: step(tuple(v[None] for v in x) if isinstance(x, tuple) else x[None])[0]
+
+
 # ---------------------------------------------------------------------------
 # gradients
 

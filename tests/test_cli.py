@@ -921,3 +921,85 @@ def test_scipy_loads_only_for_a_model_that_reads_it(data, model, loads_linalg):
     modules = _scipy_modules_after(f"from myogest import cli\nassert cli.main({argv!r}) == 0")
     assert ("scipy.linalg" in modules) == loads_linalg
     assert bool(modules) == loads_linalg
+
+
+# ---- one settings table: ranges, unread flags and seeds --------------------
+
+
+@pytest.mark.parametrize(
+    "before,after,match",
+    [
+        (["--seed", "-1"], [], "--seed must be >= 0, got -1"),
+        ([], ["--train-overrides", '{"learning_rate": -1}'], "learning_rate must be in (0, inf), got -1"),
+        ([], ["--train-overrides", '{"learning_rate": NaN}'], "learning_rate must be in (0, inf), got nan"),
+        ([], ["--train-overrides", '{"max_epochs": -3}'], "max_epochs must be >= 0, got -3"),
+        ([], ["--train-overrides", '{"patience_epochs": 0}'], "patience_epochs must be >= 1, got 0"),
+        (["--config", "run.json"], [], "subjects must hold at least one value"),
+    ],
+    ids=["seed-negative", "learning_rate-negative", "learning_rate-nan", "max_epochs-negative",
+         "patience_epochs-zero", "subjects-empty"],
+)
+def test_an_out_of_range_setting_exits_config_before_any_data_is_read(tmp_path, capsys, before,
+                                                                       after, match):
+    (tmp_path / "run.json").write_text(json.dumps({"subjects": []}))
+    before = [tmp_path / a if a == "run.json" else a for a in before]
+    code = cli.main([str(a) for a in [*before, "train", "--dataset", tmp_path / "missing",
+                                      "--model", "raw-1d", *after]])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert match in err and "manifest" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (["--seed", "3", "--config", "/nonexistent.json", "--out", "ev.json", "evaluate"], "--config"),
+        (["--seed", "3", "evaluate"], "--seed"),
+        (["--out", "ev.json", "evaluate"], "--out"),
+        (["--config", "run.json", "stats"], "--config"),
+        (["--seed", "3", "replay"], "--seed"),
+    ],
+    ids=["evaluate-all", "evaluate-seed", "evaluate-out", "stats-config", "replay-seed"],
+)
+def test_a_global_flag_the_subcommand_never_reads_is_a_config_error(data, tmp_path, capsys,
+                                                                    checkpoint, argv, flag):
+    command = {"evaluate": ["--dataset", data / "eval", "--checkpoint", checkpoint],
+               "stats": ["--table", tmp_path / "table.csv"],
+               "replay": ["--session", tmp_path / "session.csv", "--checkpoint", checkpoint]}
+    argv = [a.replace("ev.json", str(tmp_path / "ev.json")) for a in argv]
+    code = cli.main([str(a) for a in argv + command[argv[-1]]])
+    assert code == cli.EXIT_CONFIG
+    assert f"{argv[-1]} never reads {flag}, so" in capsys.readouterr().err
+    assert not (tmp_path / "ev.json").exists()
+
+
+def test_pretraining_refuses_a_second_seed_before_any_data_is_read(tmp_path, capsys):
+    (tmp_path / "run.json").write_text(json.dumps({"seeds": [5, 6]}))
+    code = cli.main(["--config", str(tmp_path / "run.json"), "pretrain", "--dataset",
+                     str(tmp_path / "missing"), "--model", "raw-1d"])
+    assert code == cli.EXIT_CONFIG
+    assert "pre-training reads one seed, so seeds [6] would be ignored" in capsys.readouterr().err
+
+
+def test_pretraining_with_no_seed_given_trains_at_seed_0(data, tmp_path, capsys):
+    paths = [tmp_path / "unset.json", tmp_path / "seed0.json"]
+    for path, seed in zip(paths, ([], ["--seed", "0"])):
+        assert cli.main([*seed, "--out", str(path), "pretrain", "--dataset", str(data / "pre"),
+                         "--model", "raw-1d", "--train-overrides", TRAIN]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content,match",
+    [(None, "FileNotFoundError"), ("{not json", "JSONDecodeError"),
+     (json.dumps({"method": "cwt"}), "KeyError: 'accuracies'")],
+    ids=["missing", "not-json", "not-a-run-report"],
+)
+def test_report_on_a_bad_input_file_is_a_data_error(tmp_path, capsys, content, match):
+    path = tmp_path / "in.json"
+    if content is not None:
+        path.write_text(content)
+    code = cli.main(["report", "--inputs", str(path)])
+    assert code == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert f"{path}: not a readable run report" in err and match in err

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -115,3 +116,12 @@ def test_json_values_that_fit_their_fields_pass_the_type_check():
     # None only where the default is None
     config = {"gesture_subset": None, "subjects": [2, 1], "transfer": False, "train": {}}
     assert harness.check_keys(ExperimentConfig, config, "config") is config
+
+
+def test_a_config_keeps_its_defaults_apart_from_the_values_it_was_given():
+    cfg = ExperimentConfig(seeds=[0, 1, 2], cycles=2)
+    unset = ExperimentConfig(cycles=2)
+    assert cfg == unset and cfg.seeds is not unset.seeds  # equal values; the default is a copy
+    assert cfg.given == {"seeds", "cycles"} and unset.given == {"cycles"}
+    for config in (cfg, TrainConfig(max_epochs=0)):
+        assert pickle.loads(pickle.dumps(config)) == config

@@ -2,7 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.stats import friedmanchisquare
+from scipy.stats import friedmanchisquare, wilcoxon
 
 import oracles
 from myogest.stats import (
@@ -28,6 +28,18 @@ def test_wilcoxon_exact_matches_enumeration_with_ties_and_zeros(n):
         res = wilcoxon_one_tail(a + diffs, a)
         assert res.method == "exact" and res.n == n
         assert res.p_value == pytest.approx(oracles.wilcoxon_exact_enum(list(diffs)), abs=1e-12)
+
+
+@pytest.mark.parametrize("n", [13, 17])
+def test_wilcoxon_is_exact_past_12_differences(n):
+    # the paper compares over 17 and 10 subjects; scipy's exact mode takes no ties
+    rng = np.random.default_rng(n)
+    for _ in range(20):
+        a, b = rng.standard_normal(n), rng.standard_normal(n)
+        res = wilcoxon_one_tail(a, b)
+        assert res.method == "exact" and res.n == n
+        expected = wilcoxon(a, b, alternative="greater", method="exact").pvalue
+        assert res.p_value == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("shape", [(6, 3), (10, 4), (8, 6)])
