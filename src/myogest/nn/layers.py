@@ -12,15 +12,17 @@ need_dx)`` consumes that cache and returns one gradient per input:
 ``Network.backward_from`` is the only caller and sets ``need_dx``.  A layer
 may keep in its cache what ``backward`` needs, but ``Network`` keeps nothing
 alive for it: each output leaves the network's values as soon as its last
-reader has run, and past that point lives on only inside a cache.
+reader has run, and past that point lives on only inside a cache, which
+``backward_from`` drops once the layer's backward has run.  A cache may
+hold the layer's input itself, so no train-mode layer writes over its input.
 
 Convolutions are valid (no padding), stride 1, and run as im2col matrix
 products.  Forward gathers the (kh, kw) patch matrix with one ``np.take``
 through a flat index cached per map shape and memory layout, and multiplies
 it by the weights; the weight gradient multiplies the transposed output
-gradient by the same patch matrix, and the input gradient multiplies the
-output gradient by the weights and scatter-adds each (kh, kw) tap back onto
-the input map.
+gradient by the same patch matrix, gathered again from the input, and the
+input gradient multiplies the output gradient by the weights and
+scatter-adds each (kh, kw) tap back onto the input map.
 
 Forward context carries the execution mode of ``forward``:
 
@@ -63,9 +65,13 @@ to any parameter and to each bank key over every network (``write_counts``).
 An eval program rebuilds once its counts move, at worst needlessly, and a
 stray in-place write raises ValueError rather than slip past the counts.
 
-Only ``train`` mode is ever backpropagated.  A frozen Conv2d keeps no
-patch matrix in its train cache, since its backward reads only the
-weights.
+Only ``train`` mode is ever backpropagated, and its caches hold no more
+than backward reads.  A Conv2d keeps its input, not its patch matrix, which
+is kh * kw times larger and is gathered again over the whole batch in
+backward, so the weight gradient keeps its bits; a frozen Conv2d keeps no
+input, since its backward reads only the weights.  Dropout keeps its
+boolean keep mask, an eighth of the float mask, which backward rebuilds as
+forward built it.
 
 PReLU, PELU, BatchNorm and Dropout avoid ``np.where`` on data-dependent
 masks, which branches per element, and allocate few, reused temporaries:
@@ -233,6 +239,12 @@ def _patch_index(c, h, w, kh, kw, channels_last):
 
 
 class Conv2d(Layer):
+    """Valid, stride-1 convolution as an im2col matrix product.
+
+    The train cache holds the input, from which backward gathers the patch
+    matrix again for the weight gradient; a frozen conv's holds no array.
+    """
+
     kind = "conv2d"
     eval_per_member = True
 
@@ -250,12 +262,11 @@ class Conv2d(Layer):
     def forward(self, xs, ctx):
         x = _single(xs)
         oh, ow = self._out_hw(x)
-        cols = self._im2col(x, oh, ow)  # (n*oh*ow, c*kh*kw)
-        out = cols @ self._weight_matrix()
+        out = self._im2col(x, oh, ow) @ self._weight_matrix()  # (n*oh*ow, c*kh*kw) patches
         out += self.params["bias"]
         out = out.reshape(len(x), oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        # a frozen conv's backward reads only the weights
-        return out, (x.shape, None if self.frozen else cols, (oh, ow))
+        # backward gathers the patches again from x; a frozen conv's reads only the weights
+        return out, (x.shape, None if self.frozen else x, (oh, ow))
 
     @classmethod
     def eval_group(cls, layers, key, overwrite=False):
@@ -306,12 +317,14 @@ class Conv2d(Layer):
         return flat.take(index, axis=1).reshape(n * oh * ow, -1)
 
     def backward(self, dout, cache, need_dx):
-        x_shape, cols, (oh, ow) = cache
+        x_shape, x, (oh, ow) = cache
         dout_mat = dout.transpose(0, 2, 3, 1).reshape(-1, self.out_channels)
         if not self.frozen:
-            if cols is None:
+            if x is None:
                 raise ConfigError("conv2d was unfrozen after a frozen forward pass")
-            self.grads["weight"] += (dout_mat.T @ cols).reshape(self.params["weight"].shape)
+            # the forward's gather over the whole batch gives its patch matrix bit for bit
+            d_weight = dout_mat.T @ self._im2col(x, oh, ow)
+            self.grads["weight"] += d_weight.reshape(self.params["weight"].shape)
             self.grads["bias"] += dout_mat.sum(axis=0)
         if not need_dx:
             return [None]
@@ -506,7 +519,12 @@ class BatchNorm(Layer):
 
 
 class Dropout(Layer):
-    """Inverted dropout: stochastic in train mode, identity at eval."""
+    """Inverted dropout: stochastic in train mode, identity at eval.
+
+    The train cache is the boolean keep mask and the keep probability; the
+    float mask, 1/keep where kept and 0 elsewhere, is built from them in
+    forward and again in backward.
+    """
 
     kind = "dropout"
 
@@ -523,15 +541,15 @@ class Dropout(Layer):
         if ctx.rng is None:
             raise ConfigError("stochastic dropout needs an rng in the context")
         keep = 1.0 - self.rate
-        mask = ctx.rng.random(x.shape)
-        np.less(mask, keep, out=mask)  # 1.0 keeps, 0.0 drops
-        mask /= keep
-        return x * mask, mask
+        draw = ctx.rng.random(x.shape)
+        kept = draw < keep
+        return x * np.divide(kept, keep, out=draw), (kept, keep)
 
     def backward(self, dout, cache, need_dx):
         if cache is None:
             return [dout]
-        return [dout * cache]
+        kept, keep = cache
+        return [dout * (kept / keep)]  # forward's float mask, bit for bit
 
     def eval_views(self):
         return ()

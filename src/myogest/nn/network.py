@@ -50,8 +50,13 @@ class Network:
                 raise ConfigError(f"node '{node.name}' has {len(node.inputs)} inputs")
             seen.add(node.name)
             self._index[node.name] = node
-        names = [node.name for node in self.nodes]
-        self._released = _released([node.inputs for node in self.nodes], names, self.output_name)
+        needed = {self.output_name}
+        for node in reversed(self.nodes):
+            if node.name in needed:
+                needed.update(node.inputs)
+        self._needed = [node for node in self.nodes if node.name in needed]  # reach the logits
+        names = [node.name for node in self._needed]
+        self._released = _released([node.inputs for node in self._needed], names, self.output_name)
         self._eval_plan = self._plan_eval()
         self._eval_programs = {}  # bank key -> EvalProgram
 
@@ -79,15 +84,10 @@ class Network:
         output over them.  A step releases the slots that no later step
         reads.
         """
-        needed = {self.output_name}
-        for node in reversed(self.nodes):
-            if node.name in needed:
-                needed.update(node.inputs)
-        nodes = [node for node in self.nodes if node.name in needed]
-        readers = Counter(ref for node in nodes for ref in node.inputs)
+        readers = Counter(ref for node in self._needed for ref in node.inputs)
         held = {INPUT: (INPUT, ())}  # value name -> (step whose output holds it, view layers)
         steps = {}  # step name -> (layer, bind, value names read)
-        for node in nodes:
+        for node in self._needed:
             views = node.layer.eval_views()
             if views is not None:  # dropout has none: it is the identity
                 step, seen = held[node.inputs[0]]
@@ -211,10 +211,11 @@ class Network:
         matrix ever holds more than one block.  Eval mixes nothing across
         windows, so blocking changes a window's logits by rounding at most:
         BLAS may take another kernel for a matrix of another size.
-        Train and finalize run every node through ``_forward_full``.  In every
-        mode each output is dropped as soon as its last reader has run: a
-        layer may keep in its cache what ``backward`` needs, but the network
-        keeps no output alive past its last reader.
+        Train and finalize run the same nodes, one at a time, through
+        ``_forward_full``.  In every mode each output is dropped as soon as
+        its last reader has run: a layer may keep in its cache what
+        ``backward`` needs, but the network keeps no output alive past its
+        last reader.
         """
         if mode == "eval":
             x = np.asarray(x, dtype=np.float64)
@@ -238,7 +239,8 @@ class Network:
         return program
 
     def _forward_full(self, x, mode, subject, rng):
-        """Run every node in train or finalize mode; returns ``(logits, caches)``.
+        """Run the nodes that reach the logits in train or finalize mode; returns
+        ``(logits, caches)``.
 
         Layer caches are kept in train mode only, the one mode
         backpropagated.  Each output leaves ``values`` right after its last
@@ -248,7 +250,7 @@ class Network:
         ctx = Context(mode=mode, subject=subject, rng=rng)
         values = {INPUT: np.asarray(x, dtype=np.float64)}
         caches = {}
-        for node, released in zip(self.nodes, self._released):
+        for node, released in zip(self._needed, self._released):
             ins = [values[ref] for ref in node.inputs]
             if mode == "train":
                 values[node.name], caches[node.name] = node.layer.forward(ins, ctx)
@@ -272,15 +274,18 @@ class Network:
         Only nodes whose output gradient reaches an unfrozen parameter are
         visited, and each computes its input gradient only when one of its
         inputs is such a node; nothing flows back into the network input.
+        Each node's cache leaves ``caches`` as the walk reaches the node, so
+        it is freed before the next node's backward runs.
         """
         live = self._reaches_trainable()
         grad_at = {self.output_name: dlogits}
         for node in reversed(self.nodes):
+            cache = caches.pop(node.name, None)
             dout = grad_at.pop(node.name, None)
             if dout is None or node.name not in live:
                 continue
             wanted = [ref in live for ref in node.inputs]
-            dins = node.layer.backward(dout, caches[node.name], any(wanted))
+            dins = node.layer.backward(dout, cache, any(wanted))
             if len(dins) != len(node.inputs):
                 raise ConfigError(f"node '{node.name}' returned wrong gradient arity")
             for ref, want, g in zip(node.inputs, wanted, dins):

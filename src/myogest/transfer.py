@@ -66,12 +66,13 @@ def pretrain(net: Network, X, y, subjects, cfg: TrainConfig) -> SourceNetwork:
     counts = {s: int((subjects == s).sum()) for s in sorted(set(subjects.tolist()))}
     kept = [s for s, c in counts.items() if c >= cfg.batch_size]
     dropped = sorted(set(counts) - set(kept))
-    if dropped:
+    if dropped:  # the only copy of the input: with every subject kept it is trained as given
         log.warning("dropping subjects with fewer than one batch of windows: %s", dropped)
+        mask = np.isin(subjects, kept)
+        X, y, subjects = X[mask], y[mask], subjects[mask]
     if not kept:
         raise ConfigError("no subject has at least one batch of windows")
-    mask = np.isin(subjects, kept)
-    train(net, X[mask], y[mask], cfg, subjects=subjects[mask])
+    train(net, X, y, cfg, subjects=subjects)
     net.freeze(lambda node: not _is_bn(node))
     return SourceNetwork(network=net, pretrain_subjects=kept)
 

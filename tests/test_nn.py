@@ -138,6 +138,17 @@ def test_caches_are_kept_in_train_mode_only():
     assert set(caches) == {node.name for node in net.nodes}
 
 
+def test_train_and_finalize_skip_the_source_head_that_cannot_reach_the_logits():
+    rng = np.random.default_rng(18)
+    net = _merged_cwt_target(rng)
+    x, _ = _batch("cwt")
+    ran = _record_forward_calls(net)
+    assert net._forward_full(x, "finalize", 3, None)[1] == {}
+    _, caches = net._forward_full(x, "train", 3, np.random.default_rng(0))
+    others = [node.name for node in net.nodes if node.name != "src/head"]
+    assert set(caches) == set(others) and ran == others + others
+
+
 @pytest.mark.parametrize(
     "kwargs", [{"batch_size": 1}, {"batch_size": 0}, {"dropout_rate": 1.0}, {"dropout_rate": -0.1}]
 )
@@ -594,7 +605,7 @@ def test_eval_runs_each_needed_batch_norm_once_and_no_dropout_layer():
         assert calls and not set(_kind_names(net, "dropout")) & set(calls), len(xb)
     calls = _record_forward_calls(net)
     net.forward(x, mode="train", subject=3, rng=np.random.default_rng(0))
-    assert set(calls) == {node.name for node in net.nodes}
+    assert set(calls) == needed - {"input"}
 
 
 def test_eval_skips_the_source_head_that_cannot_reach_the_logits():
@@ -760,6 +771,20 @@ def test_merged_cwt_target_peak_memory_is_bounded():
     assert _peak_mb(lambda: net.train_batch(x[:128], y, subject=3, rng=train_rng)) < 45
 
 
+@pytest.mark.parametrize("arch", ["spectrogram", "merged-cwt"])
+def test_a_train_step_keeps_no_patch_matrix_or_float_mask_alive(arch):
+    # full widths, batch 128: 44 and 36 MB when each conv cached its patch matrix,
+    # dropout its float64 mask, and backward held every cache to its end; 20 and 20 MB after
+    rng = np.random.default_rng(21)
+    net = _merged_cwt_target(rng, widths=None) if arch == "merged-cwt" else build_architecture(arch)
+    subject = 3 if arch == "merged-cwt" else None
+    x = rng.standard_normal((128, *INPUT_SHAPES[net.metadata["architecture"]]))
+    y = np.arange(128) % 3
+    train_rng = np.random.default_rng(0)
+    net.train_batch(x, y, subject=subject, rng=train_rng)
+    assert _peak_mb(lambda: net.train_batch(x, y, subject=subject, rng=train_rng)) < 28
+
+
 # ---- im2col gathers exactly the strided view's patch matrix ----------------
 
 
@@ -888,10 +913,12 @@ def test_dropout_mask_equals_the_select_form_from_the_same_stream(layout):
     x = _map(rng, (128, 16, 6, 5), layout)
     layer = Dropout(0.3)
     ctx = Context(mode="train", rng=np.random.default_rng(5))
-    out, mask = layer.forward([x], ctx)
+    out, cache = layer.forward([x], ctx)
     ref_rng = np.random.default_rng(5)
     ref_mask = oracles.dropout_mask_direct(ref_rng, x.shape, 0.3)
-    _assert_bits(mask, ref_mask)
+    dout = _map(rng, x.shape, layout)
+    (dx,) = layer.backward(dout, cache, True)
+    _assert_bits(dx, dout * ref_mask)
     _assert_bits(out, x * ref_mask)
     assert ctx.rng.random() == ref_rng.random()
 
