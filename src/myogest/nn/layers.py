@@ -22,7 +22,15 @@ through a flat index cached per map shape and memory layout, and multiplies
 it by the weights; the weight gradient multiplies the transposed output
 gradient by the same patch matrix, gathered again from the input, and the
 input gradient multiplies the output gradient by the weights and
-scatter-adds each (kh, kw) tap back onto the input map.
+scatter-adds each (kh, kw) tap back onto the input map.  The patch matrix
+is kh * kw times the input, so a finalize forward over more than
+``EVAL_BLOCK`` windows gathers and multiplies it in balanced blocks of
+``ceil(n / ceil(n / EVAL_BLOCK))`` windows, none of them small, each written
+into its rows of one whole-set output.  On the conv shapes of the five
+architectures each block's product has the bytes of the whole one, which
+the tests pin; BLAS does not promise that for every shape (narrow outputs
+with few rows per block differ), so train steps, Dense layers and eval keep
+one product.
 
 Forward context carries the execution mode of ``forward``:
 
@@ -47,7 +55,8 @@ row count as a lone layer, so grouping changes no bit; they also take a
 list of member inputs, read through different channel slices, where
 members that read one view get one object.  Conv2d gathers one patch
 matrix per distinct input object, which every member reading it
-multiplies.  Dropout, Flatten and SliceChannels take no step
+multiplies and then drops, so one patch matrix is alive at a time.
+Dropout, Flatten and SliceChannels take no step
 (``eval_views``): dropout is the identity at eval, and the others hand
 their input stack on as a view that the reading step takes.  A
 ScalarScale read only by a two-input Sum runs with it in one
@@ -101,6 +110,7 @@ from ..errors import ConfigError
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.1
 DEFAULT_SUBJECT = "__default__"
+EVAL_BLOCK = 256  # windows per eval pass, and at most per finalize conv block; bounds their patch matrices
 _writes = Counter()  # None: parameter writes; a bank key: that bank's writes and removals
 
 
@@ -243,6 +253,9 @@ class Conv2d(Layer):
 
     The train cache holds the input, from which backward gathers the patch
     matrix again for the weight gradient; a frozen conv's holds no array.
+    Finalize keeps no cache and runs an input of more than ``EVAL_BLOCK``
+    windows in balanced blocks, so its patch matrix holds one block, and
+    the eval step holds one distinct input's patch matrix at a time.
     """
 
     kind = "conv2d"
@@ -262,9 +275,18 @@ class Conv2d(Layer):
     def forward(self, xs, ctx):
         x = _single(xs)
         oh, ow = self._out_hw(x)
-        out = self._im2col(x, oh, ow) @ self._weight_matrix()  # (n*oh*ow, c*kh*kw) patches
+        n, w_t = len(x), self._weight_matrix()
+        if ctx.mode == "finalize" and n > EVAL_BLOCK:
+            # balanced blocks, none of them small, keep the whole product's bytes
+            blocks = -(-n // EVAL_BLOCK)
+            size, rows = -(-n // blocks), oh * ow
+            out = np.empty((n * rows, self.out_channels))
+            for i in range(0, n, size):
+                np.matmul(self._im2col(x[i : i + size], oh, ow), w_t, out=out[i * rows : (i + size) * rows])
+        else:
+            out = self._im2col(x, oh, ow) @ w_t  # (n*oh*ow, c*kh*kw) patches
         out += self.params["bias"]
-        out = out.reshape(len(x), oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
         # backward gathers the patches again from x; a frozen conv's reads only the weights
         return out, (x.shape, None if self.frozen else x, (oh, ow))
 
@@ -288,6 +310,7 @@ class Conv2d(Layer):
                 cols = conv._im2col(x, oh, ow)
                 for g in members:
                     np.matmul(cols, w_ts[g], out=out[g])
+                del cols  # before the next input's patch matrix is gathered
             out += bias
             return out.reshape(len(w_ts), n, oh, ow, -1).transpose(0, 1, 4, 2, 3)
 

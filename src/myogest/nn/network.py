@@ -17,11 +17,19 @@ from operator import itemgetter
 import numpy as np
 
 from ..errors import ConfigError, DataError
-from .layers import Context, ScalarScale, SliceChannels, Sum, layer_from_config, subject_key, write_counts
+from .layers import (
+    EVAL_BLOCK,
+    Context,
+    ScalarScale,
+    SliceChannels,
+    Sum,
+    layer_from_config,
+    subject_key,
+    write_counts,
+)
 
 CHECKPOINT_VERSION = 1
 INPUT = "input"
-EVAL_BLOCK = 256  # windows per eval pass; bounds eval memory whatever the set size
 
 
 @dataclass
@@ -212,10 +220,14 @@ class Network:
         windows, so blocking changes a window's logits by rounding at most:
         BLAS may take another kernel for a matrix of another size.
         Train and finalize run the same nodes, one at a time, through
-        ``_forward_full``.  In every mode each output is dropped as soon as
-        its last reader has run: a layer may keep in its cache what
-        ``backward`` needs, but the network keeps no output alive past its
-        last reader.
+        ``_forward_full``.  Finalize keeps whole-set activations, because
+        each BatchNorm takes its moments over the whole set, but a conv
+        gathers and multiplies its patch matrix in balanced blocks of at
+        most ``EVAL_BLOCK`` windows, keeping the bytes of one whole-set
+        product (``Conv2d.forward``).  In every mode each output is
+        dropped as soon as its last reader has run: a layer may keep in its
+        cache what ``backward`` needs, but the network keeps no output
+        alive past its last reader.
         """
         if mode == "eval":
             x = np.asarray(x, dtype=np.float64)

@@ -79,28 +79,40 @@ def _subject_batches(indices, subjects, batch_size, rng):
 
 def evaluate_loss(net, X, y, subjects=None):
     """Mean cross-entropy in deterministic eval mode, grouped by subject."""
-    total, count = 0.0, 0
-    for subj, sel in _group_by_subject(len(y), subjects):
-        logits = net.forward(X[sel], mode="eval", subject=subj)
-        loss, _ = softmax_cross_entropy(logits, y[sel])
-        total += loss * len(sel)
-        count += len(sel)
-    return total / count
+    total = 0.0
+    for subj, rows in _group_by_subject(subjects):
+        logits = net.forward(X[rows], mode="eval", subject=subj)
+        loss, _ = softmax_cross_entropy(logits, y[rows])
+        total += loss * len(logits)
+    return total / len(y)
 
 
-def _group_by_subject(n, subjects):
+def _group_by_subject(subjects):
+    """``(subject, rows)`` per subject in sorted order, tagged None without
+    ``subjects``.  ``rows`` selects the subject's windows without a copy
+    where it can: every window for one group, a slice for contiguous ones,
+    else their index."""
     if subjects is None:
-        yield None, np.arange(n)
+        yield None, slice(None)
         return
     subjects = np.asarray(subjects)
     for subj in sorted(set(subjects.tolist())):
-        yield int(subj), np.nonzero(subjects == subj)[0]
+        (rows,) = np.nonzero(subjects == subj)
+        if rows[-1] - rows[0] == len(rows) - 1:
+            rows = slice(rows[0], rows[-1] + 1)
+        yield int(subj), rows
 
 
 def finalize_bn(net, X, subjects=None):
-    """Recompute exact batch-norm statistics with one full pass per subject."""
-    for subj, sel in _group_by_subject(len(X), subjects):
-        net.forward(X[sel], mode="finalize", subject=subj)
+    """Recompute exact batch-norm statistics with one full pass per subject.
+
+    A subject whose windows are contiguous, or the only one, passes a view
+    of ``X``, not a copy.  Each BatchNorm takes its moments over the whole
+    pass; each conv bounds its patch matrix to blocks of at most
+    ``EVAL_BLOCK`` windows (``Conv2d.forward``).
+    """
+    for subj, rows in _group_by_subject(subjects):
+        net.forward(X[rows], mode="finalize", subject=subj)
     return net
 
 

@@ -24,6 +24,7 @@ from myogest.nn import (
     ScalarScale,
     Sum,
     TrainConfig,
+    evaluate_loss,
     finalize_bn,
     train,
 )
@@ -446,6 +447,85 @@ def test_eval_memory_stays_at_one_block_whatever_the_set_size():
     one = _peak_mb(lambda: net.forward(x[:EVAL_BLOCK]))
     four = _peak_mb(lambda: net.forward(x))
     assert four < 1.5 * one
+
+
+def test_the_eval_conv_step_keeps_one_patch_matrix_alive():
+    # 32.3 MB while the conv step held one branch's patch matrix as it gathered the next; 20.5 MB after
+    rng = np.random.default_rng(33)
+    net = build_architecture("spectrogram", seed=1)
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT,))
+    x = rng.standard_normal((4 * EVAL_BLOCK, *INPUT_SHAPES["spectrogram"]))
+    net.forward(x[:EVAL_BLOCK])
+    assert _peak_mb(lambda: net.predict(x)) < 24
+
+
+# ---- finalize runs each conv product in balanced blocks, byte for byte ------
+
+
+def _bank_bytes(net):
+    return [bank[k].tobytes() for node in net.nodes if node.layer.kind == "batch-norm"
+            for _, bank in sorted(node.layer.banks.items()) for k in ("mean", "var")]
+
+
+def _finalized(net, x, subjects):
+    """The finalize logits of each subject's windows of ``x`` and the bytes of every bank."""
+    logits = [net.forward(x[subjects == s], mode="finalize", subject=s).tobytes() for s in np.unique(subjects)]
+    return logits, _bank_bytes(net)
+
+
+@pytest.mark.parametrize("n", [257, 513, 840])
+@pytest.mark.parametrize("width", ["narrow", "full"])
+@pytest.mark.parametrize("arch", [*sorted(NARROW), "merged-cwt"])
+def test_blocked_finalize_writes_the_bytes_of_one_whole_set_product(arch, width, n, monkeypatch):
+    # 513 windows in fixed blocks of 256 would leave a one-window block, whose product takes other bits
+    rng = np.random.default_rng(34)
+    widths = NARROW[arch.removeprefix("merged-")] if width == "narrow" else None
+    if arch == "merged-cwt":
+        net, subjects = _merged_cwt_target(rng, widths), np.repeat([1, 3], n)
+    else:
+        net, subjects = build_architecture(arch, num_classes=5, widths=widths, seed=3), np.full(n, 2)
+        _randomize(net, rng, subjects=())
+    x = rng.standard_normal((len(subjects), *INPUT_SHAPES[net.metadata["architecture"]]))
+    blocked = _finalized(net, x, subjects)
+    monkeypatch.setattr("myogest.nn.layers.EVAL_BLOCK", 10**9)  # one product over the whole set
+    assert _finalized(net, x, subjects) == blocked
+
+
+def test_finalize_keeps_one_block_of_patch_matrix_alive():
+    # 59.4 MB when each conv gathered its patch matrix over the whole set; 30.4 MB after
+    rng = np.random.default_rng(35)
+    net = build_architecture("spectrogram", seed=1)
+    x = rng.standard_normal((840, *INPUT_SHAPES["spectrogram"]))
+    net.forward(x, mode="finalize")
+    assert _peak_mb(lambda: net.forward(x, mode="finalize")) < 38
+
+
+def test_finalize_of_interleaved_subjects_writes_the_banks_of_contiguous_ones():
+    rng = np.random.default_rng(36)
+    subjects = rng.permutation(np.repeat([1, 2], 300))
+    x = rng.standard_normal((600, *INPUT_SHAPES["cwt"]))
+    order = np.argsort(subjects, kind="stable")  # each subject's windows in their own order
+    banks = []
+    for xs, ss in ((x, subjects), (x[order], subjects[order])):
+        net = build_architecture("cwt", num_classes=3, widths=NARROW["cwt"], seed=1)
+        finalize_bn(net, xs, ss)
+        banks.append(_bank_bytes(net))
+    assert banks[0] == banks[1]
+
+
+@pytest.mark.parametrize("layout", ["one-group", "contiguous", "interleaved"])
+def test_finalize_and_validation_loss_read_contiguous_subjects_without_a_copy(layout):
+    rng = np.random.default_rng(37)
+    net = build_architecture("raw-1d", num_classes=3, widths=NARROW["raw-1d"], seed=1)
+    x, y = _batch("raw-1d", n=40)
+    subjects = {"one-group": None, "contiguous": np.repeat([1, 2], 20), "interleaved": np.arange(40) % 2 + 1}[layout]
+    _randomize(net, rng, subjects=(DEFAULT_SUBJECT, 1, 2))
+    seen = []
+    forward = net.forward
+    net.forward = lambda xb, **kw: (seen.append(np.shares_memory(xb, x)), forward(xb, **kw))[1]
+    finalize_bn(net, x, subjects)
+    evaluate_loss(net, x, y, subjects)
+    assert seen == [layout != "interleaved"] * (2 if subjects is None else 4)
 
 
 # ---- sibling nodes share one eval step, and grouping changes no bit ----------
